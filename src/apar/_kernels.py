@@ -1,29 +1,11 @@
-"""Mask-construction kernels: numba-compiled with a pure-numpy fallback.
-
-Building a training attention mask is the one O(n^2) inner loop in the
-package.  Set APAR_NO_NUMBA=1 (or run without numba installed) to force the
-numpy path; ``benchmarks/mask_kernels.py`` compares the two.
-"""
+"""Mask-construction kernel: the package's one O(n^2) inner loop, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("APAR_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def mask_fill_numpy(
+def build_mask_array(
     node_of: np.ndarray, ancestor: np.ndarray, prompt_len: int
 ) -> np.ndarray:
     """Vectorized mask fill.
@@ -31,6 +13,8 @@ def mask_fill_numpy(
     node_of[i] is the dense node index of token i (-1 for prompt tokens);
     ancestor[a, b] says node b is a strict ancestor of node a.
     """
+    node_of = np.ascontiguousarray(node_of, dtype=np.int64)
+    ancestor = np.ascontiguousarray(ancestor, dtype=np.bool_)
     n = node_of.shape[0]
     idx = np.arange(n)
     causal = idx[None, :] <= idx[:, None]
@@ -41,40 +25,3 @@ def mask_fill_numpy(
     anc = ancestor[safe[:, None], safe[None, :]]
     pair_ok = generated[:, None] & generated[None, :] & (same | anc)
     return causal & (prompt_col | pair_ok)
-
-
-def _mask_fill_loops(node_of, ancestor, prompt_len, out):  # pragma: no cover
-    n = node_of.shape[0]
-    for i in range(n):
-        ni = node_of[i]
-        for j in range(i + 1):
-            if j < prompt_len:
-                out[i, j] = True
-            else:
-                nj = node_of[j]
-                if ni >= 0 and nj >= 0 and (ni == nj or ancestor[ni, nj]):
-                    out[i, j] = True
-    return out
-
-
-if HAVE_NUMBA:
-    _mask_fill_jit = njit(cache=True)(_mask_fill_loops)
-
-
-def mask_fill_numba(
-    node_of: np.ndarray, ancestor: np.ndarray, prompt_len: int
-) -> np.ndarray:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba path unavailable; unset APAR_NO_NUMBA")
-    out = np.zeros((node_of.shape[0], node_of.shape[0]), dtype=np.bool_)
-    return _mask_fill_jit(node_of, ancestor, np.int64(prompt_len), out)
-
-
-def build_mask_array(
-    node_of: np.ndarray, ancestor: np.ndarray, prompt_len: int
-) -> np.ndarray:
-    node_of = np.ascontiguousarray(node_of, dtype=np.int64)
-    ancestor = np.ascontiguousarray(ancestor, dtype=np.bool_)
-    if HAVE_NUMBA:
-        return mask_fill_numba(node_of, ancestor, prompt_len)
-    return mask_fill_numpy(node_of, ancestor, prompt_len)

@@ -177,6 +177,8 @@ def _bench_one(task: tuple[str, int]) -> dict | None:
     script = _load_script(path)
     apar = apar_decode(list(script.prompt), ReplayModel(script), block_size=block_size)
     ar = ar_decode(list(script.prompt), as_linear(script), block_size=block_size)
+    if apar.trace.truncated or ar.trace.truncated:
+        raise CliInputError(f"{path}: decoding was truncated; no speedup to report")
     seqs = apar.sequences_map()
     apar_cached = max_cached_tokens(apar.trace)
     flat_cached = flatten_max_cached(apar.tree, seqs)

@@ -11,6 +11,13 @@ script 71. Pinned by test_criterion_04a_fig3_toy_schedule and
 test_criterion_04b_big_tree_step_speedup (tests/test_acceptance.py),
 TestBigTree in tests/test_engine.py and
 test_big_tree_constant_steps in tests/test_metrics.py.
+
+apar_decode and ar_decode run one loop; ar is that loop over a model that
+never emits [Fork].  Before each step the loop ends, with an appended [EOS],
+every unfinished thread whose context (prompt included) holds at least
+max_seq_len tokens; it stops once every thread has finished, and ends the
+rest once max_steps steps have run.  So a prompt of max_seq_len tokens or
+more decodes in 0 steps with an empty output, and any cut sets truncated.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Protocol, Sequence as Seq
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .errors import CapacityError, ProtocolError
 from .runtime import SequenceGroup, new_group
-from .tokens import EOS, FORK, strip_control
+from .tokens import EOS, FORK
 from .tree import ParagraphTree, restore
 
 DEFAULT_MAX_STEPS = 4096
@@ -118,8 +125,11 @@ class DecodeResult:
 
 
 def apar_step(group: SequenceGroup, model: LanguageModel) -> StepRecord:
-    """Advance every unfinished sequence by one token; fork where due."""
-    snapshot = [s for s in list(group.sequences.values()) if not s.finished]
+    """Advance every unfinished sequence by one token; fork where due.
+
+    The record holds what the step did; the pool figures are left at 0.
+    """
+    snapshot = group.unfinished()
     if not snapshot:
         raise ProtocolError("all sequences of the group have finished")
     rec = StepRecord(step=0)
@@ -140,19 +150,45 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> StepRecord:
         rec.sampled.append((seq.id, token))
         if token == EOS:
             rec.finished.append(seq.id)
-    used_blocks, used_slots, _ = group.pool.usage_snapshot()
-    rec.physical_slots = used_slots
-    rec.physical_blocks = used_blocks
-    rec.logical_slots = group.logical_slots
-    # Running maximum: an [EOS] slot counts before its thread releases.
-    rec.logical_peak = group.logical_peak
     return rec
 
 
-def _force_finish(group: SequenceGroup, trace: DecodeTrace) -> None:
-    for seq in group.unfinished():
-        group.append_token(seq.id, EOS)
-    trace.truncated = True
+def _decode(
+    mode: str,
+    prompt: Seq[str],
+    model: LanguageModel,
+    pool: KvBlockPool | None,
+    max_steps: int,
+    max_seq_len: int,
+    block_size: int,
+    early_release: bool,
+) -> DecodeResult:
+    if pool is None:
+        pool = KvBlockPool(_STANDALONE_POOL_BLOCKS, block_size=block_size)
+    group = new_group(prompt, pool, early_release=early_release)
+    trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
+    while True:
+        for seq in group.unfinished():
+            if len(seq.tokens) >= max_seq_len:
+                group.append_token(seq.id, EOS)
+                trace.truncated = True
+        if group.all_finished():
+            break
+        if trace.steps >= max_steps:
+            for seq in group.unfinished():
+                group.append_token(seq.id, EOS)
+            trace.truncated = True
+            break
+        rec = apar_step(group, model)
+        rec.step = trace.steps + 1
+        rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
+        rec.logical_slots = group.logical_slots
+        # Running maximum: an [EOS] slot counts before its thread releases.
+        rec.logical_peak = group.logical_peak
+        trace.records.append(rec)
+    output = restore(group.tree, group.sequences_map(), strip_control=True)
+    trace.content_tokens = len(output)
+    return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
 
 
 def apar_decode(
@@ -165,24 +201,9 @@ def apar_decode(
     early_release: bool = True,
 ) -> DecodeResult:
     """Run the forking decode loop until every thread has finished."""
-    if pool is None:
-        pool = KvBlockPool(_STANDALONE_POOL_BLOCKS, block_size=block_size)
-    group = new_group(prompt, pool, early_release=early_release)
-    trace = DecodeTrace(mode="apar", prompt_len=len(group.prompt))
-    while not group.all_finished():
-        if len(trace.records) >= max_steps:
-            _force_finish(group, trace)
-            break
-        rec = apar_step(group, model)
-        rec.step = len(trace.records) + 1
-        trace.records.append(rec)
-        for seq in group.unfinished():
-            if len(seq.tokens) >= max_seq_len:
-                group.append_token(seq.id, EOS)
-                trace.truncated = True
-    output = restore(group.tree, group.sequences_map(), strip_control=True)
-    trace.content_tokens = len(output)
-    return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
+    return _decode(
+        "apar", prompt, model, pool, max_steps, max_seq_len, block_size, early_release
+    )
 
 
 def ar_decode(
@@ -193,32 +214,7 @@ def ar_decode(
     max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
-    """Sequential baseline: one sequence, one token per step until [EOS]."""
-    if pool is None:
-        pool = KvBlockPool(_STANDALONE_POOL_BLOCKS, block_size=block_size)
-    group = new_group(prompt, pool)
-    trace = DecodeTrace(mode="ar", prompt_len=len(group.prompt))
-    seq = group.sequences[0]
-    while not seq.finished:
-        if len(trace.records) >= max_steps or len(seq.tokens) >= max_seq_len:
-            _force_finish(group, trace)
-            break
-        token = model.next_token(seq.tokens)
-        rec = StepRecord(step=len(trace.records) + 1)
-        rec.batch_size = 1
-        rec.attended_sum = len(seq.tokens)
-        freed = group.append_token(seq.id, token)
-        rec.slots_appended = 1
-        rec.blocks_freed = freed
-        rec.sampled.append((seq.id, token))
-        if token == EOS:
-            rec.finished.append(seq.id)
-        used_blocks, used_slots, _ = group.pool.usage_snapshot()
-        rec.physical_slots = used_slots
-        rec.physical_blocks = used_blocks
-        rec.logical_slots = group.logical_slots
-        rec.logical_peak = group.logical_peak
-        trace.records.append(rec)
-    output = strip_control(seq.tokens[len(group.prompt):])
-    trace.content_tokens = len(output)
-    return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
+    """Sequential baseline: the same loop over a model that never forks."""
+    return _decode(
+        "ar", prompt, model, pool, max_steps, max_seq_len, block_size, early_release=True
+    )

@@ -5,7 +5,8 @@ concurrency limit and the block pool allow, every live sequence advances one
 token per global step, and the clock advances by the step's modeled cost.
 Before each step the scheduler reserves the exact number of blocks the step
 can allocate; if the pool cannot cover it, the most recently admitted group
-is preempted (blocks dropped, request requeued for recompute).
+is preempted (blocks dropped, request requeued for recompute).  A run that
+ends with blocks still held or requests not completed raises SimulationError.
 
 Profiling samples the system every ``sample_period`` simulated seconds.
 Summary figures discard the leading warm-up fraction of samples and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence as Seq
 
 import numpy as np
@@ -316,18 +317,14 @@ def run_simulation(config: SimConfig) -> SimReport:
             preemptions += 1
             admission_open = False
 
-        batch_size = 0
-        attended = 0
-        for entry in live:
-            for seq in entry.group.sequences.values():
-                if not seq.finished:
-                    batch_size += 1
-                    attended += len(seq.tokens)
-        clock += config.cost.latency(batch_size, attended)
+        records = [apar_step(entry.group, entry.model) for entry in live]
+        clock += config.cost.latency(
+            sum(rec.batch_size for rec in records),
+            sum(rec.attended_sum for rec in records),
+        )
 
         still_live: list[_LiveGroup] = []
-        for entry in live:
-            rec = apar_step(entry.group, entry.model)
+        for entry, rec in zip(live, records):
             content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
             entry.content_generated += content
             window_content += content
@@ -345,6 +342,11 @@ def run_simulation(config: SimConfig) -> SimReport:
         live = still_live
         close_windows()
 
+    if pool.used_blocks or completed != len(config.workload):
+        raise SimulationError(
+            f"run ended with {pool.used_blocks} blocks still held and"
+            f" {completed} of {len(config.workload)} requests completed"
+        )
     clock = max(clock, next_sample)
     close_windows()
 
@@ -393,22 +395,7 @@ def run_simulation(config: SimConfig) -> SimReport:
 def run_budget_sweep(
     base: SimConfig, budgets: Seq[float]
 ) -> dict[float, SimReport]:
-    reports = {}
-    for budget in budgets:
-        cfg = SimConfig(
-            workload=base.workload,
-            mode=base.mode,
-            cache_budget_fraction=budget,
-            capacity_blocks=base.capacity_blocks,
-            block_size=base.block_size,
-            concurrency_limit=base.concurrency_limit,
-            sample_period=base.sample_period,
-            warmup_discard_fraction=base.warmup_discard_fraction,
-            cost=base.cost,
-            early_release=base.early_release,
-        )
-        reports[budget] = run_simulation(cfg)
-    return reports
+    return {b: run_simulation(replace(base, cache_budget_fraction=b)) for b in budgets}
 
 
 def default_config(mode: str = "apar", copies: int = 100) -> SimConfig:

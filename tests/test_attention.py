@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from apar._kernels import HAVE_NUMBA, mask_fill_numpy
 from apar.attention import (
     attended_count,
     build_loss_mask,
@@ -182,26 +181,6 @@ def test_counting_inequality_two_threads_long_details():
 
 
 class TestKernels:
-    def test_numpy_numba_parity(self):
-        if not HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        from apar._kernels import mask_fill_numba
-
-        for seed in range(10):
-            script = random_script(seed, max_nodes=13, max_node_len=6)
-            sample, tree = linearize_script(script)
-            mask = build_training_mask(sample, tree)
-            from apar.attention import _ancestor_matrix
-
-            dense, anc = _ancestor_matrix(tree)
-            node_of = np.array(
-                [dense[n] if n >= 0 else -1 for n in sample.node_of], dtype=np.int64
-            )
-            assert np.array_equal(
-                mask_fill_numpy(node_of, anc, sample.prompt_len),
-                mask_fill_numba(node_of, anc, sample.prompt_len),
-            )
-
     def test_export_round_trip(self, tmp_path, fig3_script):
         sample, tree = linearize_script(fig3_script)
         mask = build_training_mask(sample, tree)

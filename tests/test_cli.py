@@ -9,6 +9,7 @@ from corpus_data import conversations  # noqa: E402
 
 from apar.cli import main
 from apar.script import ScriptNode, ScriptTree, script_to_json
+from apar.sim import list_script
 
 
 @pytest.fixture
@@ -151,6 +152,17 @@ class TestBenchAndReport:
         d = tmp_path / "none"
         d.mkdir()
         assert main(["bench", "--scripts", str(d), "--report", str(tmp_path / "r")]) == 1
+
+    def test_bench_rejects_truncated_baseline(self, tmp_path, capsys):
+        # Flattens to 2,140 tokens: ar stops at the default max_seq_len.
+        d = tmp_path / "long"
+        d.mkdir()
+        (d / "long_list.json").write_text(script_to_json(list_script(items=6, detail_len=350)))
+        report = tmp_path / "bench.csv"
+        rc = main(["bench", "--scripts", str(d), "--report", str(report)])
+        assert rc == 1
+        assert "long_list.json" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_report_merges_json(self, script_dir, tmp_path, capsys):
         a = tmp_path / "a.json"

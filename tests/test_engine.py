@@ -41,6 +41,9 @@ class TestDegenerateAndErrors:
         ar = ar_decode(list(script.prompt), as_linear(script))
         assert apar.output == ar.output
         assert apar.trace.steps == ar.trace.steps
+        assert [r.to_dict() for r in apar.trace.records] == [
+            r.to_dict() for r in ar.trace.records
+        ]
 
     def test_step_on_finished_group(self, fig3_script):
         result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
@@ -60,6 +63,17 @@ class TestDegenerateAndErrors:
             list(fig3_script.prompt), ReplayModel(fig3_script), max_seq_len=4
         )
         assert result.trace.truncated
+
+    @pytest.mark.parametrize("mode", ["apar", "ar"])
+    def test_prompt_at_max_seq_len_decodes_nothing(self, mode):
+        script = random_script(3, max_nodes=5, max_node_len=4, prompt_len=3)
+        decode = apar_decode if mode == "apar" else ar_decode
+        model = ReplayModel(script) if mode == "apar" else as_linear(script)
+        for max_seq_len in (1, len(script.prompt)):
+            result = decode(list(script.prompt), model, max_seq_len=max_seq_len)
+            assert result.trace.steps == 0
+            assert result.trace.truncated
+            assert result.output == []
 
     def test_ar_truncation(self, fig3_script):
         result = ar_decode(

@@ -1,5 +1,6 @@
 import pytest
 
+from apar.blocks import KvBlockPool
 from apar.errors import SimulationError
 from apar.script import ScriptNode, ScriptTree, flatten_script
 from apar.sim import (
@@ -112,6 +113,29 @@ class TestPoolDiscipline:
         )
         with pytest.raises(SimulationError):
             run_simulation(config)
+
+
+class TestEndOfRunChecks:
+    def test_leaked_block_is_an_error(self, monkeypatch):
+        release = KvBlockPool.release_sequence
+        leaked = []
+
+        def leaky_release(self, table):
+            if not leaked and table.blocks:
+                leaked.append(table.blocks[-1])
+                self.refcount[table.blocks[-1]] += 1  # a reference nobody drops
+            return release(self, table)
+
+        monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
+        config = SimConfig(
+            workload=[list_script() for _ in range(4)],
+            mode="apar",
+            capacity_blocks=200,
+            cost=constant_cost(),
+        )
+        with pytest.raises(SimulationError, match="1 blocks still held"):
+            run_simulation(config)
+        assert leaked
 
 
 class TestEarlyReleaseAblation:
