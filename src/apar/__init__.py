@@ -7,6 +7,7 @@ from .errors import (
     ProtocolError,
     ScriptMismatch,
     SimulationError,
+    SimulationInvariantError,
     TreeError,
 )
 from .runtime import Sequence, SequenceGroup, new_group

@@ -35,6 +35,10 @@ class BlockTable:
 class KvBlockPool:
     """Fixed-capacity pool of cache blocks with per-block refcounts.
 
+    Block ids are handed out newest-freed first; with nothing freed, the
+    next never-used id in ascending order (0, 1, 2, ...).  No free list is
+    built up front, so creating a pool costs the same at any capacity.
+
     Every public method takes the pool lock, so a pool may be shared by
     engines running on different threads.
     """
@@ -45,18 +49,23 @@ class KvBlockPool:
         self.block_size = block_size
         self.capacity = capacity
         self.refcount: dict[int, int] = {}
-        # Popping from the tail hands out ids 0, 1, 2, ... deterministically.
-        self.free_list: list[int] = list(range(capacity - 1, -1, -1))
+        self._freed: list[int] = []  # a stack: the last freed id goes out first
+        self._next_fresh = 0  # ids from here to capacity - 1 were never handed out
         self.slots_filled: dict[int, int] = {}
+        self._used_slots = 0  # running sum of slots_filled
         self.peak_used: int = 0
         self._lock = threading.Lock()
 
     # -- internal helpers (callers hold the lock) --
 
     def _alloc(self) -> int:
-        if not self.free_list:
+        if self._freed:
+            block = self._freed.pop()
+        elif self._next_fresh < self.capacity:
+            block = self._next_fresh
+            self._next_fresh += 1
+        else:
             raise CapacityError("block pool exhausted")
-        block = self.free_list.pop()
         self.refcount[block] = 1
         self.slots_filled[block] = 0
         used = len(self.refcount)
@@ -68,8 +77,8 @@ class KvBlockPool:
         self.refcount[block] -= 1
         if self.refcount[block] == 0:
             del self.refcount[block]
-            del self.slots_filled[block]
-            self.free_list.append(block)
+            self._used_slots -= self.slots_filled.pop(block)
+            self._freed.append(block)
             return True
         return False
 
@@ -83,6 +92,7 @@ class KvBlockPool:
                 table.blocks.append(block)
                 table.slots_used_in_last_block = 1
                 self.slots_filled[block] = 1
+                self._used_slots += 1
             else:
                 last = table.blocks[-1]
                 if self.refcount[last] != 1:
@@ -91,6 +101,7 @@ class KvBlockPool:
                     )
                 table.slots_used_in_last_block += 1
                 self.slots_filled[last] += 1
+                self._used_slots += 1
             return table
 
     def fork_table(self, parent: BlockTable, child_owner: int) -> BlockTable:
@@ -110,6 +121,7 @@ class KvBlockPool:
             if partial:
                 copy = self._alloc()  # may raise before any refcount changes
                 self.slots_filled[copy] = parent.slots_used_in_last_block
+                self._used_slots += parent.slots_used_in_last_block
             for block in shared:
                 self.refcount[block] += 1
             child.blocks = list(shared)
@@ -133,9 +145,7 @@ class KvBlockPool:
     def usage_snapshot(self) -> tuple[int, int, int]:
         """(used blocks, used slots, peak used blocks); slots count exact fills."""
         with self._lock:
-            used_blocks = len(self.refcount)
-            used_slots = sum(self.slots_filled.values())
-            return used_blocks, used_slots, self.peak_used
+            return len(self.refcount), self._used_slots, self.peak_used
 
     @property
     def used_blocks(self) -> int:
@@ -143,4 +153,4 @@ class KvBlockPool:
 
     @property
     def free_blocks(self) -> int:
-        return len(self.free_list)
+        return len(self._freed) + self.capacity - self._next_fresh

@@ -13,7 +13,14 @@ import sys
 from pathlib import Path
 
 from .engine import apar_decode, ar_decode
-from .errors import CapacityError, ProtocolError, ScriptMismatch, SimulationError, TreeError
+from .errors import (
+    CapacityError,
+    ProtocolError,
+    ScriptMismatch,
+    SimulationError,
+    SimulationInvariantError,
+    TreeError,
+)
 from .extract import (
     Conversation,
     assemble_with_ratio,
@@ -290,12 +297,19 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (
+        ProtocolError,
+        TreeError,
+        CapacityError,
+        ScriptMismatch,
+        SimulationInvariantError,
+        AssertionError,
+    ) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ProtocolError, TreeError, CapacityError, ScriptMismatch, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,4 +18,12 @@ class ScriptMismatch(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """A simulation config admits no valid schedule."""
+    """A simulation config admits no valid schedule.
+
+    Its subclass SimulationInvariantError marks a run that broke an
+    end-of-run invariant instead.
+    """
+
+
+class SimulationInvariantError(SimulationError):
+    """A simulation ended with cache blocks still held or requests not completed."""

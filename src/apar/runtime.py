@@ -13,12 +13,12 @@ is the token-level counterpart of the physical block pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .blocks import BlockTable, KvBlockPool
 from .errors import ProtocolError
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
-from .tree import ParagraphNode, ParagraphTree, path_to_root
+from .tree import ParagraphNode, ParagraphTree
 
 __all__ = ["Sequence", "SequenceGroup", "new_group"]
 
@@ -44,13 +44,16 @@ class SequenceGroup:
         table = BlockTable(owner=0)
         for _ in prompt:
             pool.append_slot(table)
-        self.sequences: dict[int, Sequence] = {
-            0: Sequence(id=0, tokens=list(prompt), current_node=0, block_table=table)
-        }
+        first = Sequence(id=0, tokens=list(prompt), current_node=0, block_table=table)
+        self.sequences: dict[int, Sequence] = {0: first}
+        # Unfinished sequences by id; ids only grow, so insertion order is
+        # ascending id order.
+        self.live: dict[int, Sequence] = {0: first}
         self._next_seq_id = 1
         self._next_node_id = 1
+        # Node id -> the node whose pointer targets it; the root has none.
+        self._parents: dict[int, int] = {}
         self._node_live_refs: dict[int, int] = {0: 1}
-        self._live_count = 1
         self._deferred_tables: list[BlockTable] = []
         self.logical_slots = len(prompt)
         self.logical_peak = len(prompt)
@@ -62,10 +65,11 @@ class SequenceGroup:
         return {sid: seq.tokens for sid, seq in self.sequences.items()}
 
     def unfinished(self) -> list[Sequence]:
-        return [s for s in self.sequences.values() if not s.finished]
+        """The live sequences in ascending id order, as a list of its own."""
+        return list(self.live.values())
 
     def all_finished(self) -> bool:
-        return self._live_count == 0
+        return not self.live
 
     def thread_count(self) -> int:
         return len(self.sequences)
@@ -113,10 +117,12 @@ class SequenceGroup:
         old.first_child = detail.id
         self.tree.nodes[cont.id] = cont
         self.tree.nodes[detail.id] = detail
+        self._parents[cont.id] = old.id
+        self._parents[detail.id] = old.id
 
         # The child thread now holds a live reference to every node on the
         # path it shares with the parent.
-        for nid in path_to_root(self.tree, old.id):
+        for nid in self._path_to_root(old.id):
             self._node_live_refs[nid] += 1
         self._node_live_refs[cont.id] = 1
         self._node_live_refs[detail.id] = 1
@@ -124,7 +130,7 @@ class SequenceGroup:
         parent.current_node = cont.id
         child.current_node = detail.id
         self.sequences[child_id] = child
-        self._live_count += 1
+        self.live[child_id] = child
         self._bump_logical(1)  # the injected [Child]; the prefix is shared
         self.fork_count += 1
         return child_id
@@ -144,14 +150,14 @@ class SequenceGroup:
         if token != EOS:
             return 0
         seq.finished = True
-        self._live_count -= 1
+        del self.live[seq_id]
         self._release_logical(seq)
         freed = 0
         if self.early_release:
             freed = self.pool.release_sequence(seq.block_table)
         else:
             self._deferred_tables.append(seq.block_table)
-            if self._live_count == 0:
+            if not self.live:
                 for table in self._deferred_tables:
                     freed += self.pool.release_sequence(table)
                 self._deferred_tables.clear()
@@ -164,14 +170,20 @@ class SequenceGroup:
         if self.logical_slots > self.logical_peak:
             self.logical_peak = self.logical_slots
 
+    def _path_to_root(self, node_id: int | None) -> Iterator[int]:
+        """``node_id`` and the nodes above it, root last, from the recorded parents."""
+        while node_id is not None:
+            yield node_id
+            node_id = self._parents.get(node_id)
+
     def _release_logical(self, seq: Sequence) -> None:
-        for nid in path_to_root(self.tree, seq.current_node):
+        for nid in self._path_to_root(seq.current_node):
             self._node_live_refs[nid] -= 1
             if self._node_live_refs[nid] == 0:
                 node = self.tree.nodes[nid]
                 start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
                 self.logical_slots -= end - start
-        if self._live_count == 0:
+        if not self.live:
             self.logical_slots -= len(self.prompt)
 
     def _get(self, seq_id: int) -> Sequence:

@@ -71,22 +71,49 @@ def flatten_script(script: ScriptTree) -> list[str]:
 _CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
 
 
+class _Cursor:
+    """Scan state of one context: positions ``[0, pos)`` are checked.
+
+    Holding ``context`` keeps the object alive, so its ``id`` cannot be
+    reused by another context while the cursor lives.
+    """
+
+    __slots__ = ("context", "pos", "node", "k", "state")
+
+    def __init__(self, context: Seq[str], pos: int, node: ScriptNode):
+        self.context = context
+        self.pos = pos
+        self.node = node
+        self.k = 0
+        self.state = _CONTENT
+
+
 class ReplayModel:
-    """Replays one script; deterministic given the context."""
+    """Replays one script; deterministic given the context.
+
+    The model keeps a cursor per context it has answered, keyed by the
+    context object, and checks only the tokens appended since its last call
+    on that object, so a call on a growing context costs the same at any
+    length.
+    Contexts are expected to grow by appending: one the model has not seen,
+    or one shorter than its cursor, is checked again from the prompt.  The
+    cursor is dropped when the model answers [EOS] or raises.
+    """
 
     def __init__(self, script: ScriptTree):
         self.script = script
+        self._cursors: dict[int, _Cursor] = {}
 
     def next_token(self, context: Seq[str]) -> str:
         script = self.script
-        plen = len(script.prompt)
-        if tuple(context[:plen]) != script.prompt:
-            raise ScriptMismatch("context does not start with the script prompt")
-        node = script.nodes[script.root]
-        k = 0
-        state = _CONTENT
-        i = plen
         n = len(context)
+        cursor = self._cursors.pop(id(context), None)
+        if cursor is None or n < cursor.pos:
+            plen = len(script.prompt)
+            if tuple(context[:plen]) != script.prompt:
+                raise ScriptMismatch("context does not start with the script prompt")
+            cursor = _Cursor(context, plen, script.nodes[script.root])
+        node, k, state, i = cursor.node, cursor.k, cursor.state, cursor.pos
         while i < n:
             tok = context[i]
             if state == _AFTER_FORK:
@@ -117,6 +144,7 @@ class ReplayModel:
                     raise ScriptMismatch(f"position {i}: expected {EOS}, saw {tok!r}")
                 state = _DONE
             i += 1
+        cursor.pos, cursor.node, cursor.k, cursor.state = i, node, k, state
 
         if state == _AFTER_FORK:
             node = script.nodes[node.next_sibling]
@@ -124,29 +152,46 @@ class ReplayModel:
         elif state == _DONE:
             raise ScriptMismatch("next_token called on a finished context")
         if k < len(node.tokens):
-            return node.tokens[k]
-        if node.first_child is not None:
-            return FORK
-        return EOS
+            token = node.tokens[k]
+        elif node.first_child is not None:
+            token = FORK
+        else:
+            return EOS
+        self._cursors[id(context)] = cursor
+        return token
 
 
 class LinearModel:
-    """Emits the flattened script one token per step, then [EOS]."""
+    """Emits the flattened script one token per step, then [EOS].
+
+    Like ReplayModel, it remembers per context object how many tokens it has
+    checked and compares only the slice appended since.
+    """
 
     def __init__(self, script: ScriptTree):
         self.script = script
         self._flat = flatten_script(script) + [EOS]
+        self._cursors: dict[int, tuple[Seq[str], int]] = {}
 
     def next_token(self, context: Seq[str]) -> str:
         plen = len(self.script.prompt)
-        k = len(context) - plen
-        if k < 0 or tuple(context[:plen]) != self.script.prompt:
-            raise ScriptMismatch("context does not start with the script prompt")
-        if list(context[plen:]) != self._flat[:k]:
+        n = len(context)
+        k = n - plen
+        seen = self._cursors.pop(id(context), None)
+        if seen is None or n < seen[1]:
+            if k < 0 or tuple(context[:plen]) != self.script.prompt:
+                raise ScriptMismatch("context does not start with the script prompt")
+            done = plen
+        else:
+            done = seen[1]
+        if list(context[done:]) != self._flat[done - plen : k]:
             raise ScriptMismatch("context diverged from the flattened script")
         if k >= len(self._flat):
             raise ScriptMismatch("next_token called on a finished context")
-        return self._flat[k]
+        token = self._flat[k]
+        if token != EOS:
+            self._cursors[id(context)] = (context, n)
+        return token
 
 
 def as_linear(script: ScriptTree) -> LinearModel:

@@ -5,8 +5,11 @@ concurrency limit and the block pool allow, every live sequence advances one
 token per global step, and the clock advances by the step's modeled cost.
 Before each step the scheduler reserves the exact number of blocks the step
 can allocate; if the pool cannot cover it, the most recently admitted group
-is preempted (blocks dropped, request requeued for recompute).  A run that
-ends with blocks still held or requests not completed raises SimulationError.
+is preempted (blocks dropped, request requeued for recompute).  A config
+that admits no schedule raises SimulationError; a run that ends with blocks
+still held or requests not completed raises its subclass
+SimulationInvariantError, since that is a fault of the program, not of the
+config.
 
 Profiling samples the system every ``sample_period`` simulated seconds.
 Summary figures discard the leading warm-up fraction of samples and the
@@ -24,7 +27,7 @@ import numpy as np
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import apar_step
-from .errors import SimulationError
+from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
 from .script import ReplayModel, ScriptNode, ScriptTree, as_linear, random_script
 from .tokens import CONTROL_TOKENS, FORK
@@ -215,9 +218,7 @@ def _make_model(script: ScriptTree, mode: str):
 def _step_block_demand(live: list[_LiveGroup], block_size: int) -> int:
     demand = 0
     for entry in live:
-        for seq in entry.group.sequences.values():
-            if seq.finished:
-                continue
+        for seq in entry.group.live.values():
             if seq.tokens[-1] == FORK:
                 demand += 1  # a fork allocates exactly one block either way
             if len(seq.tokens) % block_size == 0:
@@ -343,7 +344,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         close_windows()
 
     if pool.used_blocks or completed != len(config.workload):
-        raise SimulationError(
+        raise SimulationInvariantError(
             f"run ended with {pool.used_blocks} blocks still held and"
             f" {completed} of {len(config.workload)} requests completed"
         )

@@ -124,7 +124,7 @@ def test_criterion_03_fork_copies_at_most_one_block():
         for table in tables:
             pool.release_sequence(table)
         assert pool.usage_snapshot()[:2] == (0, 0), seed
-        assert len(pool.free_list) == pool.capacity, seed
+        assert pool.free_blocks == pool.capacity, seed
 
 
 def test_criterion_04a_fig3_toy_schedule(fig3_script):

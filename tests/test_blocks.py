@@ -169,4 +169,109 @@ def test_no_leaks_random_schedules(seed):
     for table in tables:
         pool.release_sequence(table)
     assert pool.usage_snapshot()[:2] == (0, 0)
-    assert len(pool.free_list) == pool.capacity
+    assert pool.free_blocks == pool.capacity
+
+
+class EagerPool:
+    """Reference pool: the eager free list of ids and a summed slot count."""
+
+    def __init__(self, capacity, block_size):
+        self.block_size = block_size
+        self.refcount = {}
+        self.free_list = list(range(capacity - 1, -1, -1))
+        self.slots_filled = {}
+        self.peak_used = 0
+
+    def _alloc(self):
+        if not self.free_list:
+            raise CapacityError("block pool exhausted")
+        block = self.free_list.pop()
+        self.refcount[block] = 1
+        self.slots_filled[block] = 0
+        self.peak_used = max(self.peak_used, len(self.refcount))
+        return block
+
+    def append_slot(self, table):
+        if not table.blocks or table.slots_used_in_last_block == self.block_size:
+            table.blocks.append(self._alloc())
+            table.slots_used_in_last_block = 0
+        table.slots_used_in_last_block += 1
+        self.slots_filled[table.blocks[-1]] += 1
+
+    def fork_table(self, parent, child_owner):
+        child = BlockTable(owner=child_owner)
+        if parent.blocks:
+            partial = parent.slots_used_in_last_block < self.block_size
+            child.blocks = list(parent.blocks[:-1] if partial else parent.blocks)
+            if partial:
+                copy = self._alloc()
+                self.slots_filled[copy] = parent.slots_used_in_last_block
+            for block in child.blocks:
+                self.refcount[block] += 1
+            if partial:
+                child.blocks.append(copy)
+            child.slots_used_in_last_block = parent.slots_used_in_last_block
+        return child
+
+    def release_sequence(self, table):
+        freed = 0
+        for block in table.blocks:
+            self.refcount[block] -= 1
+            if self.refcount[block] == 0:
+                del self.refcount[block]
+                del self.slots_filled[block]
+                self.free_list.append(block)
+                freed += 1
+        table.released = True
+        return freed
+
+    def usage_snapshot(self):
+        return len(self.refcount), sum(self.slots_filled.values()), self.peak_used
+
+    @property
+    def free_blocks(self):
+        return len(self.free_list)
+
+
+def _apply(pool, tables, op, pick, count):
+    """Run one operation on ``pool``; return its result or the error type."""
+    try:
+        if op == "new":
+            tables.append(BlockTable(owner=len(tables)))
+            for _ in range(count):
+                pool.append_slot(tables[-1])
+        elif op == "append" and tables:
+            for _ in range(count):
+                pool.append_slot(tables[pick % len(tables)])
+        elif op == "fork" and tables:
+            tables.append(pool.fork_table(tables[pick % len(tables)], child_owner=len(tables)))
+        elif op == "release" and tables:
+            return pool.release_sequence(tables.pop(pick % len(tables)))
+    except (CapacityError, ProtocolError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([1, 2, 4]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["new", "append", "fork", "release"]),
+            st.integers(min_value=0, max_value=1 << 16),
+            st.integers(min_value=1, max_value=9),
+        ),
+        max_size=60,
+    ),
+)
+def test_lazy_pool_matches_eager_reference(capacity, block_size, ops):
+    pool, ref = KvBlockPool(capacity, block_size=block_size), EagerPool(capacity, block_size)
+    tables, ref_tables = [], []
+    for op, pick, count in ops + [("release", 0, 1)] * (len(ops) + 1):
+        assert _apply(pool, tables, op, pick, count) == _apply(ref, ref_tables, op, pick, count)
+        assert [t.blocks for t in tables] == [t.blocks for t in ref_tables]
+        assert pool.free_blocks == ref.free_blocks
+        assert pool.usage_snapshot() == ref.usage_snapshot()
+        assert pool.usage_snapshot()[1] == sum(pool.slots_filled.values())
+    assert pool.free_blocks == pool.capacity

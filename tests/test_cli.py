@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 
+from apar.blocks import KvBlockPool
 from apar.cli import main
 from apar.script import ScriptNode, ScriptTree, script_to_json
 from apar.sim import list_script
@@ -204,6 +205,36 @@ class TestSimulate:
         config.write_text('{"mode": "warp"}')
         rc = main(["simulate", "--config", str(config), "--report", str(tmp_path / "r")])
         assert rc == 1
+
+    def test_leaked_block_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        release = KvBlockPool.release_sequence
+
+        def leaky_release(self, table):
+            if table.owner == 0 and table.blocks:
+                self.refcount[table.blocks[-1]] += 1  # a reference nobody drops
+            return release(self, table)
+
+        monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "capacity_blocks": 120,
+            "concurrency_limit": 2,
+            "workload": {"kind": "list", "count": 2},
+        }))
+        rc = main(["simulate", "--config", str(config), "--report", str(tmp_path / "r")])
+        assert rc == 2
+        assert "blocks still held" in capsys.readouterr().err
+
+    def test_pool_smaller_than_prompt_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "capacity_blocks": 1,
+            "block_size": 2,
+            "workload": {"kind": "list", "count": 2},
+        }))
+        rc = main(["simulate", "--config", str(config), "--report", str(tmp_path / "r")])
+        assert rc == 1
+        assert "needs 3 blocks" in capsys.readouterr().err
 
     def test_simulate_determinism(self, tmp_path):
         config = tmp_path / "config.json"

@@ -1,7 +1,7 @@
 import pytest
 
 from apar.attention import linearize_script
-from apar.engine import apar_decode
+from apar.engine import apar_decode, ar_decode
 from apar.errors import ScriptMismatch
 from apar.script import (
     ReplayModel,
@@ -134,3 +134,101 @@ def test_json_round_trip(fig3_script):
     text = script_to_json(fig3_script)
     back = script_from_json(text)
     assert script_to_json(back) == text
+
+
+# Each model with the decode loop whose contexts it answers.
+MODELS = {"replay": (ReplayModel, apar_decode), "linear": (as_linear, ar_decode)}
+
+
+class CountingList(list):
+    """A context that counts the positions read through indexing and slicing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads += len(range(*key.indices(len(self))))
+        else:
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+class TestCursors:
+    def test_matches_cold_model_on_grown_fresh_and_truncated_contexts(self, kind):
+        make, decode = MODELS[kind]
+        for seed in range(40):
+            script = random_script(seed, max_nodes=11, max_node_len=5)
+            plen = len(script.prompt)
+            threads = decode(list(script.prompt), make(script)).sequences_map().values()
+            for tokens in threads:
+                model = make(script)
+                ctx = tokens[:plen]
+                for tok in tokens[plen:-1]:
+                    cold = make(script).next_token(list(ctx))
+                    assert model.next_token(ctx) == cold, seed
+                    assert model.next_token(list(ctx)) == cold, seed
+                    ctx.append(tok)
+                for j in reversed(range(plen, len(ctx))):
+                    del ctx[j:]
+                    assert model.next_token(ctx) == make(script).next_token(list(ctx)), seed
+                del ctx[plen - 1 :]
+                with pytest.raises(ScriptMismatch):
+                    model.next_token(ctx)
+
+    def test_wrong_token_after_cursor_raises(self, kind, fig3_script):
+        model = MODELS[kind][0](fig3_script)
+        ctx = ["Q"]
+        for _ in range(3):
+            ctx.append(model.next_token(ctx))
+        model.next_token(ctx)
+        assert model._cursors
+        ctx.append("WRONG")
+        with pytest.raises(ScriptMismatch):
+            model.next_token(ctx)
+        assert not model._cursors
+        with pytest.raises(ScriptMismatch):
+            model.next_token(ctx)
+        del ctx[-1]
+        model.next_token(ctx)
+        ctx[2:] = ["WRONG"]  # truncated below the cursor, then diverged
+        with pytest.raises(ScriptMismatch):
+            model.next_token(ctx)
+
+    def test_decode_leaves_no_cursors(self, kind):
+        make, decode = MODELS[kind]
+        for seed in range(30):
+            script = random_script(seed, max_nodes=13, max_node_len=6)
+            model = make(script)
+            result = decode(list(script.prompt), model)
+            assert not result.trace.truncated
+            assert model._cursors == {}, seed
+
+    def test_reads_per_call_do_not_grow_with_context(self, kind):
+        detail = tuple(f"d{i}" for i in range(4100))
+        script = ScriptTree(
+            root=0,
+            nodes={
+                0: ScriptNode(0, ("r",), first_child=1, next_sibling=2),
+                1: ScriptNode(1, detail),
+                2: ScriptNode(2, ("s",)),
+            },
+            prompt=("q",),
+        )
+        model = MODELS[kind][0](script)
+        ctx = CountingList(script.prompt)
+        reads = []
+        while True:
+            ctx.reads = 0
+            tok = model.next_token(ctx)
+            reads.append(ctx.reads)
+            if tok == EOS:
+                break
+            ctx.append(tok)
+            if tok == FORK:
+                ctx.append(CHILD)  # follow the detail thread
+        assert len(ctx) > 4000
+        assert max(reads) <= 2
+        ctx.reads = 0
+        MODELS[kind][0](script).next_token(ctx)
+        assert ctx.reads >= len(ctx)  # a cold model reads the whole context
