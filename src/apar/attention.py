@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence as Seq
 
 import numpy as np
@@ -126,16 +127,19 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
     dense, anc = _ancestor_matrix(tree)
-    node_of = np.empty(n, dtype=np.int64)
-    for i, nid in enumerate(sample.node_of):
-        if nid == -1:
-            if i >= sample.prompt_len:
-                raise TreeError(f"generated position {i} has no node")
-            node_of[i] = -1
-        else:
-            if nid not in dense:
-                raise TreeError(f"position {i} maps to unknown node {nid}")
-            node_of[i] = dense[nid]
+    dense[-1] = -1  # prompt positions; unknown ids map to -2
+    node_of = np.fromiter(
+        map(dense.get, sample.node_of, repeat(-2)), dtype=np.int64, count=n
+    )
+    bad = node_of == -2
+    generated = slice(max(sample.prompt_len, 0), None)
+    bad[generated] |= node_of[generated] == -1
+    bad_at = np.flatnonzero(bad)
+    if bad_at.size:
+        i = int(bad_at[0])
+        if node_of[i] == -1:
+            raise TreeError(f"generated position {i} has no node")
+        raise TreeError(f"position {i} maps to unknown node {sample.node_of[i]}")
     return build_mask_array(node_of, anc, sample.prompt_len)
 
 
@@ -145,11 +149,8 @@ def build_loss_mask(sample: LinearizedSample) -> np.ndarray:
     Prompt positions and injected [Child] positions carry no loss; [Fork]
     and [EOS] are trained like content.
     """
-    mask = np.ones(len(sample.tokens), dtype=np.bool_)
+    mask = np.asarray(sample.tokens, dtype=object) != CHILD
     mask[: sample.prompt_len] = False
-    for i, tok in enumerate(sample.tokens):
-        if tok == CHILD:
-            mask[i] = False
     return mask
 
 

@@ -18,6 +18,8 @@ every unfinished thread whose context (prompt included) holds at least
 max_seq_len tokens; it stops once every thread has finished, and ends the
 rest once max_steps steps have run.  So a prompt of max_seq_len tokens or
 more decodes in 0 steps with an empty output, and any cut sets truncated.
+A thread the loop ends itself is passed to model.forget, so a model that
+keeps state per context can drop it; no other call reaches forget.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 
 class LanguageModel(Protocol):
     def next_token(self, context: Seq[str]) -> str: ...
+
+    def forget(self, context: Seq[str]) -> None:
+        """Drop any state kept for ``context``: the loop ended its thread."""
 
 
 @dataclass
@@ -170,12 +175,14 @@ def _decode(
     while True:
         for seq in group.unfinished():
             if len(seq.tokens) >= max_seq_len:
+                model.forget(seq.tokens)
                 group.append_token(seq.id, EOS)
                 trace.truncated = True
         if group.all_finished():
             break
         if trace.steps >= max_steps:
             for seq in group.unfinished():
+                model.forget(seq.tokens)
                 group.append_token(seq.id, EOS)
             trace.truncated = True
             break

@@ -97,7 +97,8 @@ class ReplayModel:
     length.
     Contexts are expected to grow by appending: one the model has not seen,
     or one shorter than its cursor, is checked again from the prompt.  The
-    cursor is dropped when the model answers [EOS] or raises.
+    cursor is dropped when the model answers [EOS] or raises, or when the
+    decode loop ends the thread itself and calls ``forget``.
     """
 
     def __init__(self, script: ScriptTree):
@@ -160,12 +161,16 @@ class ReplayModel:
         self._cursors[id(context)] = cursor
         return token
 
+    def forget(self, context: Seq[str]) -> None:
+        self._cursors.pop(id(context), None)
+
 
 class LinearModel:
     """Emits the flattened script one token per step, then [EOS].
 
     Like ReplayModel, it remembers per context object how many tokens it has
-    checked and compares only the slice appended since.
+    checked and compares only the slice appended since, and drops that on
+    [EOS], on a raise or on ``forget``.
     """
 
     def __init__(self, script: ScriptTree):
@@ -192,6 +197,9 @@ class LinearModel:
         if token != EOS:
             self._cursors[id(context)] = (context, n)
         return token
+
+    def forget(self, context: Seq[str]) -> None:
+        self._cursors.pop(id(context), None)
 
 
 def as_linear(script: ScriptTree) -> LinearModel:

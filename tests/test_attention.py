@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from apar._kernels import build_mask_array
 from apar.attention import (
     attended_count,
     build_loss_mask,
@@ -13,6 +17,7 @@ from apar.attention import (
 from apar.engine import apar_decode
 from apar.errors import TreeError
 from apar.script import ReplayModel, ScriptNode, ScriptTree, random_script
+from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import path_to_root
 
@@ -32,6 +37,56 @@ def brute_force_mask(sample, tree):
             if ni == nj or nj in path_to_root(tree, ni)[1:]:
                 out[i, j] = True
     return out
+
+
+def dense_reference_mask(node_of, ancestor, prompt_len):
+    """Reference kernel: the earlier all-pairs formula over n-by-n temporaries."""
+    node_of = np.ascontiguousarray(node_of, dtype=np.int64)
+    ancestor = np.ascontiguousarray(ancestor, dtype=np.bool_)
+    n = node_of.shape[0]
+    idx = np.arange(n)
+    causal = idx[None, :] <= idx[:, None]
+    prompt_col = (idx < prompt_len)[None, :]
+    generated = node_of >= 0
+    safe = np.where(generated, node_of, 0)
+    same = node_of[:, None] == node_of[None, :]
+    anc = ancestor[safe[:, None], safe[None, :]]
+    pair_ok = generated[:, None] & generated[None, :] & (same | anc)
+    return causal & (prompt_col | pair_ok)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """node_of as runs over a few nodes (-1 included, one node often in
+    several runs), any ancestor relation, and prompt_len from 0 to past n."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=k - 1),
+                st.integers(min_value=1, max_value=6),
+            ),
+            max_size=12,
+        )
+    )
+    node_of = np.array([v for v, length in runs for _ in range(length)], dtype=np.int64)
+    n = len(node_of)
+    cells = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    ancestor = np.array(cells, dtype=bool).reshape(k, k)
+    prompt_len = draw(st.sampled_from([0, n, n + 2]) | st.integers(min_value=0, max_value=n))
+    return node_of, ancestor, prompt_len
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+@example((np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=bool), 0))
+@example((np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=bool), 0))
+@example((np.array([0, 1, 0, 1]), np.array([[False, False], [True, False]]), 1))
+def test_run_block_kernel_matches_dense_reference(args):
+    node_of, ancestor, prompt_len = args
+    mask = build_mask_array(node_of, ancestor, prompt_len)
+    assert mask.dtype == np.bool_
+    assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, prompt_len))
 
 
 class TestLinearize:
@@ -87,6 +142,28 @@ class TestTrainingMask:
         sample.node_of[5] = 777
         with pytest.raises(TreeError):
             build_training_mask(sample, tree)
+
+    def test_generated_position_without_node_rejected(self, fig3_script):
+        sample, tree = linearize_script(fig3_script)
+        sample.node_of[6] = -1
+        sample.node_of[8] = 777
+        with pytest.raises(TreeError, match="generated position 6 has no node"):
+            build_training_mask(sample, tree)
+        sample.node_of[4] = 777
+        with pytest.raises(TreeError, match="position 4 maps to unknown node 777"):
+            build_training_mask(sample, tree)
+
+    def test_peak_memory_is_one_mask(self):
+        sample, tree = linearize_script(list_script(items=5, detail_len=400))
+        n = len(sample.tokens)
+        assert n == 2054
+        tracemalloc.start()
+        try:
+            build_training_mask(sample, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n
 
 
 class TestLossMask:

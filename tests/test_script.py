@@ -204,6 +204,17 @@ class TestCursors:
             assert not result.trace.truncated
             assert model._cursors == {}, seed
 
+    @pytest.mark.parametrize(
+        "cut", [{"max_seq_len": 8}, {"max_steps": 3}], ids=["max_seq_len", "max_steps"]
+    )
+    def test_truncated_decodes_leave_no_cursors(self, kind, cut):
+        make, decode = MODELS[kind]
+        script = random_script(5, max_nodes=13)
+        model = make(script)
+        for _ in range(3):
+            assert decode(list(script.prompt), model, **cut).trace.truncated
+            assert model._cursors == {}
+
     def test_reads_per_call_do_not_grow_with_context(self, kind):
         detail = tuple(f"d{i}" for i in range(4100))
         script = ScriptTree(
