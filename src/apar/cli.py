@@ -30,7 +30,6 @@ from .extract import (
 from .metrics import (
     flatten_max_cached,
     flatten_mean_attended,
-    group_metrics,
     mean_attended_tokens,
     max_cached_tokens,
     saved_ratio,
@@ -38,7 +37,7 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
-from .script import ReplayModel, as_linear, script_from_json
+from .script import ReplayModel, ScriptTree, as_linear, script_from_json
 from .sim import config_from_json, default_config, run_simulation
 
 
@@ -50,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         raise CliInputError(message)
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -66,13 +71,12 @@ def _build_parser() -> _Parser:
         default="none",
         help="structured:unstructured assembly ratio, e.g. 1:1; 'none' keeps all",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("decode", help="decode a script and print the restored text")
     p.add_argument("--script", required=True, help="script JSON file")
     p.add_argument("--mode", choices=("apar", "ar"), default="apar")
     p.add_argument("--trace", help="write the step trace as JSONL")
-    p.add_argument("--block-size", type=int, default=16)
+    p.add_argument("--block-size", type=_positive_int, default=16)
 
     p = sub.add_parser("bench", help="compare forked decoding against the flatten baseline")
     p.add_argument("--scripts", required=True, help="directory of script JSON files")
@@ -84,8 +88,7 @@ def _build_parser() -> _Parser:
         default=[],
         help="drop scripts whose category matches (repeatable)",
     )
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--block-size", type=_positive_int, default=16)
 
     p = sub.add_parser("simulate", help="run the serving simulator")
     p.add_argument("--config", help="simulation config JSON (omit for the default)")
@@ -117,29 +120,24 @@ def _parse_ratio(text: str) -> tuple[int, int] | None:
     if text.lower() in ("none", ""):
         return None
     try:
-        a, b = text.split(":")
-        return int(a), int(b)
+        a, b = map(int, text.split(":"))
+        if a < 1 or b < 1:
+            raise ValueError
     except ValueError:
-        raise CliInputError(f"bad ratio {text!r}; expected like 1:1")
+        raise CliInputError(f"bad ratio {text!r}; expected two positive parts like 1:1")
+    return a, b
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    ratio = _parse_ratio(args.ratio)
     conversations = _read_conversations(args.input)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_conv = list(pool.map(extract_conversation, conversations))
-    else:
-        per_conv = [extract_conversation(conv) for conv in conversations]
     labeled = []
     turns = []
-    for conv, extracted in zip(conversations, per_conv):
-        for turn_index, sample in extracted:
+    for conv in conversations:
+        for turn_index, sample in extract_conversation(conv):
             labeled.append((conv.id, sample))
             turns.append(turn_index)
     stats = corpus_stats(labeled)
-    ratio = _parse_ratio(args.ratio)
     chosen = list(zip(labeled, turns))
     if ratio is not None:
         kept = assemble_with_ratio(labeled, ratio, seed=args.seed)
@@ -179,9 +177,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(task: tuple[str, int]) -> dict | None:
-    path, block_size = task
-    script = _load_script(path)
+def _bench_one(path: Path, script: ScriptTree, block_size: int) -> dict:
     apar = apar_decode(list(script.prompt), ReplayModel(script), block_size=block_size)
     ar = ar_decode(list(script.prompt), as_linear(script), block_size=block_size)
     if apar.trace.truncated or ar.trace.truncated:
@@ -192,7 +188,7 @@ def _bench_one(task: tuple[str, int]) -> dict | None:
     apar_att = mean_attended_tokens(apar.tree, seqs)
     flat_att = flatten_mean_attended(apar.tree, seqs)
     return {
-        "name": Path(path).stem,
+        "name": path.stem,
         "category": script.category or "",
         "apar_cached": apar_cached,
         "flatten_cached": flat_cached,
@@ -203,24 +199,8 @@ def _bench_one(task: tuple[str, int]) -> dict | None:
         "apar_steps": apar.trace.steps,
         "ar_steps": ar.trace.steps,
         "step_speedup": round(ar.trace.steps / apar.trace.steps, 3),
-        "threads": group_metrics(apar).threads,
+        "threads": apar.group.thread_count(),
     }
-
-
-def _bench_rows(script_paths, block_size: int, excluded: set[str], jobs: int) -> list[dict]:
-    kept = []
-    for path in script_paths:
-        script = _load_script(str(path))
-        if script.category and script.category in excluded:
-            continue
-        kept.append(str(path))
-    tasks = [(path, block_size) for path in kept]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_bench_one, tasks))
-    return [_bench_one(task) for task in tasks]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -230,7 +210,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(script_dir.glob("*.json"))
     if not paths:
         raise CliInputError(f"no script JSON files under {args.scripts}")
-    rows = _bench_rows(paths, args.block_size, set(args.exclude_category), args.jobs)
+    loaded = [(path, _load_script(str(path))) for path in paths]
+    excluded = set(args.exclude_category)
+    rows = [
+        _bench_one(path, script, args.block_size)
+        for path, script in loaded
+        if not (script.category and script.category in excluded)
+    ]
     if not rows:
         raise CliInputError("every script was excluded")
     if args.format == "csv":

@@ -209,17 +209,24 @@ def extract_paragraphs(text: str) -> ScriptTree | None:
     return _chain_tree(None, pairs, tail=tail)
 
 
+def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
+    """The response's kind and, for a list or paragraphs, its parsed tree."""
+    if any(p.search(text) for p in _AMBIGUOUS_RES):
+        return "unstructured", None
+    if any(tok in CONTROL_TOKENS for tok in text.split()):
+        return "unstructured", None
+    content = extract_ordered_list(text)
+    if content is not None:
+        return "ordered_list", content
+    content = extract_paragraphs(text)
+    if content is not None:
+        return "paragraph", content
+    return "unstructured", None
+
+
 def classify_response(text: str) -> str:
     """Total, deterministic response classification."""
-    if any(p.search(text) for p in _AMBIGUOUS_RES):
-        return "unstructured"
-    if any(tok in CONTROL_TOKENS for tok in text.split()):
-        return "unstructured"
-    if extract_ordered_list(text) is not None:
-        return "ordered_list"
-    if extract_paragraphs(text) is not None:
-        return "paragraph"
-    return "unstructured"
+    return _parse_response(text)[0]
 
 
 def _prompt_text(conversation: Conversation, turn_index: int) -> str:
@@ -232,20 +239,13 @@ def build_training_sample(conversation: Conversation, turn_index: int) -> Traini
     role, text = conversation.turns[turn_index]
     if role != "assistant":
         raise ValueError(f"turn {turn_index} of {conversation.id} is not an assistant turn")
-    kind = classify_response(text)
-    if kind == "ordered_list":
-        content = extract_ordered_list(text)
-    elif kind == "paragraph":
-        content = extract_paragraphs(text)
-    else:
-        content = None
+    kind, content = _parse_response(text)
     if content is None:
         content = ScriptTree(
             root=0,
             nodes={0: ScriptNode(id=0, tokens=tuple(tokenize(text)))},
             prompt=(),
         )
-        kind = "unstructured"
     prompt_text = _prompt_text(conversation, turn_index)
     script = ScriptTree(
         root=content.root,

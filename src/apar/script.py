@@ -165,41 +165,16 @@ class ReplayModel:
         self._cursors.pop(id(context), None)
 
 
-class LinearModel:
-    """Emits the flattened script one token per step, then [EOS].
+class LinearModel(ReplayModel):
+    """Sequential baseline: the replay model over the flattened script as one node."""
 
-    Like ReplayModel, it remembers per context object how many tokens it has
-    checked and compares only the slice appended since, and drops that on
-    [EOS], on a raise or on ``forget``.
-    """
+    # Bound in this class too, so a tracer wrapping LinearModel.next_token
+    # times the sequential model apart from ReplayModel's.
+    next_token = ReplayModel.next_token
 
     def __init__(self, script: ScriptTree):
-        self.script = script
-        self._flat = flatten_script(script) + [EOS]
-        self._cursors: dict[int, tuple[Seq[str], int]] = {}
-
-    def next_token(self, context: Seq[str]) -> str:
-        plen = len(self.script.prompt)
-        n = len(context)
-        k = n - plen
-        seen = self._cursors.pop(id(context), None)
-        if seen is None or n < seen[1]:
-            if k < 0 or tuple(context[:plen]) != self.script.prompt:
-                raise ScriptMismatch("context does not start with the script prompt")
-            done = plen
-        else:
-            done = seen[1]
-        if list(context[done:]) != self._flat[done - plen : k]:
-            raise ScriptMismatch("context diverged from the flattened script")
-        if k >= len(self._flat):
-            raise ScriptMismatch("next_token called on a finished context")
-        token = self._flat[k]
-        if token != EOS:
-            self._cursors[id(context)] = (context, n)
-        return token
-
-    def forget(self, context: Seq[str]) -> None:
-        self._cursors.pop(id(context), None)
+        flat = ScriptNode(0, tuple(flatten_script(script)))
+        super().__init__(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
 
 
 def as_linear(script: ScriptTree) -> LinearModel:

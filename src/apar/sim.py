@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence as Seq
+from typing import Sequence as Seq
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "SimConfig",
     "SimSample",
     "SimReport",
-    "step_latency",
     "run_simulation",
     "run_budget_sweep",
     "default_config",
@@ -71,12 +70,6 @@ class StepCostModel:
 
     def latency(self, batch_size: int, attended_sum: int) -> float:
         return self.t_fixed + self.c_token * batch_size + self.c_attn * attended_sum
-
-
-def step_latency(model: StepCostModel, batch: Iterable[tuple[object, int]]) -> float:
-    """Latency of a step over ``batch`` = (sequence, attended count) pairs."""
-    batch = list(batch)
-    return model.latency(len(batch), sum(attended for _, attended in batch))
 
 
 def list_script(
@@ -142,6 +135,10 @@ class SimConfig:
             raise ValueError("cache_budget_fraction must be in (0, 1]")
         if not 0 <= self.warmup_discard_fraction < 1:
             raise ValueError("warmup_discard_fraction must be in [0, 1)")
+        if self.block_size < 1 or self.concurrency_limit < 1:
+            raise ValueError("block_size and concurrency_limit must be >= 1")
+        if not 0 < self.sample_period < float("inf"):
+            raise ValueError("sample_period must be positive and finite")
         if not self.workload:
             raise ValueError("workload must be non-empty")
         if self.mode not in ("apar", "ar"):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 
 from apar.blocks import KvBlockPool
-from apar.cli import main
+from apar.cli import _build_parser, main
 from apar.script import ScriptNode, ScriptTree, script_to_json
 from apar.sim import list_script
 
@@ -249,3 +251,65 @@ class TestSimulate:
             main(["simulate", "--config", str(config), "--report", str(report)])
             outs.append(report.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBadInput:
+    """Bad values exit 1 with an ``error:`` line, not a traceback or a hang."""
+
+    def assert_input_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        return err
+
+    def test_decode_block_size_zero(self, fig3_path, capsys):
+        err = self.assert_input_error(
+            ["decode", "--script", fig3_path, "--block-size", "0"], capsys
+        )
+        assert "--block-size" in err
+
+    def test_bench_block_size_zero(self, fig3_path, tmp_path, capsys):
+        scripts = str(Path(fig3_path).parent)
+        self.assert_input_error(
+            ["bench", "--scripts", scripts, "--report", str(tmp_path / "r.csv"),
+             "--block-size", "0"],
+            capsys,
+        )
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("field", ["block_size", "concurrency_limit"])
+    def test_simulate_config_size_zero(self, field, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: 0, "workload": {"kind": "list", "count": 2}}))
+        err = self.assert_input_error(
+            ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
+        )
+        assert field in err
+
+    @pytest.mark.parametrize("ratio", ["1:0", "0:1", "0:0"])
+    def test_extract_nonpositive_ratio(self, ratio, corpus_path, tmp_path, capsys):
+        err = self.assert_input_error(
+            ["extract", "--input", corpus_path, "--output", str(tmp_path / "o"),
+             "--ratio", ratio],
+            capsys,
+        )
+        assert ratio in err
+
+
+def _accepted_flags(parser: argparse.ArgumentParser) -> set[str]:
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _accepted_flags(sub)
+    return flags
+
+
+def test_readme_cli_flags_exist():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert {"--seed", "--ratio", "--config"} <= documented  # prose and sh block both read
+    assert documented - _accepted_flags(_build_parser()) == set()

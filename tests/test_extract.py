@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
 
+from apar import extract as extract_module
 from apar.extract import (
     Conversation,
     assemble_with_ratio,
@@ -113,6 +114,22 @@ class TestClassify:
 
 
 class TestBuildSample:
+    def test_each_answer_parsed_once(self, monkeypatch):
+        calls = {}
+        for name in ("extract_ordered_list", "extract_paragraphs"):
+            def counted(text, _name=name, _parse=getattr(extract_module, name)):
+                calls[_name] += 1
+                return _parse(text)
+
+            monkeypatch.setattr(extract_module, name, counted)
+        structured = [e for e in CORPUS if e["kind"] != "unstructured"]
+        assert structured
+        for entry in structured:
+            calls.update(extract_ordered_list=0, extract_paragraphs=0)
+            sample = build_training_sample(to_conversation(entry), 1)
+            assert sample.kind == entry["kind"], entry["id"]
+            assert max(calls.values()) == 1, (entry["id"], calls)
+
     def test_unstructured_has_no_forks(self):
         conv = Conversation("c", [("user", "hi"), ("assistant", "Short answer")])
         sample = build_training_sample(conv, 1)

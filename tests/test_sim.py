@@ -11,7 +11,6 @@ from apar.sim import (
     list_script,
     run_budget_sweep,
     run_simulation,
-    step_latency,
 )
 
 
@@ -30,11 +29,11 @@ def long_linear_script(n=400, prompt=("p", "q")):
 class TestStepLatency:
     def test_memory_bound_limit(self):
         model = StepCostModel(t_fixed=0.02, c_token=0.0, c_attn=0.0)
-        assert step_latency(model, [("s", 100), ("t", 900)]) == pytest.approx(0.02)
+        assert model.latency(2, 1000) == pytest.approx(0.02)
 
     def test_attention_term(self):
         model = StepCostModel(t_fixed=0.0, c_token=0.0, c_attn=1e-6)
-        assert step_latency(model, [("s", 1000)]) == pytest.approx(1e-3)
+        assert model.latency(1, 1000) == pytest.approx(1e-3)
 
     def test_fewer_attended_is_cheaper(self):
         model = StepCostModel(t_fixed=0.01, c_token=1e-4, c_attn=1e-6)
@@ -222,3 +221,21 @@ class TestConfigIO:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             SimConfig(workload=[list_script()], cache_budget_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("block_size", 0),
+            ("concurrency_limit", 0),
+            ("sample_period", 0.0),
+            ("sample_period", -3.0),
+            ("sample_period", float("nan")),
+            ("sample_period", float("inf")),
+        ],
+    )
+    def test_out_of_range_sizes_rejected(self, field, value):
+        # A sample_period <= 0 never moves the window past the clock, and an
+        # infinite one never moves it past the final clock: both append
+        # samples forever.
+        with pytest.raises(ValueError, match=field):
+            SimConfig(workload=[list_script()], **{field: value})
