@@ -58,19 +58,31 @@ class LanguageModel(Protocol):
 
 @dataclass
 class StepRecord:
+    """What one step observed; the counts its lists already hold are derived."""
+
     step: int
     sampled: list[tuple[int, str]] = field(default_factory=list)
     forks: list[tuple[int, int]] = field(default_factory=list)
     aborted_forks: list[int] = field(default_factory=list)
-    finished: list[int] = field(default_factory=list)
-    slots_appended: int = 0
     blocks_freed: int = 0
-    batch_size: int = 0
     attended_sum: int = 0
     physical_slots: int = 0
     physical_blocks: int = 0
     logical_slots: int = 0
     logical_peak: int = 0
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.sampled)
+
+    @property
+    def slots_appended(self) -> int:
+        """One slot per sampled token plus one per injected [Child]."""
+        return len(self.sampled) + len(self.forks)
+
+    @property
+    def finished(self) -> list[int]:
+        return [sid for sid, tok in self.sampled if tok == EOS]
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +113,6 @@ class DecodeTrace:
     @property
     def steps(self) -> int:
         return len(self.records)
-
-    def thread_count(self) -> int:
-        return 1 + sum(len(rec.forks) for rec in self.records)
 
     def to_jsonl(self) -> str:
         header = {
@@ -140,21 +149,14 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> StepRecord:
     rec = StepRecord(step=0)
     for seq in snapshot:
         token = model.next_token(seq.tokens)
-        rec.batch_size += 1
         rec.attended_sum += len(seq.tokens)
         if seq.tokens[-1] == FORK:
             try:
-                child_id = group.fork_sequence(seq.id)
-                rec.forks.append((seq.id, child_id))
-                rec.slots_appended += 1  # the injected [Child]
+                rec.forks.append((seq.id, group.fork_sequence(seq.id)))
             except CapacityError:
                 rec.aborted_forks.append(seq.id)
-        freed = group.append_token(seq.id, token)
-        rec.slots_appended += 1
-        rec.blocks_freed += freed
+        rec.blocks_freed += group.append_token(seq.id, token)
         rec.sampled.append((seq.id, token))
-        if token == EOS:
-            rec.finished.append(seq.id)
     return rec
 
 
@@ -166,11 +168,10 @@ def _decode(
     max_steps: int,
     max_seq_len: int,
     block_size: int,
-    early_release: bool,
 ) -> DecodeResult:
     if pool is None:
         pool = KvBlockPool(_STANDALONE_POOL_BLOCKS, block_size=block_size)
-    group = new_group(prompt, pool, early_release=early_release)
+    group = new_group(prompt, pool)
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
     while True:
         for seq in group.unfinished():
@@ -205,12 +206,9 @@ def apar_decode(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    early_release: bool = True,
 ) -> DecodeResult:
     """Run the forking decode loop until every thread has finished."""
-    return _decode(
-        "apar", prompt, model, pool, max_steps, max_seq_len, block_size, early_release
-    )
+    return _decode("apar", prompt, model, pool, max_steps, max_seq_len, block_size)
 
 
 def ar_decode(
@@ -222,6 +220,4 @@ def ar_decode(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
     """Sequential baseline: the same loop over a model that never forks."""
-    return _decode(
-        "ar", prompt, model, pool, max_steps, max_seq_len, block_size, early_release=True
-    )
+    return _decode("ar", prompt, model, pool, max_steps, max_seq_len, block_size)

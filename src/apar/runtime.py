@@ -5,6 +5,11 @@ ends with [Fork], forking it clones the prefix into a child thread, injects
 [Child] there, and rewrites the tree: the old leaf gains a first_child (the
 child's content node) and a next_sibling (the parent's continuation node).
 
+The group owns its threads' blocks in the physical pool.  A thread's blocks
+are freed when it appends [EOS]; ``step_block_demand`` answers how many
+blocks the group's next step can allocate, and ``release_live`` drops the
+blocks of every live thread when the group is preempted.
+
 The group also tracks *logical* cache occupancy: distinct cached tokens with
 shared prefixes counted once, released per-thread as threads finish.  This
 is the token-level counterpart of the physical block pool.
@@ -35,10 +40,9 @@ class Sequence:
 class SequenceGroup:
     """All decoding threads spawned for one prompt, plus their tree."""
 
-    def __init__(self, prompt: list[str], pool: KvBlockPool, early_release: bool = True):
+    def __init__(self, prompt: list[str], pool: KvBlockPool):
         self.prompt = list(prompt)
         self.pool = pool
-        self.early_release = early_release
         self.tree = ParagraphTree(root=0, prompt_len=len(prompt))
         self.tree.nodes[0] = ParagraphNode(id=0, seq=0, start=len(prompt))
         table = BlockTable(owner=0)
@@ -54,10 +58,8 @@ class SequenceGroup:
         # Node id -> the node whose pointer targets it; the root has none.
         self._parents: dict[int, int] = {}
         self._node_live_refs: dict[int, int] = {0: 1}
-        self._deferred_tables: list[BlockTable] = []
         self.logical_slots = len(prompt)
         self.logical_peak = len(prompt)
-        self.fork_count = 0
 
     # -- queries --
 
@@ -73,6 +75,21 @@ class SequenceGroup:
 
     def thread_count(self) -> int:
         return len(self.sequences)
+
+    def step_block_demand(self) -> int:
+        """Blocks the next step allocates.
+
+        A fork takes one block, and so does an append to a thread whose
+        last block is full.
+        """
+        block_size = self.pool.block_size
+        demand = 0
+        for seq in self.live.values():
+            if seq.tokens[-1] == FORK:
+                demand += 1  # a fork allocates exactly one block either way
+            if len(seq.tokens) % block_size == 0:
+                demand += 1
+        return demand
 
     # -- mutation --
 
@@ -132,14 +149,13 @@ class SequenceGroup:
         self.sequences[child_id] = child
         self.live[child_id] = child
         self._bump_logical(1)  # the injected [Child]; the prefix is shared
-        self.fork_count += 1
         return child_id
 
     def append_token(self, seq_id: int, token: str) -> int:
         """Append one sampled token; finish and release on [EOS].
 
         Returns the number of physical blocks freed (0 unless the token
-        finished the sequence with early release enabled).
+        finished the sequence).
         """
         seq = self._get(seq_id)
         if seq.finished:
@@ -152,16 +168,12 @@ class SequenceGroup:
         seq.finished = True
         del self.live[seq_id]
         self._release_logical(seq)
-        freed = 0
-        if self.early_release:
-            freed = self.pool.release_sequence(seq.block_table)
-        else:
-            self._deferred_tables.append(seq.block_table)
-            if not self.live:
-                for table in self._deferred_tables:
-                    freed += self.pool.release_sequence(table)
-                self._deferred_tables.clear()
-        return freed
+        return self.pool.release_sequence(seq.block_table)
+
+    def release_live(self) -> None:
+        """Free every live thread's blocks; a preempted group takes no further step."""
+        for seq in self.live.values():
+            self.pool.release_sequence(seq.block_table)
 
     # -- logical accounting --
 
@@ -203,9 +215,7 @@ class SequenceGroup:
                 raise AssertionError(f"finished sequence {seq.id} lacks {EOS}")
 
 
-def new_group(
-    prompt: Iterable[str], pool: KvBlockPool, early_release: bool = True
-) -> SequenceGroup:
+def new_group(prompt: Iterable[str], pool: KvBlockPool) -> SequenceGroup:
     """Start a group holding only the prompt sequence."""
     prompt = list(prompt)
     if not prompt:
@@ -213,4 +223,4 @@ def new_group(
     bad = [tok for tok in prompt if tok in CONTROL_TOKENS]
     if bad:
         raise ProtocolError(f"prompt contains reserved control tokens {bad}")
-    return SequenceGroup(prompt, pool, early_release=early_release)
+    return SequenceGroup(prompt, pool)

@@ -249,6 +249,13 @@ def script_to_json(script: ScriptTree) -> str:
 
 
 def script_from_json(text: str) -> ScriptTree:
+    """Load a script; raise ValueError for one the replay model cannot decode.
+
+    Beyond the node checks of ScriptTree, the prompt must be non-empty and
+    free of control tokens, node ids must be distinct, and the pointers
+    from the root must reach every node exactly once, so the tree has no
+    cycle and no node is silently dropped.
+    """
     payload = json.loads(text)
     nodes = {
         entry["id"]: ScriptNode(
@@ -259,9 +266,35 @@ def script_from_json(text: str) -> ScriptTree:
         )
         for entry in payload["nodes"]
     }
-    return ScriptTree(
+    if len(nodes) != len(payload["nodes"]):
+        raise ValueError("script node ids repeat")
+    script = ScriptTree(
         root=payload["root"],
         nodes=nodes,
         prompt=tuple(payload["prompt"]),
         category=payload.get("category"),
     )
+    if not script.prompt:
+        raise ValueError("script prompt is empty")
+    bad = [t for t in script.prompt if t in CONTROL_TOKENS]
+    if bad:
+        raise ValueError(f"script prompt contains control tokens {bad}")
+    if script.root not in nodes:
+        raise ValueError(f"script root {script.root!r} is not a node")
+    seen = set()
+    stack = [script.root]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.id in seen:
+            raise ValueError(f"script node {node.id} is reached twice from the root")
+        seen.add(node.id)
+        for target in (node.first_child, node.next_sibling):
+            if target is None:
+                continue
+            if target not in nodes:
+                raise ValueError(f"script node {node.id} points at unknown node {target!r}")
+            stack.append(target)
+    unreached = [nid for nid in nodes if nid not in seen]
+    if unreached:
+        raise ValueError(f"script nodes {unreached} are not reached from the root")
+    return script

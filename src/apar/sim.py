@@ -4,8 +4,9 @@ All requests wait in a queue from time zero.  Groups are admitted while the
 concurrency limit and the block pool allow, every live sequence advances one
 token per global step, and the clock advances by the step's modeled cost.
 Before each step the scheduler reserves the exact number of blocks the step
-can allocate; if the pool cannot cover it, the most recently admitted group
-is preempted (blocks dropped, request requeued for recompute).  A config
+can allocate, as each group answers it; if the pool cannot cover it, the
+most recently admitted group is preempted (blocks dropped, request requeued
+for recompute).  A thread's blocks return to the pool at its [EOS].  A config
 that admits no schedule raises SimulationError; a run that ends with blocks
 still held or requests not completed raises its subclass
 SimulationInvariantError, since that is a fault of the program, not of the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence as Seq
 
 import numpy as np
@@ -30,7 +31,7 @@ from .engine import apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
 from .script import ReplayModel, ScriptNode, ScriptTree, as_linear, random_script
-from .tokens import CONTROL_TOKENS, FORK
+from .tokens import CONTROL_TOKENS
 
 __all__ = [
     "StepCostModel",
@@ -84,6 +85,8 @@ def list_script(
     The first head shares the intro's node because the generating thread
     forks only after emitting the first head.
     """
+    if items < 1:
+        raise ValueError(f"a list script needs at least 1 item, not {items}")
     nodes: dict[int, ScriptNode] = {}
     next_id = 0
 
@@ -128,7 +131,6 @@ class SimConfig:
     sample_period: float = DEFAULT_SAMPLE_PERIOD
     warmup_discard_fraction: float = DEFAULT_WARMUP_FRACTION
     cost: StepCostModel = field(default_factory=lambda: StepCostModel(**DEFAULT_COST))
-    early_release: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.cache_budget_fraction <= 1:
@@ -212,17 +214,6 @@ def _make_model(script: ScriptTree, mode: str):
     return ReplayModel(script) if mode == "apar" else as_linear(script)
 
 
-def _step_block_demand(live: list[_LiveGroup], block_size: int) -> int:
-    demand = 0
-    for entry in live:
-        for seq in entry.group.live.values():
-            if seq.tokens[-1] == FORK:
-                demand += 1  # a fork allocates exactly one block either way
-            if len(seq.tokens) % block_size == 0:
-                demand += 1
-    return demand
-
-
 def run_simulation(config: SimConfig) -> SimReport:
     """Deterministic event loop over the configured workload."""
     pool = KvBlockPool(config.effective_blocks, block_size=config.block_size)
@@ -277,7 +268,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             if pool.free_blocks < prompt_blocks(script) + 1:
                 break
             req_id = waiting.popleft()
-            group = new_group(list(script.prompt), pool, early_release=config.early_release)
+            group = new_group(list(script.prompt), pool)
             clock += config.cost.t_fixed + config.cost.c_token * len(script.prompt)
             live.append(
                 _LiveGroup(
@@ -301,16 +292,14 @@ def run_simulation(config: SimConfig) -> SimReport:
 
         # Reserve this step's worst-case allocations; preempt the most
         # recently admitted group until the step is guaranteed to fit.
-        while pool.free_blocks < _step_block_demand(live, bs):
+        while pool.free_blocks < sum(entry.group.step_block_demand() for entry in live):
             if len(live) == 1:
                 raise SimulationError(
                     f"request {live[0].request_id} cannot fit in"
                     f" {config.effective_blocks} blocks even alone"
                 )
             victim = live.pop()
-            for seq in victim.group.sequences.values():
-                if not seq.block_table.released:
-                    pool.release_sequence(seq.block_table)
+            victim.group.release_live()
             waiting.append(victim.request_id)
             preemptions += 1
             admission_open = False
@@ -410,8 +399,26 @@ def default_config(mode: str = "apar", copies: int = 100) -> SimConfig:
     )
 
 
-def _workload_from_spec(spec: dict, default_seed: int) -> list[ScriptTree]:
-    kind = spec.get("kind", "list")
+_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig))
+_WORKLOAD_KEYS = {
+    "list": frozenset({"kind", "count", "items", "intro_len", "head_len", "detail_len"}),
+    "random": frozenset({"kind", "count", "seed", "max_nodes", "max_node_len"}),
+}
+
+
+def _reject_unknown_keys(what: str, payload: object, known: frozenset[str]) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+
+
+def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
+    kind = spec.get("kind", "list") if isinstance(spec, dict) else "list"
+    if kind not in _WORKLOAD_KEYS:
+        raise ValueError(f"unknown workload kind {kind!r}")
+    _reject_unknown_keys(f"{kind} workload", spec, _WORKLOAD_KEYS[kind])
     count = int(spec.get("count", 100))
     if kind == "list":
         script = list_script(
@@ -421,21 +428,21 @@ def _workload_from_spec(spec: dict, default_seed: int) -> list[ScriptTree]:
             detail_len=int(spec.get("detail_len", 30)),
         )
         return [script for _ in range(count)]
-    if kind == "random":
-        seed = int(spec.get("seed", default_seed))
-        return [
-            random_script(
-                seed + i,
-                max_nodes=int(spec.get("max_nodes", 16)),
-                max_node_len=int(spec.get("max_node_len", 8)),
-            )
-            for i in range(count)
-        ]
-    raise ValueError(f"unknown workload kind {kind!r}")
+    seed = int(spec.get("seed", default_seed))
+    return [
+        random_script(
+            seed + i,
+            max_nodes=int(spec.get("max_nodes", 16)),
+            max_node_len=int(spec.get("max_node_len", 8)),
+        )
+        for i in range(count)
+    ]
 
 
 def config_from_json(text: str, default_seed: int = 0) -> SimConfig:
+    """Build a config from JSON; a key this schema does not know raises ValueError."""
     payload = json.loads(text)
+    _reject_unknown_keys("config", payload, _CONFIG_KEYS)
     cost = StepCostModel(**payload.get("cost", DEFAULT_COST))
     return SimConfig(
         workload=_workload_from_spec(
@@ -451,5 +458,4 @@ def config_from_json(text: str, default_seed: int = 0) -> SimConfig:
             payload.get("warmup_discard_fraction", DEFAULT_WARMUP_FRACTION)
         ),
         cost=cost,
-        early_release=bool(payload.get("early_release", True)),
     )

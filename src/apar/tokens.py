@@ -9,7 +9,3 @@ CHILD = "[Child]"
 EOS = "[EOS]"
 
 CONTROL_TOKENS = frozenset({FORK, CHILD, EOS})
-
-
-def strip_control(tokens) -> list[str]:
-    return [tok for tok in tokens if tok not in CONTROL_TOKENS]

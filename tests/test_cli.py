@@ -287,6 +287,48 @@ class TestBadInput:
         )
         assert field in err
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"concurency_limit": 5}, "concurency_limit"),
+            ({"early_release": False}, "early_release"),
+            ({"workload": {"kind": "list", "items": 0}}, "at least 1 item"),
+        ],
+    )
+    def test_simulate_bad_config(self, payload, named, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        err = self.assert_input_error(
+            ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
+        )
+        assert named in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda s: s.update(root=7), id="unknown-root"),
+            pytest.param(lambda s: s["nodes"][0].update(next_sibling=9), id="unknown-pointer"),
+            pytest.param(lambda s: s["nodes"][0].update(first_child=0), id="self-loop"),
+            pytest.param(lambda s: s["nodes"][0].update(first_child=2), id="shared-node"),
+            pytest.param(lambda s: s["nodes"].append(s["nodes"][2]), id="repeated-id"),
+            pytest.param(lambda s: s["nodes"].append({"id": 3, "tokens": ["x"]}), id="unreached"),
+            pytest.param(lambda s: s.update(prompt=[]), id="empty-prompt"),
+            pytest.param(lambda s: s.update(prompt=["Q", "[EOS]"]), id="control-prompt"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    def test_bad_script_rejected_at_load(self, edit, command, fig3_script, tmp_path, capsys):
+        payload = json.loads(script_to_json(fig3_script))
+        edit(payload)
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        if command == "decode":
+            argv = ["decode", "--script", str(tmp_path / "bad.json")]
+        else:
+            argv = ["bench", "--scripts", str(tmp_path), "--report", str(tmp_path / "r.csv")]
+        err = self.assert_input_error(argv, capsys)
+        assert "cannot load script" in err
+
     @pytest.mark.parametrize("ratio", ["1:0", "0:1", "0:0"])
     def test_extract_nonpositive_ratio(self, ratio, corpus_path, tmp_path, capsys):
         err = self.assert_input_error(

@@ -3,6 +3,7 @@ import pytest
 from apar.blocks import KvBlockPool
 from apar.engine import apar_decode, apar_step, ar_decode
 from apar.errors import ProtocolError
+from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.tokens import EOS, FORK
 from apar.tree import restore
@@ -13,7 +14,7 @@ class TestFig3Schedule:
         result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
         assert result.output == ["a1", "a2", "d1", "d2", "b1"]
         assert result.trace.steps == 7
-        assert result.trace.thread_count() == 2
+        assert result.group.thread_count() == 2
         recs = result.trace.records
         assert [r.sampled for r in recs[:3]] == [
             [(0, "a1")], [(0, "a2")], [(0, FORK)]
@@ -97,7 +98,7 @@ class TestBigTree:
         # Last child forks during step 40, samples from 41, ends with its
         # [EOS] at step 71; one token per live thread per step throughout.
         assert result.trace.steps == 71
-        assert result.trace.thread_count() == 6
+        assert result.group.thread_count() == 6
         assert result.output == flatten_script(big_tree_script)
 
     def test_critical_path_equals_longest_thread(self, big_tree_script):
@@ -133,6 +134,25 @@ class TestProperties:
             result = apar_decode(list(script.prompt), ReplayModel(script))
             forks = sum(len(r.forks) for r in result.trace.records)
             assert len(result.group.sequences) == 1 + forks
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
+    @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+    def test_step_block_demand_is_the_step_allocation(self, make_model, block_size):
+        # The simulator reserves this demand before each step; on a pool
+        # that cannot run out, the step must allocate exactly that many.
+        steps = 0
+        for seed in range(60):
+            script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+            pool = KvBlockPool(1 << 16, block_size=block_size)
+            group = new_group(list(script.prompt), pool)
+            model = make_model(script)
+            while not group.all_finished():
+                demand = group.step_block_demand()
+                before = pool.used_blocks
+                rec = apar_step(group, model)
+                assert pool.used_blocks - before + rec.blocks_freed == demand, (seed, steps)
+                steps += 1
+        assert steps > 1000
 
     def test_physical_blocks_within_capacity(self, big_tree_script):
         pool = KvBlockPool(64, block_size=16)

@@ -1,0 +1,80 @@
+"""Byte-identity pins: sha256 over CLI outputs at a fixed ``--seed``.
+
+A change that should leave every output as it was must leave these hashes
+as they are.  A change that alters an output on purpose updates the hash
+and says why.  Each digest covers, in order, every output file and the
+captured stdout, each prefixed by its length.
+"""
+
+import hashlib
+from pathlib import Path
+
+from apar.cli import main
+from apar.script import random_script, script_to_json
+from apar.sim import list_script
+
+CONFIG = Path(__file__).parents[1] / "configs" / "simulate.json"
+
+# (name, script, block sizes); every script runs in both modes.
+DECODE_SCRIPTS = [
+    *((f"random{seed}", random_script(seed), (16, 3)) for seed in range(12)),
+    *(
+        (f"random_wide{seed}", random_script(seed, max_nodes=40, max_node_len=3), (16, 1))
+        for seed in range(100, 104)
+    ),
+    ("list_default", list_script(), (16, 3)),
+    ("list_short", list_script(items=2, intro_len=0, head_len=1, detail_len=2), (16, 1)),
+    ("list_wide", list_script(items=9, detail_len=5), (16, 5)),
+    # Flattens to 2,140 tokens: the ar run stops at the default max_seq_len.
+    ("list_truncated", list_script(items=6, detail_len=350), (16,)),
+]
+
+
+def _digest(parts: list[bytes]) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _simulate_parts(tmp_path, capsys, config: list[str]) -> list[bytes]:
+    report, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    argv = ["--seed", "3", "simulate", *config, "--report", str(report), "--csv", str(csv_out)]
+    assert main(argv) == 0
+    return [report.read_bytes(), csv_out.read_bytes(), capsys.readouterr().out.encode()]
+
+
+def test_simulate_default_config_bytes(tmp_path, capsys):
+    parts = _simulate_parts(tmp_path, capsys, [])
+    assert _digest(parts) == (
+        "b0e41f8dd52d8839dd21699000f4a9eb1035b7c401108abc11e2e4a145a8d80f"
+    )
+
+
+def test_simulate_shipped_config_bytes(tmp_path, capsys):
+    parts = _simulate_parts(tmp_path, capsys, ["--config", str(CONFIG)])
+    assert _digest(parts) == (
+        "dcb55ea53f9926fe4cca0983589e0d4e24de28edef6a0164d1bd9882294d67d2"
+    )
+
+
+def test_decode_trace_bytes(tmp_path, capsys):
+    parts: list[bytes] = []
+    truncated = 0
+    for name, script, block_sizes in DECODE_SCRIPTS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(script_to_json(script))
+        for mode in ("apar", "ar"):
+            for bs in block_sizes:
+                trace = tmp_path / f"{name}.{mode}.{bs}.jsonl"
+                argv = ["--seed", "3", "decode", "--script", str(path), "--mode", mode,
+                        "--trace", str(trace), "--block-size", str(bs)]
+                assert main(argv) == 0
+                parts += [trace.read_bytes(), capsys.readouterr().out.encode()]
+                truncated += '"truncated": true' in trace.read_text().split("\n", 1)[0]
+    assert truncated == 1
+    assert _digest(parts) == (
+        "44cd56c182e70a08d808c1d88dcfc7c1446dbb91d2b8bb748f9edc868a347a28"
+    )
+

@@ -131,7 +131,7 @@ class TestAppend:
         group.fork_sequence(0)
         group.append_token(0, FORK)
         group.fork_sequence(0)
-        assert len(group.sequences) == 1 + group.fork_count == 3
+        assert len(group.sequences) == group.thread_count() == 3
 
 
 class TestLogicalAccounting:
@@ -152,13 +152,3 @@ class TestLogicalAccounting:
         group.append_token(child, EOS)
         assert group.logical_slots == 0
         assert group.logical_peak == 8
-
-    def test_deferred_release(self):
-        group, pool = make_group(("Q",), early_release=False)
-        for tok in ("a1", FORK):
-            group.append_token(0, tok)
-        child = group.fork_sequence(0)
-        group.append_token(0, EOS)
-        assert pool.usage_snapshot()[1] > 0  # parent blocks retained
-        group.append_token(child, EOS)
-        assert pool.usage_snapshot()[:2] == (0, 0)

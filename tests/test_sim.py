@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from apar.blocks import KvBlockPool
@@ -137,17 +139,6 @@ class TestEndOfRunChecks:
         assert leaked
 
 
-class TestEarlyReleaseAblation:
-    def test_disabling_early_release_raises_peak(self):
-        workload = [list_script() for _ in range(6)]
-        base = dict(
-            workload=workload, mode="apar", capacity_blocks=200, cost=constant_cost()
-        )
-        with_release = run_simulation(SimConfig(early_release=True, **base))
-        without = run_simulation(SimConfig(early_release=False, **base))
-        assert without.summary["peak_blocks"] >= with_release.summary["peak_blocks"]
-
-
 class TestDeterminismAndSweep:
     def test_identical_runs(self):
         config = default_config(mode="apar", copies=12)
@@ -239,3 +230,21 @@ class TestConfigIO:
         # samples forever.
         with pytest.raises(ValueError, match=field):
             SimConfig(workload=[list_script()], **{field: value})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"workload": {"kind": "list", "detail": 30}}, "unknown list workload keys ['detail']"),
+            ({"workload": {"kind": "random", "items": 3}}, "unknown random workload keys ['items']"),
+            ([], "config must be a JSON object"),
+            ({"workload": [5]}, "list workload must be a JSON object"),
+        ],
+    )
+    def test_bad_schema_rejected(self, payload, message):
+        with pytest.raises(ValueError) as info:
+            config_from_json(json.dumps(payload))
+        assert str(info.value) == message
+
+    def test_list_without_items_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 item"):
+            list_script(items=0)
