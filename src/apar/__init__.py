@@ -24,7 +24,6 @@ from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
 from .tree import (
     ParagraphNode,
     ParagraphTree,
-    flatten_reference,
     path_to_root,
     restore,
     validate,

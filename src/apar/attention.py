@@ -20,7 +20,7 @@ from ._kernels import build_mask_array
 from .errors import TreeError
 from .script import ScriptTree
 from .tokens import CHILD, EOS, FORK
-from .tree import ParagraphNode, ParagraphTree
+from .tree import ParagraphNode, ParagraphTree, preorder
 
 __all__ = [
     "LinearizedSample",
@@ -59,26 +59,20 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
         tokens.extend(toks)
         node_of.extend([node_id] * len(toks))
 
-    stack: list[tuple[int, bool]] = [(script.root, False)]
-    while stack:
-        node_id, as_child = stack.pop()
-        node = script.nodes[node_id]
+    for node, parent in preorder(script.root, script.nodes):
         start = len(tokens)
-        if as_child:
-            emit(node_id, [CHILD])
-        emit(node_id, node.tokens)
-        emit(node_id, [FORK] if node.first_child is not None else [EOS])
-        tree.nodes[node_id] = ParagraphNode(
-            id=node_id,
+        if parent is not None and script.nodes[parent].first_child == node.id:
+            emit(node.id, [CHILD])
+        emit(node.id, node.tokens)
+        emit(node.id, [FORK] if node.first_child is not None else [EOS])
+        tree.nodes[node.id] = ParagraphNode(
+            id=node.id,
             seq=0,
             start=start,
             end=len(tokens),
             first_child=node.first_child,
             next_sibling=node.next_sibling,
         )
-        if node.first_child is not None:
-            stack.append((node.next_sibling, False))
-            stack.append((node.first_child, True))
     return LinearizedSample(tokens, node_of, len(script.prompt)), tree
 
 
@@ -89,17 +83,11 @@ def linearize_group(
     root_seq = sequences[tree.node(tree.root).seq]
     tokens: list[str] = list(root_seq[: tree.prompt_len])
     node_of: list[int] = [-1] * tree.prompt_len
-    stack = [tree.root]
-    while stack:
-        node = tree.node(stack.pop())
+    for node, _ in preorder(tree.root, tree.nodes):
         seq = sequences[node.seq]
         start, end = node.slice_bounds(len(seq))
         tokens.extend(seq[start:end])
         node_of.extend([node.id] * (end - start))
-        if node.next_sibling is not None:
-            stack.append(node.next_sibling)
-        if node.first_child is not None:
-            stack.append(node.first_child)
     return LinearizedSample(tokens, node_of, tree.prompt_len)
 
 

@@ -254,9 +254,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for path in args.inputs:
         try:
-            rows.extend(json.loads(Path(path).read_text()))
+            payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliInputError(f"cannot read {path}: {exc}")
+        if not (isinstance(payload, list) and all(isinstance(r, dict) for r in payload)):
+            raise CliInputError(f"{path} does not hold a list of row objects")
+        rows.extend(payload)
     rows.sort(key=lambda r: str(r.get("name", "")))
     if args.format == "csv":
         write_report_csv(rows, args.output)

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence as Seq
 
-from .engine import DecodeResult, DecodeTrace
+from .engine import DecodeTrace
 from .sim import StepCostModel
 from .tokens import CHILD
-from .tree import ParagraphTree, flatten_reference
+from .tree import ParagraphTree, restore
 
 __all__ = [
-    "GroupMetrics",
     "max_cached_tokens",
     "flatten_max_cached",
     "mean_attended_tokens",
@@ -27,7 +25,6 @@ __all__ = [
     "saved_ratio",
     "thread_stats",
     "tokens_per_second",
-    "group_metrics",
     "REPORT_COLUMNS",
     "write_report_csv",
     "write_report_json",
@@ -49,16 +46,6 @@ REPORT_COLUMNS = [
 ]
 
 
-@dataclass
-class GroupMetrics:
-    max_cached_tokens: int
-    mean_attended_tokens: float
-    generated_tokens: int
-    steps: int
-    threads: int
-    parallelizable: bool
-
-
 def max_cached_tokens(trace: DecodeTrace) -> int:
     """Peak logical cache slots over the run, prompt included."""
     if not trace.records:
@@ -68,7 +55,7 @@ def max_cached_tokens(trace: DecodeTrace) -> int:
 
 def flatten_max_cached(tree: ParagraphTree, sequences: Mapping[int, Seq[str]]) -> int:
     """Cache needed to decode the flattened generation sequentially."""
-    flat = flatten_reference(tree, sequences)
+    flat = restore(tree, sequences, strip_control=True)
     return tree.prompt_len + len(flat) + 1  # trailing [EOS] slot
 
 
@@ -95,7 +82,7 @@ def mean_attended_tokens(tree: ParagraphTree, sequences: Mapping[int, Seq[str]])
 
 def flatten_mean_attended(tree: ParagraphTree, sequences: Mapping[int, Seq[str]]) -> float:
     """Mean context length decoding the flattened generation sequentially."""
-    flat_len = len(flatten_reference(tree, sequences))
+    flat_len = len(restore(tree, sequences, strip_control=True))
     # flat_len + 1 samples at contexts prompt_len .. prompt_len + flat_len
     return tree.prompt_len + flat_len / 2.0
 
@@ -107,11 +94,10 @@ def saved_ratio(apar_value: float, flatten_value: float) -> float:
     return (flatten_value - apar_value) / flatten_value * 100.0
 
 
-def thread_stats(groups: Seq[GroupMetrics | int]) -> tuple[float, float]:
+def thread_stats(counts: Seq[int]) -> tuple[float, float]:
     """(mean thread count, fraction of responses with >= 2 threads)."""
-    if not groups:
-        raise ValueError("no group metrics supplied")
-    counts = [g.threads if isinstance(g, GroupMetrics) else int(g) for g in groups]
+    if not counts:
+        raise ValueError("no thread counts supplied")
     mean = sum(counts) / len(counts)
     parallel = sum(1 for c in counts if c >= 2) / len(counts)
     return mean, parallel
@@ -125,19 +111,6 @@ def tokens_per_second(trace: DecodeTrace, cost: StepCostModel) -> float:
     if total == 0.0:
         return 0.0
     return trace.content_tokens / total
-
-
-def group_metrics(result: DecodeResult) -> GroupMetrics:
-    sequences = result.sequences_map()
-    threads = result.group.thread_count()
-    return GroupMetrics(
-        max_cached_tokens=max_cached_tokens(result.trace),
-        mean_attended_tokens=mean_attended_tokens(result.tree, sequences),
-        generated_tokens=result.trace.content_tokens,
-        steps=result.trace.steps,
-        threads=threads,
-        parallelizable=threads >= 2,
-    )
 
 
 def write_report_csv(rows: Iterable[Mapping[str, object]], path: str) -> None:

@@ -17,6 +17,7 @@ from typing import Sequence as Seq
 
 from .errors import ScriptMismatch
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
+from .tree import preorder
 
 __all__ = [
     "ScriptNode",
@@ -55,16 +56,10 @@ class ScriptTree:
 
 
 def flatten_script(script: ScriptTree) -> list[str]:
-    """Content tokens in node / first_child / next_sibling order."""
+    """Content tokens of the nodes in ``preorder``."""
     out: list[str] = []
-    stack = [script.root]
-    while stack:
-        node = script.nodes[stack.pop()]
+    for node, _ in preorder(script.root, script.nodes):
         out.extend(node.tokens)
-        if node.next_sibling is not None:
-            stack.append(node.next_sibling)
-        if node.first_child is not None:
-            stack.append(node.first_child)
     return out
 
 
@@ -279,21 +274,7 @@ def script_from_json(text: str) -> ScriptTree:
     bad = [t for t in script.prompt if t in CONTROL_TOKENS]
     if bad:
         raise ValueError(f"script prompt contains control tokens {bad}")
-    if script.root not in nodes:
-        raise ValueError(f"script root {script.root!r} is not a node")
-    seen = set()
-    stack = [script.root]
-    while stack:
-        node = nodes[stack.pop()]
-        if node.id in seen:
-            raise ValueError(f"script node {node.id} is reached twice from the root")
-        seen.add(node.id)
-        for target in (node.first_child, node.next_sibling):
-            if target is None:
-                continue
-            if target not in nodes:
-                raise ValueError(f"script node {node.id} points at unknown node {target!r}")
-            stack.append(target)
+    seen = {node.id for node, _ in preorder(script.root, nodes)}
     unreached = [nid for nid in nodes if nid not in seen]
     if unreached:
         raise ValueError(f"script nodes {unreached} are not reached from the root")

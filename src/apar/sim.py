@@ -20,6 +20,7 @@ trailing samples taken after the waiting queue drained.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence as Seq
@@ -66,8 +67,8 @@ class StepCostModel:
     c_attn: float
 
     def __post_init__(self) -> None:
-        if min(self.t_fixed, self.c_token, self.c_attn) < 0:
-            raise ValueError("cost constants must be nonnegative")
+        if not all(0 <= c < math.inf for c in (self.t_fixed, self.c_token, self.c_attn)):
+            raise ValueError("cost constants must be finite and nonnegative")
 
     def latency(self, batch_size: int, attended_sum: int) -> float:
         return self.t_fixed + self.c_token * batch_size + self.c_attn * attended_sum
@@ -291,14 +292,17 @@ def run_simulation(config: SimConfig) -> SimReport:
             continue
 
         # Reserve this step's worst-case allocations; preempt the most
-        # recently admitted group until the step is guaranteed to fit.
-        while pool.free_blocks < sum(entry.group.step_block_demand() for entry in live):
+        # recently admitted group until the step is guaranteed to fit.  A
+        # group's demand does not depend on the pool, so it is summed once.
+        demand = sum(entry.group.step_block_demand() for entry in live)
+        while pool.free_blocks < demand:
             if len(live) == 1:
                 raise SimulationError(
                     f"request {live[0].request_id} cannot fit in"
                     f" {config.effective_blocks} blocks even alone"
                 )
             victim = live.pop()
+            demand -= victim.group.step_block_demand()
             victim.group.release_live()
             waiting.append(victim.request_id)
             preemptions += 1

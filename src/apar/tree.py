@@ -3,13 +3,18 @@
 A node slices into one sequence's token list.  ``first_child`` points at the
 detail thread forked off the node, ``next_sibling`` at the continuation of
 the node's own thread.  Nodes carry both pointers or neither.
+
+``preorder`` is the one walk in restore order: a node, then its first_child
+subtree, then its next_sibling subtree.  Restore, the flatten baseline and
+both training linearizers call it, so a training mask describes the order
+decoding produced.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .errors import TreeError
 from .tokens import CONTROL_TOKENS
@@ -18,8 +23,8 @@ __all__ = [
     "ParagraphNode",
     "ParagraphTree",
     "validate",
+    "preorder",
     "restore",
-    "flatten_reference",
     "path_to_root",
     "tree_to_json",
     "tree_from_json",
@@ -151,21 +156,38 @@ def validate(
     return violations
 
 
-def _traversal(tree: ParagraphTree) -> Iterable[ParagraphNode]:
-    """Yield nodes in restore order: node, first_child subtree, next_sibling subtree."""
-    stack = [tree.root]
+class _Linked(Protocol):
+    first_child: int | None
+    next_sibling: int | None
+
+
+_Node = TypeVar("_Node", bound=_Linked)
+
+
+def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[tuple[_Node, int | None]]:
+    """Yield ``(node, id of the node pointing at it)`` in restore order.
+
+    The order is node, first_child subtree, next_sibling subtree; the root
+    comes with None.  Takes script nodes and paragraph nodes alike.  Raises
+    TreeError naming the node when an id is unknown or a node is reached
+    twice, which covers cycles.
+    """
+    stack: list[tuple[int, int | None]] = [(root, None)]
     seen: set[int] = set()
     while stack:
-        nid = stack.pop()
+        nid, parent = stack.pop()
         if nid in seen:
-            raise TreeError(f"cycle detected at node {nid}")
+            raise TreeError(f"node {nid} is reached twice")
         seen.add(nid)
-        node = tree.node(nid)
-        yield node
+        try:
+            node = nodes[nid]
+        except KeyError:
+            raise TreeError(f"unknown node id {nid}") from None
+        yield node, parent
         if node.next_sibling is not None:
-            stack.append(node.next_sibling)
+            stack.append((node.next_sibling, nid))
         if node.first_child is not None:
-            stack.append(node.first_child)
+            stack.append((node.first_child, nid))
 
 
 def restore(
@@ -175,11 +197,11 @@ def restore(
 ) -> list[str]:
     """Linearize the tree back into a single token stream.
 
-    Emits each node's slice, then its first_child subtree, then its
-    next_sibling subtree.  Prompt tokens are never part of the output.
+    Emits each node's slice in ``preorder``.  Prompt tokens are never part
+    of the output.  With ``strip_control`` this is the flatten baseline.
     """
     out: list[str] = []
-    for node in _traversal(tree):
+    for node, _ in preorder(tree.root, tree.nodes):
         if node.seq not in sequences:
             raise TreeError(f"node {node.id} references unknown sequence {node.seq}")
         seq = sequences[node.seq]
@@ -193,13 +215,6 @@ def restore(
     if strip_control:
         out = [tok for tok in out if tok not in CONTROL_TOKENS]
     return out
-
-
-def flatten_reference(
-    tree: ParagraphTree, sequences: Mapping[int, Sequence[str]]
-) -> list[str]:
-    """The linearized generation used as the sequential baseline for metrics."""
-    return restore(tree, sequences, strip_control=True)
 
 
 def path_to_root(tree: ParagraphTree, node_id: int) -> list[int]:

@@ -304,6 +304,31 @@ class TestBadInput:
         assert named in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    def test_simulate_non_finite_cost(self, value, tmp_path, capsys):
+        # 1e400 parses as inf, which made the run loop without end; NaN wrote
+        # a report that is not valid JSON.
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"cost": {"t_fixed": %s, "c_token": 0.0, "c_attn": 0.0},'
+            ' "workload": {"kind": "list", "count": 2}}' % value
+        )
+        err = self.assert_input_error(
+            ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
+        )
+        assert "finite" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("payload", [{"name": "x"}, [1, 2]], ids=["object", "list-of-ints"])
+    def test_report_input_not_rows(self, payload, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(payload))
+        err = self.assert_input_error(
+            ["report", "--inputs", str(path), "--output", str(tmp_path / "m.csv")], capsys
+        )
+        assert str(path) in err
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -3,12 +3,18 @@
 A change that should leave every output as it was must leave these hashes
 as they are.  A change that alters an output on purpose updates the hash
 and says why.  Each digest covers, in order, every output file and the
-captured stdout, each prefixed by its length.
+captured stdout, or every array's bytes, each prefixed by its length.
 """
 
 import hashlib
+import json
+import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus_data import conversations  # noqa: E402
+
+from apar.attention import build_loss_mask, build_training_mask, linearize_script
 from apar.cli import main
 from apar.script import random_script, script_to_json
 from apar.sim import list_script
@@ -28,6 +34,8 @@ DECODE_SCRIPTS = [
     # Flattens to 2,140 tokens: the ar run stops at the default max_seq_len.
     ("list_truncated", list_script(items=6, detail_len=350), (16,)),
 ]
+# Every decode script but the truncated one, whose ar baseline bench rejects.
+BENCH_SCRIPTS = [(name, script) for name, script, _ in DECODE_SCRIPTS if name != "list_truncated"]
 
 
 def _digest(parts: list[bytes]) -> str:
@@ -78,3 +86,47 @@ def test_decode_trace_bytes(tmp_path, capsys):
         "44cd56c182e70a08d808c1d88dcfc7c1446dbb91d2b8bb748f9edc868a347a28"
     )
 
+
+def test_extract_bytes(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(conv) + "\n" for conv in conversations()))
+    parts: list[bytes] = []
+    for ratio in ("none", "1:1"):
+        out, stats = tmp_path / f"{ratio}.jsonl", tmp_path / f"{ratio}.stats.json"
+        argv = ["--seed", "3", "extract", "--input", str(corpus), "--output", str(out),
+                "--stats", str(stats), "--ratio", ratio]
+        assert main(argv) == 0
+        parts += [out.read_bytes(), stats.read_bytes(), capsys.readouterr().out.encode()]
+    assert _digest(parts) == (
+        "ed989d658d5e98ab45cae0d22d0dc2ce0560bac1bec39406d984aec93a150481"
+    )
+
+
+def test_bench_bytes(tmp_path, capsys):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for name, script in BENCH_SCRIPTS:
+        (scripts / f"{name}.json").write_text(script_to_json(script))
+    parts: list[bytes] = []
+    for fmt in ("csv", "json"):
+        report = tmp_path / f"bench.{fmt}"
+        argv = ["--seed", "3", "bench", "--scripts", str(scripts), "--report", str(report),
+                "--format", fmt]
+        assert main(argv) == 0
+        parts += [report.read_bytes(), capsys.readouterr().out.encode()]
+    assert _digest(parts) == (
+        "ebeae789db84fd10a624810757688976d7578c0f6e8f90d17f21f4c5ab3d9814"
+    )
+
+
+def test_training_and_loss_mask_bytes():
+    parts: list[bytes] = []
+    for _, script in BENCH_SCRIPTS:
+        sample, tree = linearize_script(script)
+        parts += [
+            build_training_mask(sample, tree).tobytes(),
+            build_loss_mask(sample).tobytes(),
+        ]
+    assert _digest(parts) == (
+        "05c2a9c7d70da216d0873158bc85c6705c8f6ff66ac99bf48ebe2bf230adb9d5"
+    )

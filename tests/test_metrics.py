@@ -5,11 +5,9 @@ import pytest
 
 from apar.engine import apar_decode, ar_decode
 from apar.metrics import (
-    GroupMetrics,
     REPORT_COLUMNS,
     flatten_max_cached,
     flatten_mean_attended,
-    group_metrics,
     max_cached_tokens,
     mean_attended_tokens,
     saved_ratio,
@@ -61,10 +59,6 @@ class TestThreadStats:
         mean, parallel = thread_stats([3, 1, 2])
         assert mean == pytest.approx(2.0)
         assert parallel == pytest.approx(2 / 3)
-
-    def test_group_metrics_accepted(self):
-        gm = GroupMetrics(0, 0.0, 0, 0, threads=4, parallelizable=True)
-        assert thread_stats([gm, 1]) == (2.5, 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -139,14 +133,6 @@ class TestTokensPerSecond:
 
 
 class TestGroupMetricsAndReports:
-    def test_group_metrics_fields(self, fig3_script):
-        result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
-        gm = group_metrics(result)
-        assert gm.threads == 2 and gm.parallelizable
-        assert gm.generated_tokens == 5
-        assert gm.steps == 7
-        assert gm.max_cached_tokens == 8
-
     def test_attended_inequality_on_random_scripts(self):
         checked = 0
         for seed in range(300):

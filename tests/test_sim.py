@@ -45,6 +45,14 @@ class TestStepLatency:
         with pytest.raises(ValueError):
             StepCostModel(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_constants_rejected(self, value, position):
+        constants = [0.0, 0.0, 0.0]
+        constants[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            StepCostModel(*constants)
+
 
 class TestSingleRequest:
     def test_throughput_is_inverse_step_cost(self):

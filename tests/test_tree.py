@@ -1,13 +1,14 @@
 import pytest
 
-from apar.attention import linearize_script
+from apar.attention import linearize_group, linearize_script
+from apar.cli import main
 from apar.errors import TreeError
-from apar.script import random_script
+from apar.script import ScriptNode, ScriptTree, flatten_script, random_script, script_to_json
 from apar.tree import (
     ParagraphNode,
     ParagraphTree,
-    flatten_reference,
     path_to_root,
+    preorder,
     restore,
     tree_from_json,
     tree_to_json,
@@ -75,6 +76,53 @@ class TestValidate:
         assert any("overlap" in v for v in validate(tree, seqs))
 
 
+class TestPreorder:
+    def test_order_and_pointing_ids(self):
+        tree, _ = fig3_tree()
+        walk = [(node.id, parent) for node, parent in preorder(tree.root, tree.nodes)]
+        assert walk == [(0, None), (2, 0), (1, 0)]
+
+    def test_unknown_id_named(self):
+        tree, _ = fig3_tree()
+        tree.nodes[2].next_sibling = 9
+        with pytest.raises(TreeError, match="unknown node id 9"):
+            list(preorder(tree.root, tree.nodes))
+
+    def test_cycle_named(self):
+        tree, _ = fig3_tree()
+        tree.nodes[2].first_child = tree.nodes[2].next_sibling = 0
+        with pytest.raises(TreeError, match="node 0 is reached twice"):
+            list(preorder(tree.root, tree.nodes))
+
+    def test_node_reached_twice_rejected_by_every_walk(self, tmp_path, capsys):
+        # Node 1 is both the first_child and the next_sibling of node 0: no
+        # cycle, but its content would be emitted twice.
+        script = ScriptTree(
+            root=0,
+            nodes={
+                0: ScriptNode(0, ("a",), first_child=1, next_sibling=1),
+                1: ScriptNode(1, ("b",)),
+            },
+            prompt=("Q",),
+        )
+        tree = ParagraphTree(root=0, prompt_len=1)
+        tree.nodes[0] = ParagraphNode(id=0, seq=0, start=1, end=3, first_child=1, next_sibling=1)
+        tree.nodes[1] = ParagraphNode(id=1, seq=0, start=3)
+        seqs = {0: ["Q", "a", "[Fork]", "b", "[EOS]"]}
+        for walk in (
+            lambda: flatten_script(script),
+            lambda: linearize_script(script),
+            lambda: linearize_group(tree, seqs),
+            lambda: restore(tree, seqs),
+        ):
+            with pytest.raises(TreeError, match="node 1 is reached twice"):
+                walk()
+        path = tmp_path / "shared.json"
+        path.write_text(script_to_json(script))
+        assert main(["decode", "--script", str(path)]) == 1
+        assert "node 1 is reached twice" in capsys.readouterr().err
+
+
 class TestRestore:
     def test_linear_strip(self):
         tree, seqs = single_node_tree(["a", "b", "c", "[EOS]"])
@@ -125,20 +173,21 @@ class TestRestore:
 class TestFlatten:
     def test_fig3(self):
         tree, seqs = fig3_tree()
-        flat = flatten_reference(tree, seqs)
+        flat = restore(tree, seqs, strip_control=True)
         assert flat == ["a1", "a2", "d1", "d2", "b1"]
         assert len(flat) == 5
 
     def test_empty_generation(self):
         tree, seqs = single_node_tree([])
-        assert flatten_reference(tree, seqs) == []
+        assert restore(tree, seqs, strip_control=True) == []
 
     def test_equals_strip_restore(self):
         for seed in range(100):
             script = random_script(seed, max_nodes=9, max_node_len=5)
             sample, tree = linearize_script(script)
             seqs = {0: sample.tokens}
-            assert flatten_reference(tree, seqs) == restore(tree, seqs, strip_control=True)
+            # The flatten baseline of the decoded tree is the script's content.
+            assert restore(tree, seqs, strip_control=True) == flatten_script(script)
 
 
 class TestPathToRoot:
