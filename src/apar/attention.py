@@ -1,4 +1,4 @@
-"""Training attention masks, loss masks and attended-token counts.
+"""Linearized training samples, their attention masks and loss masks.
 
 Linearization layout: a node emits its content, then [Fork] if it has
 children; a first_child subtree opens with the injected [Child]; a leaf
@@ -8,8 +8,6 @@ token equals exactly what the token could see at decode time.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping, Sequence as Seq
@@ -28,9 +26,6 @@ __all__ = [
     "linearize_group",
     "build_training_mask",
     "build_loss_mask",
-    "attended_count",
-    "write_mask",
-    "read_mask",
 ]
 
 
@@ -140,57 +135,3 @@ def build_loss_mask(sample: LinearizedSample) -> np.ndarray:
     mask = np.asarray(sample.tokens, dtype=object) != CHILD
     mask[: sample.prompt_len] = False
     return mask
-
-
-def attended_count(
-    tree: ParagraphTree,
-    sequences: Mapping[int, Seq[str]],
-    seq_id: int,
-    position: int,
-) -> int:
-    """Tokens visible when predicting ``position`` of ``seq_id``.
-
-    By fork construction, a thread's prefix is exactly the content on its
-    path to the root, so the visible context is the sequence prefix.
-    """
-    if seq_id not in sequences:
-        raise TreeError(f"unknown sequence {seq_id}")
-    if not 0 <= position < len(sequences[seq_id]):
-        raise TreeError(
-            f"position {position} out of range for sequence {seq_id}"
-            f" of length {len(sequences[seq_id])}"
-        )
-    return position
-
-
-_MASK_MAGIC = b"APMK"
-
-
-def write_mask(mask: np.ndarray, prompt_len: int, path: str) -> None:
-    """Row-major bit-packed mask at ``path``, JSON header at ``path + '.json'``."""
-    n = mask.shape[0]
-    packed = np.packbits(mask.astype(np.uint8), axis=1)
-    with open(path, "wb") as fh:
-        fh.write(_MASK_MAGIC)
-        fh.write(struct.pack("<I", n))
-        fh.write(packed.tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump({"n": n, "prompt_len": prompt_len}, fh)
-        fh.write("\n")
-
-
-def read_mask(path: str) -> tuple[np.ndarray, int]:
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    n = header["n"]
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MASK_MAGIC:
-            raise ValueError(f"{path} is not a mask file")
-        (n_bin,) = struct.unpack("<I", fh.read(4))
-        if n_bin != n:
-            raise ValueError("mask header and binary disagree on size")
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    per_row = (n + 7) // 8
-    mask = np.unpackbits(packed.reshape(n, per_row), axis=1)[:, :n]
-    return mask.astype(np.bool_), header["prompt_len"]

@@ -51,8 +51,9 @@ class KvBlockPool:
         self.refcount: dict[int, int] = {}
         self._freed: list[int] = []  # a stack: the last freed id goes out first
         self._next_fresh = 0  # ids from here to capacity - 1 were never handed out
-        self.slots_filled: dict[int, int] = {}
-        self._used_slots = 0  # running sum of slots_filled
+        # Filled slots over all used blocks.  Every block but a table's last
+        # is full, and a partial last block has exactly one owner.
+        self._used_slots = 0
         self.peak_used: int = 0
         self._lock = threading.Lock()
 
@@ -67,17 +68,17 @@ class KvBlockPool:
         else:
             raise CapacityError("block pool exhausted")
         self.refcount[block] = 1
-        self.slots_filled[block] = 0
         used = len(self.refcount)
         if used > self.peak_used:
             self.peak_used = used
         return block
 
-    def _decref(self, block: int) -> bool:
+    def _decref(self, block: int, slots: int) -> bool:
+        """Drop one reference; a block freed here held ``slots`` filled slots."""
         self.refcount[block] -= 1
         if self.refcount[block] == 0:
             del self.refcount[block]
-            self._used_slots -= self.slots_filled.pop(block)
+            self._used_slots -= slots
             self._freed.append(block)
             return True
         return False
@@ -91,7 +92,6 @@ class KvBlockPool:
                 block = self._alloc()
                 table.blocks.append(block)
                 table.slots_used_in_last_block = 1
-                self.slots_filled[block] = 1
                 self._used_slots += 1
             else:
                 last = table.blocks[-1]
@@ -100,7 +100,6 @@ class KvBlockPool:
                         f"append into shared block {last} (refcount {self.refcount[last]})"
                     )
                 table.slots_used_in_last_block += 1
-                self.slots_filled[last] += 1
                 self._used_slots += 1
             return table
 
@@ -120,7 +119,6 @@ class KvBlockPool:
             shared = parent.blocks[:-1] if partial else parent.blocks
             if partial:
                 copy = self._alloc()  # may raise before any refcount changes
-                self.slots_filled[copy] = parent.slots_used_in_last_block
                 self._used_slots += parent.slots_used_in_last_block
             for block in shared:
                 self.refcount[block] += 1
@@ -136,8 +134,10 @@ class KvBlockPool:
             if table.released:
                 raise ProtocolError(f"table of sequence {table.owner} released twice")
             freed = 0
-            for block in table.blocks:
-                if self._decref(block):
+            last = len(table.blocks) - 1
+            for i, block in enumerate(table.blocks):
+                slots = table.slots_used_in_last_block if i == last else self.block_size
+                if self._decref(block, slots):
                     freed += 1
             table.released = True
             return freed

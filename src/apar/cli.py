@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
         default=[],
         help="drop scripts whose category matches (repeatable)",
     )
-    p.add_argument("--block-size", type=_positive_int, default=16)
 
     p = sub.add_parser("simulate", help="run the serving simulator")
     p.add_argument("--config", help="simulation config JSON (omit for the default)")
@@ -177,9 +176,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(path: Path, script: ScriptTree, block_size: int) -> dict:
-    apar = apar_decode(list(script.prompt), ReplayModel(script), block_size=block_size)
-    ar = ar_decode(list(script.prompt), as_linear(script), block_size=block_size)
+def _bench_one(path: Path, script: ScriptTree) -> dict:
+    apar = apar_decode(list(script.prompt), ReplayModel(script))
+    ar = ar_decode(list(script.prompt), as_linear(script))
     if apar.trace.truncated or ar.trace.truncated:
         raise CliInputError(f"{path}: decoding was truncated; no speedup to report")
     seqs = apar.sequences_map()
@@ -213,7 +212,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     loaded = [(path, _load_script(str(path))) for path in paths]
     excluded = set(args.exclude_category)
     rows = [
-        _bench_one(path, script, args.block_size)
+        _bench_one(path, script)
         for path, script in loaded
         if not (script.category and script.category in excluded)
     ]

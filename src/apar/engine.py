@@ -20,23 +20,27 @@ rest once max_steps steps have run.  So a prompt of max_seq_len tokens or
 more decodes in 0 steps with an empty output, and any cut sets truncated.
 A thread the loop ends itself is passed to model.forget, so a model that
 keeps state per context can drop it; no other call reaches forget.
+
+Capacity has one rule: the simulator reserves every step's blocks before
+the step runs, and a standalone decode owns a pool with no cap, so a fork
+inside a decode cannot run out of blocks.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence as Seq
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
-from .errors import CapacityError, ProtocolError
+from .errors import ProtocolError
 from .runtime import SequenceGroup, new_group
 from .tokens import EOS, FORK
 from .tree import ParagraphTree, restore
 
 DEFAULT_MAX_STEPS = 4096
 DEFAULT_MAX_SEQ_LEN = 2048
-_STANDALONE_POOL_BLOCKS = 1 << 16
 
 __all__ = [
     "LanguageModel",
@@ -63,7 +67,6 @@ class StepRecord:
     step: int
     sampled: list[tuple[int, str]] = field(default_factory=list)
     forks: list[tuple[int, int]] = field(default_factory=list)
-    aborted_forks: list[int] = field(default_factory=list)
     blocks_freed: int = 0
     attended_sum: int = 0
     physical_slots: int = 0
@@ -89,7 +92,7 @@ class StepRecord:
             "step": self.step,
             "sampled": [[sid, tok] for sid, tok in self.sampled],
             "forks": [[p, c] for p, c in self.forks],
-            "aborted_forks": self.aborted_forks,
+            "aborted_forks": [],  # kept so the trace format does not change
             "finished": self.finished,
             "slots_appended": self.slots_appended,
             "blocks_freed": self.blocks_freed,
@@ -151,10 +154,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> StepRecord:
         token = model.next_token(seq.tokens)
         rec.attended_sum += len(seq.tokens)
         if seq.tokens[-1] == FORK:
-            try:
-                rec.forks.append((seq.id, group.fork_sequence(seq.id)))
-            except CapacityError:
-                rec.aborted_forks.append(seq.id)
+            rec.forks.append((seq.id, group.fork_sequence(seq.id)))
         rec.blocks_freed += group.append_token(seq.id, token)
         rec.sampled.append((seq.id, token))
     return rec
@@ -164,13 +164,12 @@ def _decode(
     mode: str,
     prompt: Seq[str],
     model: LanguageModel,
-    pool: KvBlockPool | None,
     max_steps: int,
     max_seq_len: int,
     block_size: int,
 ) -> DecodeResult:
-    if pool is None:
-        pool = KvBlockPool(_STANDALONE_POOL_BLOCKS, block_size=block_size)
+    # The pool fills lazily, so a capacity it never reaches costs nothing.
+    pool = KvBlockPool(sys.maxsize, block_size=block_size)
     group = new_group(prompt, pool)
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
     while True:
@@ -202,22 +201,20 @@ def _decode(
 def apar_decode(
     prompt: Seq[str],
     model: LanguageModel,
-    pool: KvBlockPool | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
     """Run the forking decode loop until every thread has finished."""
-    return _decode("apar", prompt, model, pool, max_steps, max_seq_len, block_size)
+    return _decode("apar", prompt, model, max_steps, max_seq_len, block_size)
 
 
 def ar_decode(
     prompt: Seq[str],
     model: LanguageModel,
-    pool: KvBlockPool | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
     """Sequential baseline: the same loop over a model that never forks."""
-    return _decode("ar", prompt, model, pool, max_steps, max_seq_len, block_size)
+    return _decode("ar", prompt, model, max_steps, max_seq_len, block_size)

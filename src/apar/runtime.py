@@ -97,8 +97,9 @@ class SequenceGroup:
         """Fork ``parent_id`` after its trailing [Fork] token; return the child id.
 
         Raises CapacityError before any state changes if the pool cannot
-        supply the single block the child needs, so a failed fork leaves the
-        parent free to continue linearly.
+        supply the single block the child needs.  No decode loop catches it: the
+        simulator reserves each step's blocks before the step runs, and a
+        standalone decode's pool has no cap.
         """
         parent = self._get(parent_id)
         if parent.finished:

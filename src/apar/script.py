@@ -243,11 +243,18 @@ def script_to_json(script: ScriptTree) -> str:
     return json.dumps(payload)
 
 
+def _token_list(value: object, what: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(t, str) for t in value)):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def script_from_json(text: str) -> ScriptTree:
     """Load a script; raise ValueError for one the replay model cannot decode.
 
-    Beyond the node checks of ScriptTree, the prompt must be non-empty and
-    free of control tokens, node ids must be distinct, and the pointers
+    Beyond the node checks of ScriptTree, the prompt and each node's tokens
+    must be lists of strings, the prompt must be non-empty and free of
+    control tokens, node ids must be distinct, and the pointers
     from the root must reach every node exactly once, so the tree has no
     cycle and no node is silently dropped.
     """
@@ -255,7 +262,7 @@ def script_from_json(text: str) -> ScriptTree:
     nodes = {
         entry["id"]: ScriptNode(
             id=entry["id"],
-            tokens=tuple(entry["tokens"]),
+            tokens=_token_list(entry["tokens"], f"script node {entry['id']} tokens"),
             first_child=entry.get("first_child"),
             next_sibling=entry.get("next_sibling"),
         )
@@ -266,7 +273,7 @@ def script_from_json(text: str) -> ScriptTree:
     script = ScriptTree(
         root=payload["root"],
         nodes=nodes,
-        prompt=tuple(payload["prompt"]),
+        prompt=_token_list(payload["prompt"], "script prompt"),
         category=payload.get("category"),
     )
     if not script.prompt:

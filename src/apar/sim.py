@@ -184,17 +184,7 @@ class SimReport:
         )
 
     def to_csv(self) -> str:
-        cols = [
-            "time",
-            "throughput",
-            "latency_mean",
-            "latency_p25",
-            "latency_p75",
-            "used_slots",
-            "used_blocks",
-            "live_groups",
-            "waiting",
-        ]
+        cols = [f.name for f in fields(SimSample)]
         lines = [",".join(cols)]
         for s in self.samples:
             row = asdict(s)

@@ -6,13 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from apar._kernels import build_mask_array
 from apar.attention import (
-    attended_count,
     build_loss_mask,
     build_training_mask,
     linearize_group,
     linearize_script,
-    read_mask,
-    write_mask,
 )
 from apar.engine import apar_decode
 from apar.errors import TreeError
@@ -197,27 +194,25 @@ class TestLossMask:
 
 
 class TestAttendedCount:
+    """A token attends to its thread's prefix: mask row support is that plus itself."""
+
+    @staticmethod
+    def support(script, token):
+        result = apar_decode(list(script.prompt), ReplayModel(script))
+        sample = linearize_group(result.tree, result.sequences_map())
+        mask = build_training_mask(sample, result.tree)
+        return int(mask[sample.tokens.index(token)].sum())
+
     def test_ar_counts_all_preceding(self):
         script = ScriptTree(
             root=0, nodes={0: ScriptNode(0, tuple("abcde"))}, prompt=("p",)
         )
-        result = apar_decode(list(script.prompt), ReplayModel(script))
-        seqs = result.sequences_map()
-        for i in range(1, 6):
-            assert attended_count(result.tree, seqs, 0, i) == i
+        for i, token in enumerate("abcde", start=1):
+            assert self.support(script, token) == i + 1
 
     def test_fig3_examples(self, fig3_script):
-        result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
-        seqs = result.sequences_map()
-        b1_pos = seqs[0].index("b1")
-        assert attended_count(result.tree, seqs, 0, b1_pos) == 4
-        d2_pos = seqs[1].index("d2")
-        assert attended_count(result.tree, seqs, 1, d2_pos) == 6
-
-    def test_out_of_range(self, fig3_script):
-        result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
-        with pytest.raises(TreeError):
-            attended_count(result.tree, result.sequences_map(), 0, 999)
+        assert self.support(fig3_script, "b1") == 4 + 1  # Q a1 a2 [Fork]
+        assert self.support(fig3_script, "d2") == 6 + 1  # Q a1 a2 [Fork] [Child] d1
 
     def test_row_support_is_attended_plus_self(self):
         for seed in range(15):
@@ -234,7 +229,7 @@ class TestAttendedCount:
                 ]
                 for seq_pos, lin_pos in zip(range(start, end), lin_positions):
                     support = int(mask[lin_pos].sum())
-                    assert support == attended_count(result.tree, seqs, node.seq, seq_pos) + 1
+                    assert support == seq_pos + 1
 
 
 def test_counting_inequality_two_threads_long_details():
@@ -256,13 +251,3 @@ def test_counting_inequality_two_threads_long_details():
             result.tree, seqs
         ), seed
 
-
-class TestKernels:
-    def test_export_round_trip(self, tmp_path, fig3_script):
-        sample, tree = linearize_script(fig3_script)
-        mask = build_training_mask(sample, tree)
-        path = str(tmp_path / "mask.bin")
-        write_mask(mask, sample.prompt_len, path)
-        back, plen = read_mask(path)
-        assert np.array_equal(back, mask)
-        assert plen == 1

@@ -269,15 +269,6 @@ class TestBadInput:
         )
         assert "--block-size" in err
 
-    def test_bench_block_size_zero(self, fig3_path, tmp_path, capsys):
-        scripts = str(Path(fig3_path).parent)
-        self.assert_input_error(
-            ["bench", "--scripts", scripts, "--report", str(tmp_path / "r.csv"),
-             "--block-size", "0"],
-            capsys,
-        )
-        assert not (tmp_path / "r.csv").exists()
-
     @pytest.mark.parametrize("field", ["block_size", "concurrency_limit"])
     def test_simulate_config_size_zero(self, field, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -340,6 +331,9 @@ class TestBadInput:
             pytest.param(lambda s: s["nodes"].append({"id": 3, "tokens": ["x"]}), id="unreached"),
             pytest.param(lambda s: s.update(prompt=[]), id="empty-prompt"),
             pytest.param(lambda s: s.update(prompt=["Q", "[EOS]"]), id="control-prompt"),
+            pytest.param(lambda s: s["nodes"][0].update(tokens="hello"), id="string-tokens"),
+            pytest.param(lambda s: s.update(prompt="Qx"), id="string-prompt"),
+            pytest.param(lambda s: s["nodes"][0].update(tokens=[1, 2]), id="int-tokens"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "bench"])

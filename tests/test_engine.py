@@ -2,9 +2,10 @@ import pytest
 
 from apar.blocks import KvBlockPool
 from apar.engine import apar_decode, apar_step, ar_decode
-from apar.errors import ProtocolError
+from apar.errors import CapacityError, ProtocolError
 from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
+from apar.sim import list_script
 from apar.tokens import EOS, FORK
 from apar.tree import restore
 
@@ -154,13 +155,25 @@ class TestProperties:
                 steps += 1
         assert steps > 1000
 
-    def test_physical_blocks_within_capacity(self, big_tree_script):
-        pool = KvBlockPool(64, block_size=16)
-        result = apar_decode(
-            list(big_tree_script.prompt), ReplayModel(big_tree_script), pool=pool
-        )
-        assert all(r.physical_blocks <= pool.capacity for r in result.trace.records)
-        assert pool.peak_used <= pool.capacity
+    def test_fork_without_a_block_raises(self, fig3_script):
+        # Blocks are reserved before a step runs, so a fork that finds none
+        # is an error, not a fork silently skipped.
+        pool = KvBlockPool(1, block_size=16)
+        group = new_group(list(fig3_script.prompt), pool)
+        model = ReplayModel(fig3_script)
+        for _ in range(3):  # a1 a2 [Fork]
+            apar_step(group, model)
+        with pytest.raises(CapacityError):
+            apar_step(group, model)
+        assert group.thread_count() == 1 and pool.used_blocks == 1
+
+    def test_standalone_pool_has_no_cap(self):
+        # Within the decode limits, but it needs more than 65,536 one-slot blocks.
+        script = list_script(items=44, detail_len=1720)
+        result = apar_decode(list(script.prompt), ReplayModel(script), block_size=1)
+        assert not result.trace.truncated
+        assert result.output == flatten_script(script)
+        assert result.group.pool.peak_used > 1 << 16
 
     def test_strip_false_restore_covers_all_generated(self):
         for seed in range(20):
