@@ -16,12 +16,11 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .attention import LinearizedSample, build_loss_mask, linearize_script
-from .script import ScriptNode, ScriptTree
+from .script import ScriptNode, ScriptTree, chain_nodes
 from .tokens import CONTROL_TOKENS
 from .tree import ParagraphTree, tree_to_json
 
@@ -62,7 +61,11 @@ class Conversation:
     turns: list[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        for i, (role, _) in enumerate(self.turns):
+        for i, (role, text) in enumerate(self.turns):
+            if not (isinstance(role, str) and isinstance(text, str)):
+                raise ValueError(
+                    f"conversation {self.id}: turn {i} role and text must be strings"
+                )
             expected = "user" if i % 2 == 0 else "assistant"
             if role != expected:
                 raise ValueError(
@@ -103,19 +106,6 @@ def tokenize(text: str) -> list[str]:
     return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in text.split()]
 
 
-def _node(builder: list[ScriptNode], tokens: Iterable[str]) -> int:
-    node = ScriptNode(id=len(builder), tokens=tuple(tokens))
-    builder.append(node)
-    return node.id
-
-
-def _link(builder: list[ScriptNode], node_id: int, fc: int, ns: int) -> None:
-    node = builder[node_id]
-    builder[node_id] = ScriptNode(
-        id=node.id, tokens=node.tokens, first_child=fc, next_sibling=ns
-    )
-
-
 def _chain_tree(
     preamble: str | None, pairs: list[tuple[str, str]], tail: str = ""
 ) -> ScriptTree:
@@ -125,23 +115,17 @@ def _chain_tree(
     ``tail`` is trailing head-level text; it forms the chain's closing node,
     which is empty when there is nothing after the last item.
     """
-    builder: list[ScriptNode] = []
-    head_ids = []
-    detail_ids = []
-    for head_text, detail_text in pairs:
-        head_ids.append(_node(builder, tokenize(head_text)))
-        detail_ids.append(_node(builder, tokenize(detail_text)))
-    chain_tail = _node(builder, tokenize(tail))
-    for i, head_id in enumerate(head_ids):
-        nxt = head_ids[i + 1] if i + 1 < len(head_ids) else chain_tail
-        _link(builder, head_id, fc=detail_ids[i], ns=nxt)
-    root = head_ids[0]
-    if preamble is not None and preamble.strip():
-        pre_id = _node(builder, tokenize(preamble))
-        after_id = _node(builder, ())
-        _link(builder, pre_id, fc=head_ids[0], ns=after_id)
-        root = pre_id
-    return ScriptTree(root=root, nodes={n.id: n for n in builder}, prompt=())
+    nodes = chain_nodes(
+        [tokenize(head) for head, _ in pairs],
+        [tokenize(detail) for _, detail in pairs],
+        tokenize(tail),
+    )
+    if preamble is None or not preamble.strip():
+        return ScriptTree(root=0, nodes=nodes, prompt=())
+    pre = len(nodes)
+    nodes[pre] = ScriptNode(pre, tuple(tokenize(preamble)), 0, pre + 1)
+    nodes[pre + 1] = ScriptNode(pre + 1, ())
+    return ScriptTree(root=pre, nodes=nodes, prompt=())
 
 
 def extract_ordered_list(text: str) -> ScriptTree | None:

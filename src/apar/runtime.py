@@ -18,7 +18,7 @@ is the token-level counterpart of the physical block pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .blocks import BlockTable, KvBlockPool
 from .errors import ProtocolError
@@ -57,6 +57,9 @@ class SequenceGroup:
         self._next_node_id = 1
         # Node id -> the node whose pointer targets it; the root has none.
         self._parents: dict[int, int] = {}
+        # Node id -> live holders: the live thread whose current node it is,
+        # plus its live first_child and next_sibling.  A node's tokens stay
+        # cached while it has a holder.
         self._node_live_refs: dict[int, int] = {0: 1}
         self.logical_slots = len(prompt)
         self.logical_peak = len(prompt)
@@ -138,10 +141,9 @@ class SequenceGroup:
         self._parents[cont.id] = old.id
         self._parents[detail.id] = old.id
 
-        # The child thread now holds a live reference to every node on the
-        # path it shares with the parent.
-        for nid in self._path_to_root(old.id):
-            self._node_live_refs[nid] += 1
+        # The old leaf's holder, the parent thread, moves to ``cont``; its
+        # two new live children now hold it.
+        self._node_live_refs[old.id] += 1
         self._node_live_refs[cont.id] = 1
         self._node_live_refs[detail.id] = 1
 
@@ -183,19 +185,17 @@ class SequenceGroup:
         if self.logical_slots > self.logical_peak:
             self.logical_peak = self.logical_slots
 
-    def _path_to_root(self, node_id: int | None) -> Iterator[int]:
-        """``node_id`` and the nodes above it, root last, from the recorded parents."""
-        while node_id is not None:
-            yield node_id
-            node_id = self._parents.get(node_id)
-
     def _release_logical(self, seq: Sequence) -> None:
-        for nid in self._path_to_root(seq.current_node):
+        """Drop the finished thread's hold on its node, freeing unheld ancestors."""
+        nid: int | None = seq.current_node
+        while nid is not None:
             self._node_live_refs[nid] -= 1
-            if self._node_live_refs[nid] == 0:
-                node = self.tree.nodes[nid]
-                start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
-                self.logical_slots -= end - start
+            if self._node_live_refs[nid]:
+                break
+            node = self.tree.nodes[nid]
+            start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
+            self.logical_slots -= end - start
+            nid = self._parents.get(nid)
         if not self.live:
             self.logical_slots -= len(self.prompt)
 

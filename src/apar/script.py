@@ -24,6 +24,7 @@ __all__ = [
     "ScriptTree",
     "ReplayModel",
     "as_linear",
+    "chain_nodes",
     "flatten_script",
     "random_script",
     "script_to_json",
@@ -53,6 +54,23 @@ class ScriptTree:
                 raise ValueError(f"script node {node.id} contains control tokens {bad}")
             if (node.first_child is None) != (node.next_sibling is None):
                 raise ValueError(f"script node {node.id} has exactly 1 pointer")
+
+
+def chain_nodes(
+    heads: Seq[Seq[str]], details: Seq[Seq[str]], tail: Seq[str] = ()
+) -> dict[int, ScriptNode]:
+    """The ordered-list shape: a chain of item heads, each forking its detail.
+
+    Head i is node 2i; it forks its detail, node 2i + 1, and points at the
+    next head, node 2i + 2.  The chain closes with the ``tail`` node, 2k for
+    k items, which is empty when nothing follows the last item.
+    """
+    nodes: dict[int, ScriptNode] = {}
+    for i, (head, detail) in enumerate(zip(heads, details, strict=True)):
+        nodes[2 * i] = ScriptNode(2 * i, tuple(head), 2 * i + 1, 2 * i + 2)
+        nodes[2 * i + 1] = ScriptNode(2 * i + 1, tuple(detail))
+    nodes[2 * len(heads)] = ScriptNode(2 * len(heads), tuple(tail))
+    return nodes
 
 
 def flatten_script(script: ScriptTree) -> list[str]:
@@ -253,10 +271,10 @@ def script_from_json(text: str) -> ScriptTree:
     """Load a script; raise ValueError for one the replay model cannot decode.
 
     Beyond the node checks of ScriptTree, the prompt and each node's tokens
-    must be lists of strings, the prompt must be non-empty and free of
-    control tokens, node ids must be distinct, and the pointers
-    from the root must reach every node exactly once, so the tree has no
-    cycle and no node is silently dropped.
+    must be lists of strings, the category a string or null, the prompt
+    must be non-empty and free of control tokens, node ids must be
+    distinct, and the pointers from the root must reach every node exactly
+    once, so the tree has no cycle and no node is silently dropped.
     """
     payload = json.loads(text)
     nodes = {
@@ -270,11 +288,14 @@ def script_from_json(text: str) -> ScriptTree:
     }
     if len(nodes) != len(payload["nodes"]):
         raise ValueError("script node ids repeat")
+    category = payload.get("category")
+    if not (category is None or isinstance(category, str)):
+        raise ValueError("script category must be a string or null")
     script = ScriptTree(
         root=payload["root"],
         nodes=nodes,
         prompt=_token_list(payload["prompt"], "script prompt"),
-        category=payload.get("category"),
+        category=category,
     )
     if not script.prompt:
         raise ValueError("script prompt is empty")

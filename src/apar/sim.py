@@ -14,7 +14,7 @@ config.
 
 Profiling samples the system every ``sample_period`` simulated seconds.
 Summary figures discard the leading warm-up fraction of samples and the
-trailing samples taken after the waiting queue drained.
+trailing samples taken with no request waiting and none live.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
-from .script import ReplayModel, ScriptNode, ScriptTree, as_linear, random_script
+from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, random_script
 from .tokens import CONTROL_TOKENS
 
 __all__ = [
@@ -88,37 +88,10 @@ def list_script(
     """
     if items < 1:
         raise ValueError(f"a list script needs at least 1 item, not {items}")
-    nodes: dict[int, ScriptNode] = {}
-    next_id = 0
-
-    def word(tag: str, i: int, j: int) -> str:
-        return f"{tag}{i}_{j}"
-
-    chain: list[int] = []
-    for i in range(items):
-        content = tuple(word("h", i, j) for j in range(head_len))
-        if i == 0:
-            content = tuple(word("intro", 0, j) for j in range(intro_len)) + content
-        nodes[next_id] = ScriptNode(id=next_id, tokens=content)
-        chain.append(next_id)
-        next_id += 1
-    terminal = next_id
-    nodes[terminal] = ScriptNode(id=terminal, tokens=())
-    next_id += 1
-    for i, head_id in enumerate(chain):
-        detail = next_id
-        nodes[detail] = ScriptNode(
-            id=detail, tokens=tuple(word("d", i, j) for j in range(detail_len))
-        )
-        next_id += 1
-        sibling = chain[i + 1] if i + 1 < len(chain) else terminal
-        nodes[head_id] = ScriptNode(
-            id=head_id,
-            tokens=nodes[head_id].tokens,
-            first_child=detail,
-            next_sibling=sibling,
-        )
-    return ScriptTree(root=chain[0], nodes=nodes, prompt=tuple(prompt))
+    heads = [[f"h{i}_{j}" for j in range(head_len)] for i in range(items)]
+    heads[0][:0] = [f"intro0_{j}" for j in range(intro_len)]
+    details = [[f"d{i}_{j}" for j in range(detail_len)] for i in range(items)]
+    return ScriptTree(root=0, nodes=chain_nodes(heads, details), prompt=tuple(prompt))
 
 
 @dataclass
@@ -138,8 +111,8 @@ class SimConfig:
             raise ValueError("cache_budget_fraction must be in (0, 1]")
         if not 0 <= self.warmup_discard_fraction < 1:
             raise ValueError("warmup_discard_fraction must be in [0, 1)")
-        if self.block_size < 1 or self.concurrency_limit < 1:
-            raise ValueError("block_size and concurrency_limit must be >= 1")
+        if min(self.block_size, self.concurrency_limit, self.capacity_blocks) < 1:
+            raise ValueError("block_size, concurrency_limit and capacity_blocks must be >= 1")
         if not 0 < self.sample_period < float("inf"):
             raise ValueError("sample_period must be positive and finite")
         if not self.workload:
@@ -271,15 +244,15 @@ def run_simulation(config: SimConfig) -> SimReport:
             )
             close_windows()
 
+        # Nothing live means admission is open and the pool empty: only a
+        # preemption closes admission, and it leaves a group live; the
+        # completions that empty ``live`` reopen it.
         if not live:
-            if waiting and admission_open:
-                script = config.workload[waiting[0]]
-                raise SimulationError(
-                    f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
-                    f" but the pool holds {config.effective_blocks}"
-                )
-            admission_open = True
-            continue
+            script = config.workload[waiting[0]]
+            raise SimulationError(
+                f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
+                f" but the pool holds {config.effective_blocks}"
+            )
 
         # Reserve this step's worst-case allocations; preempt the most
         # recently admitted group until the step is guaranteed to fit.  A

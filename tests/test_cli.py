@@ -93,6 +93,21 @@ class TestExtract:
         assert rc == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "turns",
+        [
+            [{"role": "user", "text": "q"}, {"role": "assistant", "text": 5}],
+            [{"role": "user", "text": ["x"]}, {"role": "assistant", "text": "a"}],
+        ],
+        ids=["int-assistant-text", "list-user-text"],
+    )
+    def test_non_string_turn_reports_number(self, turns, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "turns": []}\n' + json.dumps({"id": "b", "turns": turns}))
+        rc = main(["extract", "--input", str(path), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{path}:2: malformed conversation" in capsys.readouterr().err
+
     def test_empty_input(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -284,6 +299,7 @@ class TestBadInput:
             ({"concurency_limit": 5}, "concurency_limit"),
             ({"early_release": False}, "early_release"),
             ({"workload": {"kind": "list", "items": 0}}, "at least 1 item"),
+            ({"capacity_blocks": -5}, "capacity_blocks"),
         ],
     )
     def test_simulate_bad_config(self, payload, named, tmp_path, capsys):
@@ -334,6 +350,7 @@ class TestBadInput:
             pytest.param(lambda s: s["nodes"][0].update(tokens="hello"), id="string-tokens"),
             pytest.param(lambda s: s.update(prompt="Qx"), id="string-prompt"),
             pytest.param(lambda s: s["nodes"][0].update(tokens=[1, 2]), id="int-tokens"),
+            pytest.param(lambda s: s.update(category=5), id="non-string-category"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "bench"])

@@ -18,6 +18,7 @@ from apar.extract import (
     extract_paragraphs,
     tokenize,
 )
+from apar.sim import list_script
 from apar.tokens import CHILD, FORK
 from apar.tree import restore, validate
 
@@ -64,6 +65,14 @@ class TestOrderedList:
         )
         detail = tree.nodes[tree.nodes[tree.root].first_child]
         assert detail.tokens == ("first", "part", "second", "part")
+
+    def test_same_shape_as_list_script(self):
+        # The training corpus and the serving workload share one list layout.
+        def links(tree):
+            return {nid: (n.first_child, n.next_sibling) for nid, n in tree.nodes.items()}
+
+        answer = LIST_TEXT.split("\n", 1)[1]  # no preamble
+        assert links(extract_ordered_list(answer)) == links(list_script(items=3))
 
 
 class TestParagraphs:

@@ -226,6 +226,8 @@ class TestConfigIO:
         [
             ("block_size", 0),
             ("concurrency_limit", 0),
+            ("capacity_blocks", 0),
+            ("capacity_blocks", -5),
             ("sample_period", 0.0),
             ("sample_period", -3.0),
             ("sample_period", float("nan")),
