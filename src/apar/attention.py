@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence as Seq
+from typing import Sequence as Seq
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .tree import ParagraphNode, ParagraphTree, preorder
 __all__ = [
     "LinearizedSample",
     "linearize_script",
-    "linearize_group",
     "build_training_mask",
     "build_loss_mask",
 ]
@@ -69,21 +68,6 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
             next_sibling=node.next_sibling,
         )
     return LinearizedSample(tokens, node_of, len(script.prompt)), tree
-
-
-def linearize_group(
-    tree: ParagraphTree, sequences: Mapping[int, Seq[str]]
-) -> LinearizedSample:
-    """Linearize a decoded group; control tokens are already in the slices."""
-    root_seq = sequences[tree.node(tree.root).seq]
-    tokens: list[str] = list(root_seq[: tree.prompt_len])
-    node_of: list[int] = [-1] * tree.prompt_len
-    for node, _ in preorder(tree.root, tree.nodes):
-        seq = sequences[node.seq]
-        start, end = node.slice_bounds(len(seq))
-        tokens.extend(seq[start:end])
-        node_of.extend([node.id] * (end - start))
-    return LinearizedSample(tokens, node_of, tree.prompt_len)
 
 
 def _ancestor_matrix(tree: ParagraphTree) -> tuple[dict[int, int], np.ndarray]:

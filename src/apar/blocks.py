@@ -26,11 +26,6 @@ class BlockTable:
     slots_used_in_last_block: int = 0
     released: bool = False
 
-    def cached_tokens(self, block_size: int) -> int:
-        if not self.blocks:
-            return 0
-        return (len(self.blocks) - 1) * block_size + self.slots_used_in_last_block
-
 
 class KvBlockPool:
     """Fixed-capacity pool of cache blocks with per-block refcounts.

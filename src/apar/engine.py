@@ -14,9 +14,9 @@ test_big_tree_constant_steps in tests/test_metrics.py.
 
 apar_decode and ar_decode run one loop; ar is that loop over a model that
 never emits [Fork].  Before each step the loop ends, with an appended [EOS],
-every unfinished thread whose context (prompt included) holds at least
-max_seq_len tokens; it stops once every thread has finished, and ends the
-rest once max_steps steps have run.  So a prompt of max_seq_len tokens or
+every unfinished thread once max_steps steps have run, and otherwise each
+one whose context (prompt included) holds at least max_seq_len tokens; it
+stops once every thread has finished.  So a prompt of max_seq_len tokens or
 more decodes in 0 steps with an empty output, and any cut sets truncated.
 A thread the loop ends itself is passed to model.forget, so a model that
 keeps state per context can drop it; no other call reaches forget.
@@ -173,18 +173,13 @@ def _decode(
     group = new_group(prompt, pool)
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
     while True:
+        out_of_steps = trace.steps >= max_steps
         for seq in group.unfinished():
-            if len(seq.tokens) >= max_seq_len:
+            if out_of_steps or len(seq.tokens) >= max_seq_len:
                 model.forget(seq.tokens)
                 group.append_token(seq.id, EOS)
                 trace.truncated = True
         if group.all_finished():
-            break
-        if trace.steps >= max_steps:
-            for seq in group.unfinished():
-                model.forget(seq.tokens)
-                group.append_token(seq.id, EOS)
-            trace.truncated = True
             break
         rec = apar_step(group, model)
         rec.step = trace.steps + 1

@@ -2,8 +2,7 @@
 
 Cache figures are logical: distinct cached tokens with shared prefixes
 counted once.  The flatten reference treats the linearized generation as if
-it had been decoded sequentially.  Speed figures count content tokens only;
-control tokens are overhead.
+it had been decoded sequentially.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 from typing import Iterable, Mapping, Sequence as Seq
 
 from .engine import DecodeTrace
-from .sim import StepCostModel
 from .tokens import CHILD
 from .tree import ParagraphTree, restore
 
@@ -24,7 +22,6 @@ __all__ = [
     "flatten_mean_attended",
     "saved_ratio",
     "thread_stats",
-    "tokens_per_second",
     "REPORT_COLUMNS",
     "write_report_csv",
     "write_report_json",
@@ -101,16 +98,6 @@ def thread_stats(counts: Seq[int]) -> tuple[float, float]:
     mean = sum(counts) / len(counts)
     parallel = sum(1 for c in counts if c >= 2) / len(counts)
     return mean, parallel
-
-
-def tokens_per_second(trace: DecodeTrace, cost: StepCostModel) -> float:
-    """Content tokens divided by total step latency under ``cost``."""
-    total = 0.0
-    for rec in trace.records:
-        total += cost.latency(rec.batch_size, rec.attended_sum)
-    if total == 0.0:
-        return 0.0
-    return trace.content_tokens / total
 
 
 def write_report_csv(rows: Iterable[Mapping[str, object]], path: str) -> None:

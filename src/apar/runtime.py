@@ -205,16 +205,6 @@ class SequenceGroup:
         except KeyError:
             raise ProtocolError(f"unknown sequence {seq_id}") from None
 
-    # -- consistency checks used by tests --
-
-    def check_invariants(self) -> None:
-        for seq in self.sequences.values():
-            node = self.tree.nodes[seq.current_node]
-            if node.first_child is not None or node.next_sibling is not None:
-                raise AssertionError(f"current node {node.id} of {seq.id} is not a leaf")
-            if seq.finished and seq.tokens[-1] != EOS:
-                raise AssertionError(f"finished sequence {seq.id} lacks {EOS}")
-
 
 def new_group(prompt: Iterable[str], pool: KvBlockPool) -> SequenceGroup:
     """Start a group holding only the prompt sequence."""

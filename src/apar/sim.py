@@ -7,10 +7,11 @@ Before each step the scheduler reserves the exact number of blocks the step
 can allocate, as each group answers it; if the pool cannot cover it, the
 most recently admitted group is preempted (blocks dropped, request requeued
 for recompute).  A thread's blocks return to the pool at its [EOS].  A config
-that admits no schedule raises SimulationError; a run that ends with blocks
-still held or requests not completed raises its subclass
-SimulationInvariantError, since that is a fault of the program, not of the
-config.
+that admits no schedule raises SimulationError.  A run that ends with blocks
+still held, with requests not completed, or with completed requests whose
+content tokens differ from the workload's flattened content raises its
+subclass SimulationInvariantError, since that is a fault of the program, not
+of the config.
 
 Profiling samples the system every ``sample_period`` simulated seconds.
 Summary figures discard the leading warm-up fraction of samples and the
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence as Seq
 
 import numpy as np
@@ -31,7 +33,7 @@ from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
-from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, random_script
+from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, flatten_script, random_script
 from .tokens import CONTROL_TOKENS
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "SimSample",
     "SimReport",
     "run_simulation",
-    "run_budget_sweep",
     "default_config",
     "config_from_json",
     "list_script",
@@ -113,6 +114,9 @@ class SimConfig:
             raise ValueError("warmup_discard_fraction must be in [0, 1)")
         if min(self.block_size, self.concurrency_limit, self.capacity_blocks) < 1:
             raise ValueError("block_size, concurrency_limit and capacity_blocks must be >= 1")
+        if self.capacity_blocks > sys.float_info.max:
+            # effective_blocks scales it by a float
+            raise ValueError("capacity_blocks is too large for a float")
         if not 0 < self.sample_period < float("inf"):
             raise ValueError("sample_period must be positive and finite")
         if not self.workload:
@@ -174,10 +178,6 @@ class _LiveGroup:
     content_generated: int = 0
 
 
-def _make_model(script: ScriptTree, mode: str):
-    return ReplayModel(script) if mode == "apar" else as_linear(script)
-
-
 def run_simulation(config: SimConfig) -> SimReport:
     """Deterministic event loop over the configured workload."""
     pool = KvBlockPool(config.effective_blocks, block_size=config.block_size)
@@ -187,7 +187,6 @@ def run_simulation(config: SimConfig) -> SimReport:
     clock = 0.0
     next_sample = config.sample_period
     preemptions = 0
-    completed = 0
     window_content = 0
     window_latencies: list[float] = []
     samples: list[SimSample] = []
@@ -207,9 +206,9 @@ def run_simulation(config: SimConfig) -> SimReport:
                 SimSample(
                     time=next_sample,
                     throughput=window_content / config.sample_period,
-                    latency_mean=float(lat.mean()) if window_latencies else 0.0,
-                    latency_p25=float(np.percentile(lat, 25)) if window_latencies else 0.0,
-                    latency_p75=float(np.percentile(lat, 75)) if window_latencies else 0.0,
+                    latency_mean=float(lat.mean()),
+                    latency_p25=float(np.percentile(lat, 25)),
+                    latency_p75=float(np.percentile(lat, 75)),
                     used_slots=used_slots,
                     used_blocks=used_blocks,
                     live_groups=len(live),
@@ -238,7 +237,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 _LiveGroup(
                     request_id=req_id,
                     group=group,
-                    model=_make_model(script, config.mode),
+                    model=ReplayModel(script) if config.mode == "apar" else as_linear(script),
                     admit_time=clock,
                 )
             )
@@ -284,7 +283,6 @@ def run_simulation(config: SimConfig) -> SimReport:
             window_content += content
             total_content += content
             if entry.group.all_finished():
-                completed += 1
                 completed_content += entry.content_generated
                 admission_open = True
                 elapsed = clock - entry.admit_time
@@ -296,10 +294,17 @@ def run_simulation(config: SimConfig) -> SimReport:
         live = still_live
         close_windows()
 
-    if pool.used_blocks or completed != len(config.workload):
+    workload_content = sum(len(flatten_script(s)) for s in config.workload)
+    if (
+        pool.used_blocks
+        or len(completions) != len(config.workload)
+        or completed_content != workload_content
+    ):
         raise SimulationInvariantError(
-            f"run ended with {pool.used_blocks} blocks still held and"
-            f" {completed} of {len(config.workload)} requests completed"
+            f"run ended with {pool.used_blocks} blocks still held,"
+            f" {len(completions)} of {len(config.workload)} requests completed and"
+            f" {completed_content} content tokens completed of the"
+            f" workload's {workload_content}"
         )
     clock = max(clock, next_sample)
     close_windows()
@@ -312,24 +317,24 @@ def run_simulation(config: SimConfig) -> SimReport:
         trimmed = keep if keep else samples
     kept_content = sum(s.throughput for s in trimmed) * config.sample_period
     kept_time = len(trimmed) * config.sample_period
-    warmup_time = trimmed[0].time - config.sample_period if trimmed else 0.0
+    warmup_time = trimmed[0].time - config.sample_period
     kept_lats = [lat for t, lat in completions if t > warmup_time]
     if not kept_lats:
         kept_lats = [lat for _, lat in completions]
-    lats = np.array(kept_lats) if kept_lats else np.array([0.0])
+    lats = np.array(kept_lats)
     kept_tputs = [s.throughput for s in trimmed]
     summary = {
         "mode": config.mode,
         "cache_budget_fraction": config.cache_budget_fraction,
         "effective_blocks": config.effective_blocks,
-        "throughput": kept_content / kept_time if kept_time else 0.0,
+        "throughput": kept_content / kept_time,
         # Median kept-window rate: insensitive to the partial final wave an
         # identical-request workload leaves behind.
-        "steady_throughput": float(np.median(kept_tputs)) if kept_tputs else 0.0,
+        "steady_throughput": float(np.median(kept_tputs)),
         "latency_mean": float(lats.mean()),
         "latency_p25": float(np.percentile(lats, 25)),
         "latency_p75": float(np.percentile(lats, 75)),
-        "completed": completed,
+        "completed": len(completions),
         "preemptions": preemptions,
         "content_tokens": total_content,
         "completed_content": completed_content,
@@ -344,12 +349,6 @@ def run_simulation(config: SimConfig) -> SimReport:
         samples=samples,
         summary=summary,
     )
-
-
-def run_budget_sweep(
-    base: SimConfig, budgets: Seq[float]
-) -> dict[float, SimReport]:
-    return {b: run_simulation(replace(base, cache_budget_fraction=b)) for b in budgets}
 
 
 def default_config(mode: str = "apar", copies: int = 100) -> SimConfig:
@@ -381,48 +380,63 @@ def _reject_unknown_keys(what: str, payload: object, known: frozenset[str]) -> N
         raise ValueError(f"unknown {what} keys {unknown}")
 
 
+def _number(spec: dict, key: str, default: object, kind: type = float) -> int | float:
+    """``spec[key]`` (or ``default``) as ``kind``: an int field takes a JSON
+    integer, a float field any JSON number, and neither takes a bool."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, not {json.dumps(value)}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+
+
 def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
     kind = spec.get("kind", "list") if isinstance(spec, dict) else "list"
     if kind not in _WORKLOAD_KEYS:
         raise ValueError(f"unknown workload kind {kind!r}")
     _reject_unknown_keys(f"{kind} workload", spec, _WORKLOAD_KEYS[kind])
-    count = int(spec.get("count", 100))
+    count = _number(spec, "count", 100, int)
     if kind == "list":
         script = list_script(
-            items=int(spec.get("items", 5)),
-            intro_len=int(spec.get("intro_len", 4)),
-            head_len=int(spec.get("head_len", 6)),
-            detail_len=int(spec.get("detail_len", 30)),
+            items=_number(spec, "items", 5, int),
+            intro_len=_number(spec, "intro_len", 4, int),
+            head_len=_number(spec, "head_len", 6, int),
+            detail_len=_number(spec, "detail_len", 30, int),
         )
         return [script for _ in range(count)]
-    seed = int(spec.get("seed", default_seed))
+    seed = _number(spec, "seed", default_seed, int)
     return [
         random_script(
             seed + i,
-            max_nodes=int(spec.get("max_nodes", 16)),
-            max_node_len=int(spec.get("max_node_len", 8)),
+            max_nodes=_number(spec, "max_nodes", 16, int),
+            max_node_len=_number(spec, "max_node_len", 8, int),
         )
         for i in range(count)
     ]
 
 
 def config_from_json(text: str, default_seed: int = 0) -> SimConfig:
-    """Build a config from JSON; a key this schema does not know raises ValueError."""
+    """Build a config from JSON; an unknown key or a value of the wrong JSON
+    type raises ValueError."""
     payload = json.loads(text)
     _reject_unknown_keys("config", payload, _CONFIG_KEYS)
-    cost = StepCostModel(**payload.get("cost", DEFAULT_COST))
+    cost = payload.get("cost", DEFAULT_COST)
+    _reject_unknown_keys("cost", cost, frozenset(DEFAULT_COST))
     return SimConfig(
         workload=_workload_from_spec(
             payload.get("workload", {"kind": "list"}), default_seed
         ),
         mode=payload.get("mode", "apar"),
-        cache_budget_fraction=float(payload.get("cache_budget_fraction", 1.0)),
-        capacity_blocks=int(payload.get("capacity_blocks", DEFAULT_CAPACITY_BLOCKS)),
-        block_size=int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
-        concurrency_limit=int(payload.get("concurrency_limit", DEFAULT_CONCURRENCY)),
-        sample_period=float(payload.get("sample_period", DEFAULT_SAMPLE_PERIOD)),
-        warmup_discard_fraction=float(
-            payload.get("warmup_discard_fraction", DEFAULT_WARMUP_FRACTION)
+        cache_budget_fraction=_number(payload, "cache_budget_fraction", 1.0),
+        capacity_blocks=_number(payload, "capacity_blocks", DEFAULT_CAPACITY_BLOCKS, int),
+        block_size=_number(payload, "block_size", DEFAULT_BLOCK_SIZE, int),
+        concurrency_limit=_number(payload, "concurrency_limit", DEFAULT_CONCURRENCY, int),
+        sample_period=_number(payload, "sample_period", DEFAULT_SAMPLE_PERIOD),
+        warmup_discard_fraction=_number(
+            payload, "warmup_discard_fraction", DEFAULT_WARMUP_FRACTION
         ),
-        cost=cost,
+        cost=StepCostModel(**{key: _number(cost, key, None) for key in cost}),
     )

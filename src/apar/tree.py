@@ -6,7 +6,7 @@ the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the one walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline and
-both training linearizers call it, so a training mask describes the order
+the training linearizer call it, so a training mask describes the order
 decoding produced.
 """
 
@@ -27,7 +27,6 @@ __all__ = [
     "restore",
     "path_to_root",
     "tree_to_json",
-    "tree_from_json",
 ]
 
 
@@ -49,12 +48,6 @@ class ParagraphTree:
     root: int
     nodes: dict[int, ParagraphNode] = field(default_factory=dict)
     prompt_len: int = 0
-
-    def node(self, node_id: int) -> ParagraphNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise TreeError(f"unknown node id {node_id}") from None
 
     def parent_map(self) -> dict[int, int]:
         """Inverse of the pointer graph: child or sibling id -> pointing node id."""
@@ -259,19 +252,3 @@ def tree_to_json(tree: ParagraphTree) -> str:
         ],
     }
     return json.dumps(payload)
-
-
-def tree_from_json(text: str) -> ParagraphTree:
-    payload = json.loads(text)
-    nodes = {
-        entry["id"]: ParagraphNode(
-            id=entry["id"],
-            seq=entry["seq"],
-            start=entry["start"],
-            end=entry.get("end"),
-            first_child=entry.get("first_child"),
-            next_sibling=entry.get("next_sibling"),
-        )
-        for entry in payload["nodes"]
-    }
-    return ParagraphTree(root=payload["root"], nodes=nodes, prompt_len=payload["prompt_len"])

@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from apar.metrics import (
     saved_ratio,
 )
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
-from apar.sim import default_config, list_script, run_budget_sweep
+from apar.sim import default_config, list_script, run_simulation
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import path_to_root
 
@@ -191,7 +192,10 @@ def budget_sweeps():
     budgets = [round(0.1 * k, 1) for k in range(1, 10)]
     start = time.perf_counter()
     reports = {
-        mode: run_budget_sweep(default_config(mode=mode), budgets)
+        mode: {
+            b: run_simulation(replace(default_config(mode=mode), cache_budget_fraction=b))
+            for b in budgets
+        }
         for mode in ("apar", "ar")
     }
     elapsed = time.perf_counter() - start

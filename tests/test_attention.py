@@ -1,14 +1,18 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import linearize_group  # noqa: E402
+
 from apar._kernels import build_mask_array
 from apar.attention import (
     build_loss_mask,
     build_training_mask,
-    linearize_group,
     linearize_script,
 )
 from apar.engine import apar_decode

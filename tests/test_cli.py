@@ -9,10 +9,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 
+from apar import sim
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
 from apar.script import ScriptNode, ScriptTree, script_to_json
 from apar.sim import list_script
+from apar.tokens import CONTROL_TOKENS
 
 
 @pytest.fixture
@@ -242,6 +244,21 @@ class TestSimulate:
         assert rc == 2
         assert "blocks still held" in capsys.readouterr().err
 
+    def test_content_miscount_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "capacity_blocks": 120,
+            "concurrency_limit": 2,
+            "workload": {"kind": "list", "count": 2},
+        }))
+        rc = main(["simulate", "--config", str(config), "--report", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "366 content tokens completed of the workload's 368" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_pool_smaller_than_prompt_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -300,6 +317,14 @@ class TestBadInput:
             ({"early_release": False}, "early_release"),
             ({"workload": {"kind": "list", "items": 0}}, "at least 1 item"),
             ({"capacity_blocks": -5}, "capacity_blocks"),
+            ({"capacity_blocks": 2.5}, "capacity_blocks"),
+            ({"block_size": True}, "block_size"),
+            ({"workload": {"kind": "list", "items": 2.7}}, "items"),
+            ({"workload": {"kind": "random", "seed": 1.9}}, "seed"),
+            ({"cache_budget_fraction": True}, "cache_budget_fraction"),
+            ({"cost": {"t_fixed": True, "c_token": 0.0, "c_attn": 0.0}}, "t_fixed"),
+            ({"sample_period": 10**400}, "sample_period"),
+            ({"capacity_blocks": 10**400}, "capacity_blocks"),
         ],
     )
     def test_simulate_bad_config(self, payload, named, tmp_path, capsys):

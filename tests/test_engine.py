@@ -1,4 +1,10 @@
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import check_invariants  # noqa: E402
 
 from apar.blocks import KvBlockPool
 from apar.engine import apar_decode, apar_step, ar_decode
@@ -191,7 +197,7 @@ class TestProperties:
             script = random_script(seed, max_nodes=15, max_node_len=5)
             result = apar_decode(list(script.prompt), ReplayModel(script))
             assert validate(result.tree, result.sequences_map()) == []
-            result.group.check_invariants()
+            check_invariants(result.group)
 
     def test_trace_jsonl_round_trip(self, fig3_script):
         import json

@@ -1,7 +1,12 @@
 import csv
 import json
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import tokens_per_second  # noqa: E402
 
 from apar.engine import apar_decode, ar_decode
 from apar.metrics import (
@@ -12,7 +17,6 @@ from apar.metrics import (
     mean_attended_tokens,
     saved_ratio,
     thread_stats,
-    tokens_per_second,
     write_report_csv,
     write_report_json,
 )

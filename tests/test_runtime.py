@@ -1,4 +1,10 @@
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import check_invariants  # noqa: E402
 
 from apar.blocks import KvBlockPool
 from apar.errors import CapacityError, ProtocolError
@@ -60,7 +66,7 @@ class TestFork:
         assert (detail.seq, detail.start) == (child_id, 4)
         assert group.sequences[0].current_node == cont.id
         assert child.current_node == detail.id
-        group.check_invariants()
+        check_invariants(group)
 
     def test_two_successive_forks(self):
         group, _ = self.fork_ready_group()

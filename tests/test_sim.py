@@ -1,19 +1,22 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from apar import sim
 from apar.blocks import KvBlockPool
-from apar.errors import SimulationError
-from apar.script import ScriptNode, ScriptTree, flatten_script
+from apar.errors import SimulationError, SimulationInvariantError
+from apar.script import ScriptNode, ScriptTree, flatten_script, random_script
 from apar.sim import (
     SimConfig,
     StepCostModel,
     config_from_json,
     default_config,
     list_script,
-    run_budget_sweep,
     run_simulation,
 )
+from apar.tokens import CONTROL_TOKENS
 
 
 def constant_cost(t_fixed=0.01):
@@ -146,6 +149,53 @@ class TestEndOfRunChecks:
             run_simulation(config)
         assert leaked
 
+    def test_content_miscount_is_an_error(self, monkeypatch):
+        # Counting one content token of every request as control loses 4 of
+        # the 4 x 184 tokens the workload flattens to.
+        monkeypatch.setattr(sim, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
+        config = SimConfig(
+            workload=[list_script() for _ in range(4)],
+            mode="apar",
+            capacity_blocks=200,
+            cost=constant_cost(),
+        )
+        with pytest.raises(
+            SimulationInvariantError,
+            match="732 content tokens completed of the workload's 736",
+        ):
+            run_simulation(config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
+    capacity=st.integers(min_value=2, max_value=40),
+    block_size=st.integers(min_value=1, max_value=4),
+    concurrency=st.integers(min_value=1, max_value=6),
+    mode=st.sampled_from(["apar", "ar"]),
+)
+def test_random_workload_completes_or_is_refused(
+    seeds, capacity, block_size, concurrency, mode
+):
+    """A run either refuses a config it cannot schedule, or completes every
+    request with exactly the workload's flattened content."""
+    workload = [random_script(seed) for seed in seeds]
+    config = SimConfig(
+        workload=workload,
+        mode=mode,
+        capacity_blocks=capacity,
+        block_size=block_size,
+        concurrency_limit=concurrency,
+    )
+    try:
+        report = run_simulation(config)
+    except SimulationError as exc:
+        assert not isinstance(exc, SimulationInvariantError), exc
+        return
+    assert report.summary["completed"] == len(workload)
+    expected = sum(len(flatten_script(s)) for s in workload)
+    assert report.summary["completed_content"] == expected
+
 
 class TestDeterminismAndSweep:
     def test_identical_runs(self):
@@ -166,7 +216,9 @@ class TestDeterminismAndSweep:
         budgets = [0.2, 0.4, 0.6, 0.8]
         for mode in ("apar", "ar"):
             base = SimConfig(workload=workload, mode=mode, concurrency_limit=24)
-            reports = run_budget_sweep(base, budgets)
+            reports = {
+                b: run_simulation(replace(base, cache_budget_fraction=b)) for b in budgets
+            }
             tputs = [reports[b].summary["steady_throughput"] for b in budgets]
             for lo, hi in zip(tputs, tputs[1:]):
                 assert hi >= lo - 1e-9, (mode, tputs)
@@ -228,6 +280,7 @@ class TestConfigIO:
             ("concurrency_limit", 0),
             ("capacity_blocks", 0),
             ("capacity_blocks", -5),
+            ("capacity_blocks", 10**400),
             ("sample_period", 0.0),
             ("sample_period", -3.0),
             ("sample_period", float("nan")),
@@ -248,6 +301,18 @@ class TestConfigIO:
             ({"workload": {"kind": "random", "items": 3}}, "unknown random workload keys ['items']"),
             ([], "config must be a JSON object"),
             ({"workload": [5]}, "list workload must be a JSON object"),
+            ({"capacity_blocks": 2.5}, "capacity_blocks must be an integer, not 2.5"),
+            ({"block_size": True}, "block_size must be an integer, not true"),
+            ({"workload": {"kind": "list", "items": 2.7}}, "items must be an integer, not 2.7"),
+            ({"workload": {"kind": "random", "seed": 1.9}}, "seed must be an integer, not 1.9"),
+            ({"cache_budget_fraction": True}, "cache_budget_fraction must be a number, not true"),
+            ({"sample_period": "3"}, 'sample_period must be a number, not "3"'),
+            ({"sample_period": 10**400}, "sample_period is too large for a float"),
+            (
+                {"cost": {"t_fixed": True, "c_token": 0.0, "c_attn": 0.0}},
+                "t_fixed must be a number, not true",
+            ),
+            ({"cost": {"t_fix": 0.01}}, "unknown cost keys ['t_fix']"),
         ],
     )
     def test_bad_schema_rejected(self, payload, message):

@@ -1,6 +1,13 @@
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from apar.attention import linearize_group, linearize_script
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import linearize_group  # noqa: E402
+
+from apar.attention import linearize_script
 from apar.cli import main
 from apar.errors import TreeError
 from apar.script import ScriptNode, ScriptTree, flatten_script, random_script, script_to_json
@@ -10,7 +17,6 @@ from apar.tree import (
     path_to_root,
     preorder,
     restore,
-    tree_from_json,
     tree_to_json,
     validate,
 )
@@ -208,8 +214,14 @@ class TestPathToRoot:
 
 def test_json_round_trip():
     tree, _ = fig3_tree()
-    text = tree_to_json(tree)
-    back = tree_from_json(text)
-    assert tree_to_json(back) == text
-    assert back.nodes[0].end == 4
-    assert back.nodes[1].end is None
+    payload = json.loads(tree_to_json(tree))
+    nodes = payload["nodes"]
+    assert nodes[0]["end"] == 4
+    assert nodes[1]["end"] is None
+    # the JSON form holds the whole tree: rebuilding it gives the same tree
+    back = ParagraphTree(
+        root=payload["root"],
+        nodes={entry["id"]: ParagraphNode(**entry) for entry in nodes},
+        prompt_len=payload["prompt_len"],
+    )
+    assert back == tree
