@@ -19,7 +19,12 @@ one whose context (prompt included) holds at least max_seq_len tokens; it
 stops once every thread has finished.  So a prompt of max_seq_len tokens or
 more decodes in 0 steps with an empty output, and any cut sets truncated.
 A thread the loop ends itself is passed to model.forget, so a model that
-keeps state per context can drop it; no other call reaches forget.
+keeps state per context can drop it; the only other caller of forget is the
+simulator, for each live thread of a group it preempts.
+
+apar_step returns counts, (batch, attended, content), and builds no record
+of its own: it fills a StepRecord only when given one, and only the decode
+loop gives one, for its trace.
 
 Capacity has one rule: the simulator reserves every step's blocks before
 the step runs, and a standalone decode owns a pool with no cap, so a fork
@@ -36,7 +41,7 @@ from typing import Protocol, Sequence as Seq
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .errors import ProtocolError
 from .runtime import SequenceGroup, new_group
-from .tokens import EOS, FORK
+from .tokens import CONTROL_TOKENS, EOS, FORK
 from .tree import ParagraphTree, restore
 
 DEFAULT_MAX_STEPS = 4096
@@ -141,23 +146,38 @@ class DecodeResult:
         return self.group.sequences_map()
 
 
-def apar_step(group: SequenceGroup, model: LanguageModel) -> StepRecord:
+def apar_step(
+    group: SequenceGroup, model: LanguageModel, rec: StepRecord | None = None
+) -> tuple[int, int, int]:
     """Advance every unfinished sequence by one token; fork where due.
 
-    The record holds what the step did; the pool figures are left at 0.
+    Returns ``(batch, attended, content)``: the sequences stepped, the
+    context tokens they attended, and the sampled tokens that are not
+    control tokens.  ``rec``, when given, also receives the sampled tokens,
+    the forks, the blocks freed and the attended sum; its pool figures are
+    left as they are.
     """
-    snapshot = group.unfinished()
-    if not snapshot:
+    live = list(group.live.values())
+    if not live:
         raise ProtocolError("all sequences of the group have finished")
-    rec = StepRecord(step=0)
-    for seq in snapshot:
-        token = model.next_token(seq.tokens)
-        rec.attended_sum += len(seq.tokens)
-        if seq.tokens[-1] == FORK:
-            rec.forks.append((seq.id, group.fork_sequence(seq.id)))
-        rec.blocks_freed += group.append_token(seq.id, token)
-        rec.sampled.append((seq.id, token))
-    return rec
+    attended = content = 0
+    for seq in live:
+        tokens = seq.tokens
+        token = model.next_token(tokens)
+        attended += len(tokens)
+        if tokens[-1] == FORK:
+            child = group.fork_sequence(seq.id)
+            if rec is not None:
+                rec.forks.append((seq.id, child))
+        freed = group.append_token(seq.id, token)
+        if token not in CONTROL_TOKENS:
+            content += 1
+        if rec is not None:
+            rec.sampled.append((seq.id, token))
+            rec.blocks_freed += freed
+    if rec is not None:
+        rec.attended_sum += attended
+    return len(live), attended, content
 
 
 def _decode(
@@ -181,8 +201,8 @@ def _decode(
                 trace.truncated = True
         if group.all_finished():
             break
-        rec = apar_step(group, model)
-        rec.step = trace.steps + 1
+        rec = StepRecord(step=trace.steps + 1)
+        apar_step(group, model, rec)
         rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
         rec.logical_slots = group.logical_slots
         # Running maximum: an [EOS] slot counts before its thread releases.

@@ -151,7 +151,9 @@ class SequenceGroup:
         child.current_node = detail.id
         self.sequences[child_id] = child
         self.live[child_id] = child
-        self._bump_logical(1)  # the injected [Child]; the prefix is shared
+        self.logical_slots += 1  # the injected [Child]; the prefix is shared
+        if self.logical_slots > self.logical_peak:
+            self.logical_peak = self.logical_slots
         return child_id
 
     def append_token(self, seq_id: int, token: str) -> int:
@@ -160,12 +162,19 @@ class SequenceGroup:
         Returns the number of physical blocks freed (0 unless the token
         finished the sequence).
         """
-        seq = self._get(seq_id)
+        # The lookup is written out: this is the per-token path of every
+        # decode and simulation.
+        try:
+            seq = self.sequences[seq_id]
+        except KeyError:
+            raise ProtocolError(f"unknown sequence {seq_id}") from None
         if seq.finished:
             raise ProtocolError(f"append to finished sequence {seq_id}")
         self.pool.append_slot(seq.block_table)
         seq.tokens.append(token)
-        self._bump_logical(1)
+        self.logical_slots += 1
+        if self.logical_slots > self.logical_peak:
+            self.logical_peak = self.logical_slots
         if token != EOS:
             return 0
         seq.finished = True
@@ -179,11 +188,6 @@ class SequenceGroup:
             self.pool.release_sequence(seq.block_table)
 
     # -- logical accounting --
-
-    def _bump_logical(self, n: int) -> None:
-        self.logical_slots += n
-        if self.logical_slots > self.logical_peak:
-            self.logical_peak = self.logical_slots
 
     def _release_logical(self, seq: Sequence) -> None:
         """Drop the finished thread's hold on its node, freeing unheld ancestors."""

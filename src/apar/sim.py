@@ -6,7 +6,11 @@ token per global step, and the clock advances by the step's modeled cost.
 Before each step the scheduler reserves the exact number of blocks the step
 can allocate, as each group answers it; if the pool cannot cover it, the
 most recently admitted group is preempted (blocks dropped, request requeued
-for recompute).  A thread's blocks return to the pool at its [EOS].  A config
+for recompute).  A thread's blocks return to the pool at its [EOS].  Each
+request has one replay model, built at its first admission and reused when
+it is admitted again; a preemption makes the model forget every live
+thread of the group first, and the model is dropped when the request
+completes.  The step loop reads only apar_step's counts.  A config
 that admits no schedule raises SimulationError.  A run that ends with blocks
 still held, with requests not completed, or with completed requests whose
 content tokens differ from the workload's flattened content raises its
@@ -34,7 +38,6 @@ from .engine import apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
 from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, flatten_script, random_script
-from .tokens import CONTROL_TOKENS
 
 __all__ = [
     "StepCostModel",
@@ -173,7 +176,7 @@ class SimReport:
 class _LiveGroup:
     request_id: int
     group: SequenceGroup
-    model: object
+    model: ReplayModel
     admit_time: float
     content_generated: int = 0
 
@@ -193,6 +196,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     completions: list[tuple[float, float]] = []  # (finish clock, per-token latency)
     total_content = 0
     completed_content = 0
+    make_model = ReplayModel if config.mode == "apar" else as_linear
+    models: list[ReplayModel | None] = [None] * len(config.workload)
 
     def prompt_blocks(script: ScriptTree) -> int:
         return (len(script.prompt) + bs - 1) // bs
@@ -233,14 +238,10 @@ def run_simulation(config: SimConfig) -> SimReport:
             req_id = waiting.popleft()
             group = new_group(list(script.prompt), pool)
             clock += config.cost.t_fixed + config.cost.c_token * len(script.prompt)
-            live.append(
-                _LiveGroup(
-                    request_id=req_id,
-                    group=group,
-                    model=ReplayModel(script) if config.mode == "apar" else as_linear(script),
-                    admit_time=clock,
-                )
-            )
+            model = models[req_id]
+            if model is None:
+                model = models[req_id] = make_model(script)
+            live.append(_LiveGroup(req_id, group, model, admit_time=clock))
             close_windows()
 
         # Nothing live means admission is open and the pool empty: only a
@@ -265,33 +266,39 @@ def run_simulation(config: SimConfig) -> SimReport:
                 )
             victim = live.pop()
             demand -= victim.group.step_block_demand()
+            for seq in victim.group.live.values():
+                victim.model.forget(seq.tokens)
             victim.group.release_live()
             waiting.append(victim.request_id)
             preemptions += 1
             admission_open = False
 
-        records = [apar_step(entry.group, entry.model) for entry in live]
-        clock += config.cost.latency(
-            sum(rec.batch_size for rec in records),
-            sum(rec.attended_sum for rec in records),
-        )
-
-        still_live: list[_LiveGroup] = []
-        for entry, rec in zip(live, records):
-            content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
+        step_batch = step_attended = finished = 0
+        for entry in live:
+            batch, attended, content = apar_step(entry.group, entry.model)
+            step_batch += batch
+            step_attended += attended
             entry.content_generated += content
             window_content += content
             total_content += content
-            if entry.group.all_finished():
+            if not entry.group.live:
+                finished += 1
+        clock += config.cost.latency(step_batch, step_attended)
+
+        if finished:
+            still_live: list[_LiveGroup] = []
+            for entry in live:
+                if not entry.group.all_finished():
+                    still_live.append(entry)
+                    continue
+                models[entry.request_id] = None
                 completed_content += entry.content_generated
-                admission_open = True
                 elapsed = clock - entry.admit_time
                 per_token = elapsed / max(entry.content_generated, 1)
                 window_latencies.append(per_token)
                 completions.append((clock, per_token))
-            else:
-                still_live.append(entry)
-        live = still_live
+            admission_open = True
+            live = still_live
         close_windows()
 
     workload_content = sum(len(flatten_script(s)) for s in config.workload)

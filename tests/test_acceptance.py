@@ -211,6 +211,10 @@ def test_criterion_06a_throughput_ratio(budget_sweeps):
         assert apar >= 1.2 * ar, (budget, apar, ar)
 
 
+# Both modes preempt the same number of times at every budget of this sweep:
+# 495, 205, 110, 60, 30 and 15 from 0.1 to 0.6, then 0 from 0.7 up.  The
+# lockstep waves of identical requests set that count, not the cache saving,
+# so 06b compares throughput, not preemptions.
 def test_criterion_06b_cache_budget_to_match_ar_peak(budget_sweeps):
     budgets, reports, elapsed = budget_sweeps
     assert elapsed < 30.0

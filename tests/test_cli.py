@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 
-from apar import sim
+from apar import engine
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
 from apar.script import ScriptNode, ScriptTree, script_to_json
@@ -245,7 +245,7 @@ class TestSimulate:
         assert "blocks still held" in capsys.readouterr().err
 
     def test_content_miscount_is_internal_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sim, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
+        monkeypatch.setattr(engine, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "capacity_blocks": 120,

@@ -7,12 +7,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import check_invariants  # noqa: E402
 
 from apar.blocks import KvBlockPool
-from apar.engine import apar_decode, apar_step, ar_decode
+from apar.engine import StepRecord, apar_decode, apar_step, ar_decode
 from apar.errors import CapacityError, ProtocolError
 from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import list_script
-from apar.tokens import EOS, FORK
+from apar.tokens import CONTROL_TOKENS, EOS, FORK
 from apar.tree import restore
 
 
@@ -156,9 +156,37 @@ class TestProperties:
             while not group.all_finished():
                 demand = group.step_block_demand()
                 before = pool.used_blocks
-                rec = apar_step(group, model)
+                rec = StepRecord(step=steps + 1)
+                apar_step(group, model, rec)
                 assert pool.used_blocks - before + rec.blocks_freed == demand, (seed, steps)
                 steps += 1
+        assert steps > 1000
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
+    @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+    def test_step_counts_match_the_record(self, make_model, block_size):
+        # The simulator steps without a record and reads only the returned
+        # counts; the decode loop reads the record.  Both describe one step,
+        # and passing a record must not change what the step does.
+        steps = 0
+        for seed in range(60):
+            script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+            traced, plain = (
+                new_group(list(script.prompt), KvBlockPool(1 << 16, block_size=block_size))
+                for _ in range(2)
+            )
+            traced_model, plain_model = make_model(script), make_model(script)
+            while not traced.all_finished():
+                rec = StepRecord(step=steps + 1)
+                counts = apar_step(traced, traced_model, rec)
+                assert apar_step(plain, plain_model) == counts, (seed, steps)
+                content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
+                assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
+                assert plain.sequences_map() == traced.sequences_map()
+                assert plain.pool.used_blocks == traced.pool.used_blocks
+                assert plain.step_block_demand() == traced.step_block_demand()
+                steps += 1
+            assert plain.all_finished()
         assert steps > 1000
 
     def test_fork_without_a_block_raises(self, fig3_script):

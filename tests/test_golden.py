@@ -67,6 +67,20 @@ def test_simulate_shipped_config_bytes(tmp_path, capsys):
     )
 
 
+def test_simulate_shipped_config_ar_bytes(tmp_path, capsys):
+    # The shipped config in ar mode preempts 30 times: the one pin on
+    # preemption and re-admission of the sequential baseline.
+    config = json.loads(CONFIG.read_text())
+    config["mode"] = "ar"
+    path = tmp_path / "simulate_ar.json"
+    path.write_text(json.dumps(config))
+    parts = _simulate_parts(tmp_path, capsys, ["--config", str(path)])
+    assert json.loads(parts[0])["summary"]["preemptions"] == 30
+    assert _digest(parts) == (
+        "6b2defd50262c113fe7e30ca57173aef053c5cce9ad55c8eec01fc9ee02501fa"
+    )
+
+
 def test_decode_trace_bytes(tmp_path, capsys):
     parts: list[bytes] = []
     truncated = 0

@@ -4,10 +4,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apar import sim
+from apar import engine, sim
 from apar.blocks import KvBlockPool
 from apar.errors import SimulationError, SimulationInvariantError
-from apar.script import ScriptNode, ScriptTree, flatten_script, random_script
+from apar.script import (
+    ReplayModel,
+    ScriptNode,
+    ScriptTree,
+    as_linear,
+    flatten_script,
+    random_script,
+)
 from apar.sim import (
     SimConfig,
     StepCostModel,
@@ -106,6 +113,34 @@ class TestPoolDiscipline:
         assert report.summary["preemptions"] > 0
         assert report.summary["completed"] == 12
 
+    @pytest.mark.parametrize("mode", ["apar", "ar"])
+    def test_one_model_per_request_and_no_cursor_outlives_the_run(self, monkeypatch, mode):
+        # A preempted request is admitted again with the model built at its
+        # first admission, so the preemption must have dropped the cursors
+        # of the threads it threw away.
+        built = []
+
+        def collecting(make):
+            def build(script):
+                built.append(make(script))
+                return built[-1]
+
+            return build
+
+        monkeypatch.setattr(sim, "ReplayModel", collecting(ReplayModel))
+        monkeypatch.setattr(sim, "as_linear", collecting(as_linear))
+        config = SimConfig(
+            workload=[list_script() for _ in range(12)],
+            mode=mode,
+            capacity_blocks=40,
+            cost=constant_cost(),
+        )
+        report = run_simulation(config)
+        assert report.summary["preemptions"] > 0
+        assert report.summary["completed"] == 12
+        assert len(built) == 12
+        assert [model._cursors for model in built] == [{}] * 12
+
     def test_unschedulable_prompt(self):
         script = ScriptTree(
             root=0,
@@ -152,7 +187,7 @@ class TestEndOfRunChecks:
     def test_content_miscount_is_an_error(self, monkeypatch):
         # Counting one content token of every request as control loses 4 of
         # the 4 x 184 tokens the workload flattens to.
-        monkeypatch.setattr(sim, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
+        monkeypatch.setattr(engine, "CONTROL_TOKENS", CONTROL_TOKENS | {"d0_0"})
         config = SimConfig(
             workload=[list_script() for _ in range(4)],
             mode="apar",
