@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence as Seq
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class LinearizedSample:
     node_of: list[int]  # node id per token; -1 for prompt positions
     prompt_len: int
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTree]:
     """Linearize a content script into a training sample plus an aligned tree.
@@ -49,16 +45,13 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
     node_of: list[int] = [-1] * len(script.prompt)
     tree = ParagraphTree(root=script.root, prompt_len=len(script.prompt))
 
-    def emit(node_id: int, toks: Seq[str]) -> None:
-        tokens.extend(toks)
-        node_of.extend([node_id] * len(toks))
-
     for node, parent in preorder(script.root, script.nodes):
         start = len(tokens)
         if parent is not None and script.nodes[parent].first_child == node.id:
-            emit(node.id, [CHILD])
-        emit(node.id, node.tokens)
-        emit(node.id, [FORK] if node.first_child is not None else [EOS])
+            tokens.append(CHILD)
+        tokens.extend(node.tokens)
+        tokens.append(FORK if node.first_child is not None else EOS)
+        node_of.extend([node.id] * (len(tokens) - start))
         tree.nodes[node.id] = ParagraphNode(
             id=node.id,
             seq=0,
@@ -71,16 +64,20 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
 
 
 def _ancestor_matrix(tree: ParagraphTree) -> tuple[dict[int, int], np.ndarray]:
-    """Dense index map plus strict-ancestor relation over the tree's nodes."""
-    ids = sorted(tree.nodes)
-    dense = {nid: i for i, nid in enumerate(ids)}
-    parents = tree.parent_map()
-    anc = np.zeros((len(ids), len(ids)), dtype=np.bool_)
-    for nid in ids:
-        cur = nid
-        while cur in parents:
-            cur = parents[cur]
-            anc[dense[nid], dense[cur]] = True
+    """Dense index map plus strict-ancestor relation over the tree's nodes.
+
+    A node's dense index is its ``preorder`` position.  Preorder yields a
+    node after the node pointing at it, so each row is its parent's row
+    plus the parent.  Nodes the root does not reach get no index.
+    """
+    dense: dict[int, int] = {}
+    anc = np.zeros((len(tree.nodes), len(tree.nodes)), dtype=np.bool_)
+    for node, parent in preorder(tree.root, tree.nodes):
+        i = dense[node.id] = len(dense)
+        if parent is not None:
+            p = dense[parent]
+            anc[i] = anc[p]
+            anc[i, p] = True
     return dense, anc
 
 

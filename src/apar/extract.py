@@ -12,7 +12,6 @@ exactly what a decoding thread emits after its last fork.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from .attention import LinearizedSample, build_loss_mask, linearize_script
 from .script import ScriptNode, ScriptTree, chain_nodes
 from .tokens import CONTROL_TOKENS
-from .tree import ParagraphTree, tree_to_json
+from .tree import ParagraphTree, tree_to_dict
 
 __all__ = [
     "Conversation",
@@ -97,7 +96,7 @@ class TrainingSample:
             "tokens": self.sample.tokens,
             "node_of": self.sample.node_of,
             "loss_mask": [bool(b) for b in self.loss_mask],
-            "tree": json.loads(tree_to_json(self.tree)),
+            "tree": tree_to_dict(self.tree),
         }
 
 
@@ -223,19 +222,15 @@ def build_training_sample(conversation: Conversation, turn_index: int) -> Traini
     role, text = conversation.turns[turn_index]
     if role != "assistant":
         raise ValueError(f"turn {turn_index} of {conversation.id} is not an assistant turn")
-    kind, content = _parse_response(text)
-    if content is None:
-        content = ScriptTree(
+    kind, script = _parse_response(text)
+    if script is None:
+        script = ScriptTree(
             root=0,
             nodes={0: ScriptNode(id=0, tokens=tuple(tokenize(text)))},
             prompt=(),
         )
     prompt_text = _prompt_text(conversation, turn_index)
-    script = ScriptTree(
-        root=content.root,
-        nodes=content.nodes,
-        prompt=tuple(tokenize(prompt_text)),
-    )
+    script.prompt = tuple(tokenize(prompt_text))
     sample, tree = linearize_script(script)
     return TrainingSample(
         kind=kind,

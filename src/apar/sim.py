@@ -37,7 +37,7 @@ from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import SequenceGroup, new_group
-from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, flatten_script, random_script
+from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, random_script
 
 __all__ = [
     "StepCostModel",
@@ -301,7 +301,9 @@ def run_simulation(config: SimConfig) -> SimReport:
             live = still_live
         close_windows()
 
-    workload_content = sum(len(flatten_script(s)) for s in config.workload)
+    workload_content = sum(
+        len(node.tokens) for s in config.workload for node in s.nodes.values()
+    )
     if (
         pool.used_blocks
         or len(completions) != len(config.workload)

@@ -5,14 +5,13 @@ detail thread forked off the node, ``next_sibling`` at the continuation of
 the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the one walk in restore order: a node, then its first_child
-subtree, then its next_sibling subtree.  Restore, the flatten baseline and
-the training linearizer call it, so a training mask describes the order
-decoding produced.
+subtree, then its next_sibling subtree.  Restore, the flatten baseline,
+the training linearizer and the training mask's ancestor rows call it, so
+a training mask describes the order decoding produced.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Protocol, Sequence, TypeVar
 
@@ -26,7 +25,7 @@ __all__ = [
     "preorder",
     "restore",
     "path_to_root",
-    "tree_to_json",
+    "tree_to_dict",
 ]
 
 
@@ -48,15 +47,6 @@ class ParagraphTree:
     root: int
     nodes: dict[int, ParagraphNode] = field(default_factory=dict)
     prompt_len: int = 0
-
-    def parent_map(self) -> dict[int, int]:
-        """Inverse of the pointer graph: child or sibling id -> pointing node id."""
-        parents: dict[int, int] = {}
-        for node in self.nodes.values():
-            for target in (node.first_child, node.next_sibling):
-                if target is not None:
-                    parents[target] = node.id
-        return parents
 
 
 def validate(
@@ -220,7 +210,12 @@ def path_to_root(tree: ParagraphTree, node_id: int) -> list[int]:
     """
     if node_id not in tree.nodes:
         raise TreeError(f"unknown node id {node_id}")
-    parents = tree.parent_map()
+    parents = {
+        target: node.id
+        for node in tree.nodes.values()
+        for target in (node.first_child, node.next_sibling)
+        if target is not None
+    }
     path = [node_id]
     cur = node_id
     while cur != tree.root:
@@ -234,9 +229,9 @@ def path_to_root(tree: ParagraphTree, node_id: int) -> list[int]:
     return path
 
 
-def tree_to_json(tree: ParagraphTree) -> str:
-    """Serialize with a stable field order so outputs are byte-reproducible."""
-    payload = {
+def tree_to_dict(tree: ParagraphTree) -> dict:
+    """JSON-ready payload with a stable field order, so dumps are byte-reproducible."""
+    return {
         "prompt_len": tree.prompt_len,
         "root": tree.root,
         "nodes": [
@@ -251,4 +246,3 @@ def tree_to_json(tree: ParagraphTree) -> str:
             for node in sorted(tree.nodes.values(), key=lambda n: n.id)
         ],
     }
-    return json.dumps(payload)

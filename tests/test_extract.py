@@ -18,6 +18,7 @@ from apar.extract import (
     extract_paragraphs,
     tokenize,
 )
+from apar.script import ScriptTree
 from apar.sim import list_script
 from apar.tokens import CHILD, FORK
 from apar.tree import restore, validate
@@ -138,6 +139,22 @@ class TestBuildSample:
             sample = build_training_sample(to_conversation(entry), 1)
             assert sample.kind == entry["kind"], entry["id"]
             assert max(calls.values()) == 1, (entry["id"], calls)
+
+    def test_one_script_tree_per_sample(self, monkeypatch):
+        built = []
+        post_init = ScriptTree.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScriptTree, "__post_init__", counted)
+        assert {e["kind"] for e in CORPUS} == set(EXPECTED_COUNTS)
+        for entry in CORPUS:
+            built.clear()
+            sample = build_training_sample(to_conversation(entry), 1)
+            assert sample.kind == entry["kind"], entry["id"]
+            assert len(built) == 1, (entry["id"], len(built))
 
     def test_unstructured_has_no_forks(self):
         conv = Conversation("c", [("user", "hi"), ("assistant", "Short answer")])

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import linearize_group  # noqa: E402
 
-from apar.attention import linearize_script
+from apar.attention import LinearizedSample, build_training_mask, linearize_script
 from apar.cli import main
 from apar.errors import TreeError
 from apar.script import ScriptNode, ScriptTree, flatten_script, random_script, script_to_json
@@ -17,7 +17,7 @@ from apar.tree import (
     path_to_root,
     preorder,
     restore,
-    tree_to_json,
+    tree_to_dict,
     validate,
 )
 
@@ -115,11 +115,13 @@ class TestPreorder:
         tree.nodes[0] = ParagraphNode(id=0, seq=0, start=1, end=3, first_child=1, next_sibling=1)
         tree.nodes[1] = ParagraphNode(id=1, seq=0, start=3)
         seqs = {0: ["Q", "a", "[Fork]", "b", "[EOS]"]}
+        sample = LinearizedSample(seqs[0], [-1, 0, 0, 1, 1], prompt_len=1)
         for walk in (
             lambda: flatten_script(script),
             lambda: linearize_script(script),
             lambda: linearize_group(tree, seqs),
             lambda: restore(tree, seqs),
+            lambda: build_training_mask(sample, tree),
         ):
             with pytest.raises(TreeError, match="node 1 is reached twice"):
                 walk()
@@ -127,6 +129,19 @@ class TestPreorder:
         path.write_text(script_to_json(script))
         assert main(["decode", "--script", str(path)]) == 1
         assert "node 1 is reached twice" in capsys.readouterr().err
+
+    def test_pointer_cycle_rejected_by_mask_and_restore(self):
+        # Node 2's first_child points back at the root: the pointers form a
+        # cycle through the root.
+        tree, seqs = fig3_tree()
+        tree.nodes[2].first_child = 0
+        sample = LinearizedSample(seqs[0], [-1, 0, 0, 0, 1, 1], prompt_len=1)
+        for walk in (
+            lambda: build_training_mask(sample, tree),
+            lambda: restore(tree, seqs),
+        ):
+            with pytest.raises(TreeError, match="node 0 is reached twice"):
+                walk()
 
 
 class TestRestore:
@@ -214,7 +229,7 @@ class TestPathToRoot:
 
 def test_json_round_trip():
     tree, _ = fig3_tree()
-    payload = json.loads(tree_to_json(tree))
+    payload = json.loads(json.dumps(tree_to_dict(tree)))
     nodes = payload["nodes"]
     assert nodes[0]["end"] == 4
     assert nodes[1]["end"] is None
