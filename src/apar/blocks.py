@@ -80,7 +80,7 @@ class KvBlockPool:
 
     # -- public operations --
 
-    def append_slot(self, table: BlockTable) -> BlockTable:
+    def append_slot(self, table: BlockTable) -> None:
         """Reserve one more slot for the owning sequence."""
         with self._lock:
             if not table.blocks or table.slots_used_in_last_block == self.block_size:
@@ -96,7 +96,6 @@ class KvBlockPool:
                     )
                 table.slots_used_in_last_block += 1
                 self._used_slots += 1
-            return table
 
     def fork_table(self, parent: BlockTable, child_owner: int) -> BlockTable:
         """Map a forked child onto the parent's cache.

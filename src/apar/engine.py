@@ -18,9 +18,10 @@ every unfinished thread once max_steps steps have run, and otherwise each
 one whose context (prompt included) holds at least max_seq_len tokens; it
 stops once every thread has finished.  So a prompt of max_seq_len tokens or
 more decodes in 0 steps with an empty output, and any cut sets truncated.
-A thread the loop ends itself is passed to model.forget, so a model that
-keeps state per context can drop it; the only other caller of forget is the
-simulator, for each live thread of a group it preempts.
+
+A model answers next_token(context, state), where state is the thread's own
+model_state list: whatever the model keeps per thread lives and dies with
+the thread, so neither a cut nor a preemption has to tell the model.
 
 apar_step returns counts, (batch, attended, content), and builds no record
 of its own: it fills a StepRecord only when given one, and only the decode
@@ -59,10 +60,9 @@ __all__ = [
 
 
 class LanguageModel(Protocol):
-    def next_token(self, context: Seq[str]) -> str: ...
-
-    def forget(self, context: Seq[str]) -> None:
-        """Drop any state kept for ``context``: the loop ended its thread."""
+    def next_token(self, context: Seq[str], state: list) -> str:
+        """The token after ``context``; ``state`` is the thread's, empty until
+        the model first answers that thread."""
 
 
 @dataclass
@@ -163,7 +163,7 @@ def apar_step(
     attended = content = 0
     for seq in live:
         tokens = seq.tokens
-        token = model.next_token(tokens)
+        token = model.next_token(tokens, seq.model_state)
         attended += len(tokens)
         if tokens[-1] == FORK:
             child = group.fork_sequence(seq.id)
@@ -194,9 +194,8 @@ def _decode(
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
     while True:
         out_of_steps = trace.steps >= max_steps
-        for seq in group.unfinished():
+        for seq in list(group.live.values()):
             if out_of_steps or len(seq.tokens) >= max_seq_len:
-                model.forget(seq.tokens)
                 group.append_token(seq.id, EOS)
                 trace.truncated = True
         if group.all_finished():

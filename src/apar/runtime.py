@@ -17,7 +17,7 @@ is the token-level counterpart of the physical block pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .blocks import BlockTable, KvBlockPool
@@ -35,6 +35,8 @@ class Sequence:
     current_node: int
     block_table: BlockTable
     finished: bool = False
+    # The model's own per-thread state; the runtime never reads it.
+    model_state: list = field(default_factory=list)
 
 
 class SequenceGroup:
@@ -68,10 +70,6 @@ class SequenceGroup:
 
     def sequences_map(self) -> dict[int, list[str]]:
         return {sid: seq.tokens for sid, seq in self.sequences.items()}
-
-    def unfinished(self) -> list[Sequence]:
-        """The live sequences in ascending id order, as a list of its own."""
-        return list(self.live.values())
 
     def all_finished(self) -> bool:
         return not self.live

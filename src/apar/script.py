@@ -84,64 +84,45 @@ def flatten_script(script: ScriptTree) -> list[str]:
 _CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
 
 
-class _Cursor:
-    """Scan state of one context: positions ``[0, pos)`` are checked.
-
-    Holding ``context`` keeps the object alive, so its ``id`` cannot be
-    reused by another context while the cursor lives.
-    """
-
-    __slots__ = ("context", "pos", "node", "k", "state")
-
-    def __init__(self, context: Seq[str], pos: int, node: ScriptNode):
-        self.context = context
-        self.pos = pos
-        self.node = node
-        self.k = 0
-        self.state = _CONTENT
-
-
 class ReplayModel:
     """Replays one script; deterministic given the context.
 
-    The model keeps a cursor per context it has answered, keyed by the
-    context object, and checks only the tokens appended since its last call
-    on that object, so a call on a growing context costs the same at any
-    length.
-    Contexts are expected to grow by appending: one the model has not seen,
-    or one shorter than its cursor, is checked again from the prompt.  The
-    cursor is dropped when the model answers [EOS] or raises, or when the
-    decode loop ends the thread itself and calls ``forget``.
+    ``state`` is a list the calling thread owns and the model alone fills:
+    the scan position ``[checked, node, k, phase]``, where positions
+    ``[0, checked)`` of the context are checked.  A call checks only the
+    tokens appended since, so a call on a growing context costs the same at
+    any length.  An empty state, or a context shorter than ``checked``, is
+    checked again from the prompt.  A call that raises leaves the state as
+    it was.
     """
 
     def __init__(self, script: ScriptTree):
         self.script = script
-        self._cursors: dict[int, _Cursor] = {}
 
-    def next_token(self, context: Seq[str]) -> str:
+    def next_token(self, context: Seq[str], state: list) -> str:
         script = self.script
         n = len(context)
-        cursor = self._cursors.pop(id(context), None)
-        if cursor is None or n < cursor.pos:
+        if not state or n < state[0]:
             plen = len(script.prompt)
             if tuple(context[:plen]) != script.prompt:
                 raise ScriptMismatch("context does not start with the script prompt")
-            cursor = _Cursor(context, plen, script.nodes[script.root])
-        node, k, state, i = cursor.node, cursor.k, cursor.state, cursor.pos
+            i, node, k, phase = plen, script.nodes[script.root], 0, _CONTENT
+        else:
+            i, node, k, phase = state
         while i < n:
             tok = context[i]
-            if state == _AFTER_FORK:
+            if phase == _AFTER_FORK:
                 if tok == CHILD:
                     node = script.nodes[node.first_child]
                     k = 0
-                    state = _CONTENT
+                    phase = _CONTENT
                     i += 1
                     continue
                 node = script.nodes[node.next_sibling]
                 k = 0
-                state = _CONTENT
+                phase = _CONTENT
                 continue  # reprocess tok as sibling content
-            if state == _DONE:
+            if phase == _DONE:
                 raise ScriptMismatch(f"token {tok!r} after {EOS} at position {i}")
             if k < len(node.tokens):
                 if tok != node.tokens[k]:
@@ -152,30 +133,24 @@ class ReplayModel:
             elif node.first_child is not None:
                 if tok != FORK:
                     raise ScriptMismatch(f"position {i}: expected {FORK}, saw {tok!r}")
-                state = _AFTER_FORK
+                phase = _AFTER_FORK
             else:
                 if tok != EOS:
                     raise ScriptMismatch(f"position {i}: expected {EOS}, saw {tok!r}")
-                state = _DONE
+                phase = _DONE
             i += 1
-        cursor.pos, cursor.node, cursor.k, cursor.state = i, node, k, state
+        if phase == _DONE:
+            raise ScriptMismatch("next_token called on a finished context")
+        state[:] = i, node, k, phase
 
-        if state == _AFTER_FORK:
+        if phase == _AFTER_FORK:
             node = script.nodes[node.next_sibling]
             k = 0
-        elif state == _DONE:
-            raise ScriptMismatch("next_token called on a finished context")
         if k < len(node.tokens):
-            token = node.tokens[k]
-        elif node.first_child is not None:
-            token = FORK
-        else:
-            return EOS
-        self._cursors[id(context)] = cursor
-        return token
-
-    def forget(self, context: Seq[str]) -> None:
-        self._cursors.pop(id(context), None)
+            return node.tokens[k]
+        if node.first_child is not None:
+            return FORK
+        return EOS
 
 
 class LinearModel(ReplayModel):

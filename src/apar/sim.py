@@ -7,10 +7,10 @@ Before each step the scheduler reserves the exact number of blocks the step
 can allocate, as each group answers it; if the pool cannot cover it, the
 most recently admitted group is preempted (blocks dropped, request requeued
 for recompute).  A thread's blocks return to the pool at its [EOS].  Each
-request has one replay model, built at its first admission and reused when
-it is admitted again; a preemption makes the model forget every live
-thread of the group first, and the model is dropped when the request
-completes.  The step loop reads only apar_step's counts.  A config
+request has one replay model, built at its first admission, reused when it
+is admitted again and dropped when the request completes; the model keeps
+its scan state on each thread, so a preempted group's state goes with its
+threads.  The step loop reads only apar_step's counts.  A config
 that admits no schedule raises SimulationError.  A run that ends with blocks
 still held, with requests not completed, or with completed requests whose
 content tokens differ from the workload's flattened content raises its
@@ -92,6 +92,10 @@ def list_script(
     """
     if items < 1:
         raise ValueError(f"a list script needs at least 1 item, not {items}")
+    lengths = {"intro_len": intro_len, "head_len": head_len, "detail_len": detail_len}
+    for name, length in lengths.items():
+        if length < 0:
+            raise ValueError(f"{name} must be >= 0, not {length}")
     heads = [[f"h{i}_{j}" for j in range(head_len)] for i in range(items)]
     heads[0][:0] = [f"intro0_{j}" for j in range(intro_len)]
     details = [[f"d{i}_{j}" for j in range(detail_len)] for i in range(items)]
@@ -266,8 +270,6 @@ def run_simulation(config: SimConfig) -> SimReport:
                 )
             victim = live.pop()
             demand -= victim.group.step_block_demand()
-            for seq in victim.group.live.values():
-                victim.model.forget(seq.tokens)
             victim.group.release_live()
             waiting.append(victim.request_id)
             preemptions += 1
@@ -288,7 +290,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         if finished:
             still_live: list[_LiveGroup] = []
             for entry in live:
-                if not entry.group.all_finished():
+                if entry.group.live:
                     still_live.append(entry)
                     continue
                 models[entry.request_id] = None

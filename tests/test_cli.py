@@ -325,6 +325,8 @@ class TestBadInput:
             ({"cost": {"t_fixed": True, "c_token": 0.0, "c_attn": 0.0}}, "t_fixed"),
             ({"sample_period": 10**400}, "sample_period"),
             ({"capacity_blocks": 10**400}, "capacity_blocks"),
+            ({"workload": {"kind": "list", "count": 3, "head_len": -2}}, "head_len"),
+            ({"workload": {"kind": "list", "count": 3, "intro_len": -9}}, "intro_len"),
         ],
     )
     def test_simulate_bad_config(self, payload, named, tmp_path, capsys):

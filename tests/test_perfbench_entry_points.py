@@ -13,7 +13,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import workloads  # noqa: E402
-from layers import SPANS  # noqa: E402
+from layers import SPANS, layer_values  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 
 def resolve(module: str, qualname: str):
@@ -36,3 +37,21 @@ def test_warm_up_ops_pass_their_checks(name):
     assert ops
     for i, op in enumerate(ops):
         assert op.check(op.run()), f"{name} warm-up op {i}"
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_warm_up_ops_pass_their_checks(name):
+    # The tracer's hooks unpack the wrapped calls' positional arguments, so
+    # a changed signature would otherwise fail only in a traced run.
+    ops = workloads.WORKLOADS[name](seed=0).warm_ops
+    tracer = Tracer(SPANS)
+    tracer.install()
+    try:
+        checks = [op.check(op.run()) for op in ops]
+        layers = layer_values(tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert all(checks), name
+    if name in ("serve-paper", "decode-bench"):
+        assert layers["script.next_token_calls"][0] > 0

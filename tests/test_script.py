@@ -20,47 +20,47 @@ from apar.tree import validate
 class TestReplay:
     def test_first_token(self, fig3_script):
         model = ReplayModel(fig3_script)
-        assert model.next_token(["Q"]) == "a1"
+        assert model.next_token(["Q"], []) == "a1"
 
     def test_sibling_after_fork(self, fig3_script):
         model = ReplayModel(fig3_script)
-        assert model.next_token(["Q", "a1", "a2", FORK]) == "b1"
+        assert model.next_token(["Q", "a1", "a2", FORK], []) == "b1"
 
     def test_descend_after_child(self, fig3_script):
         model = ReplayModel(fig3_script)
-        assert model.next_token(["Q", "a1", "a2", FORK, CHILD]) == "d1"
+        assert model.next_token(["Q", "a1", "a2", FORK, CHILD], []) == "d1"
 
     def test_emits_fork_when_content_done(self, fig3_script):
         model = ReplayModel(fig3_script)
-        assert model.next_token(["Q", "a1", "a2"]) == FORK
+        assert model.next_token(["Q", "a1", "a2"], []) == FORK
 
     def test_emits_eos_on_leaf_end(self, fig3_script):
         model = ReplayModel(fig3_script)
-        assert model.next_token(["Q", "a1", "a2", FORK, CHILD, "d1", "d2"]) == EOS
+        assert model.next_token(["Q", "a1", "a2", FORK, CHILD, "d1", "d2"], []) == EOS
 
     def test_divergent_context_raises(self, fig3_script):
         model = ReplayModel(fig3_script)
         with pytest.raises(ScriptMismatch):
-            model.next_token(["Q", "a1", "WRONG"])
+            model.next_token(["Q", "a1", "WRONG"], [])
 
     def test_wrong_prompt_raises(self, fig3_script):
         model = ReplayModel(fig3_script)
         with pytest.raises(ScriptMismatch):
-            model.next_token(["X", "a1"])
+            model.next_token(["X", "a1"], [])
 
     def test_token_after_eos_raises(self, fig3_script):
         model = ReplayModel(fig3_script)
         with pytest.raises(ScriptMismatch):
-            model.next_token(["Q", "a1", "a2", FORK, "b1", EOS, "x"])
+            model.next_token(["Q", "a1", "a2", FORK, "b1", EOS, "x"], [])
 
 
 class TestLinear:
     def test_fig3_stream(self, fig3_script):
         model = as_linear(fig3_script)
-        ctx = list(fig3_script.prompt)
+        ctx, state = list(fig3_script.prompt), []
         out = []
         for _ in range(6):
-            tok = model.next_token(ctx)
+            tok = model.next_token(ctx, state)
             out.append(tok)
             ctx.append(tok)
         assert out == ["a1", "a2", "d1", "d2", "b1", EOS]
@@ -69,9 +69,9 @@ class TestLinear:
         for seed in range(20):
             script = random_script(seed, max_nodes=11)
             model = as_linear(script)
-            ctx = list(script.prompt)
+            ctx, state = list(script.prompt), []
             while True:
-                tok = model.next_token(ctx)
+                tok = model.next_token(ctx, state)
                 assert tok not in (FORK, CHILD)
                 if tok == EOS:
                     break
@@ -82,9 +82,9 @@ class TestLinear:
             root=0, nodes={0: ScriptNode(0, ("x", "y"))}, prompt=("p",)
         )
         model = as_linear(script)
-        assert model.next_token(["p"]) == "x"
-        assert model.next_token(["p", "x"]) == "y"
-        assert model.next_token(["p", "x", "y"]) == EOS
+        assert model.next_token(["p"], []) == "x"
+        assert model.next_token(["p", "x"], []) == "y"
+        assert model.next_token(["p", "x", "y"], []) == EOS
 
 
 class TestRandomScript:
@@ -155,6 +155,8 @@ class CountingList(list):
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
 class TestCursors:
+    """The scan position a thread's state carries from one call to the next."""
+
     def test_matches_cold_model_on_grown_fresh_and_truncated_contexts(self, kind):
         make, decode = MODELS[kind]
         for seed in range(40):
@@ -162,38 +164,54 @@ class TestCursors:
             plen = len(script.prompt)
             threads = decode(list(script.prompt), make(script)).sequences_map().values()
             for tokens in threads:
-                model = make(script)
+                model, state = make(script), []
                 ctx = tokens[:plen]
                 for tok in tokens[plen:-1]:
-                    cold = make(script).next_token(list(ctx))
-                    assert model.next_token(ctx) == cold, seed
-                    assert model.next_token(list(ctx)) == cold, seed
+                    cold = make(script).next_token(list(ctx), [])
+                    assert model.next_token(ctx, state) == cold, seed
+                    assert model.next_token(list(ctx), []) == cold, seed
                     ctx.append(tok)
                 for j in reversed(range(plen, len(ctx))):
                     del ctx[j:]
-                    assert model.next_token(ctx) == make(script).next_token(list(ctx)), seed
+                    cold = make(script).next_token(list(ctx), [])
+                    assert model.next_token(ctx, state) == cold, seed
                 del ctx[plen - 1 :]
                 with pytest.raises(ScriptMismatch):
-                    model.next_token(ctx)
+                    model.next_token(ctx, state)
 
     def test_wrong_token_after_cursor_raises(self, kind, fig3_script):
         model = MODELS[kind][0](fig3_script)
-        ctx = ["Q"]
+        ctx, state = ["Q"], []
         for _ in range(3):
-            ctx.append(model.next_token(ctx))
-        model.next_token(ctx)
-        assert model._cursors
+            ctx.append(model.next_token(ctx, state))
+        model.next_token(ctx, state)
+        assert state
+        before = list(state)
         ctx.append("WRONG")
         with pytest.raises(ScriptMismatch):
-            model.next_token(ctx)
-        assert not model._cursors
+            model.next_token(ctx, state)
+        assert state == before  # a raising call does not write the state
         with pytest.raises(ScriptMismatch):
-            model.next_token(ctx)
+            model.next_token(ctx, state)
         del ctx[-1]
-        model.next_token(ctx)
+        model.next_token(ctx, state)
         ctx[2:] = ["WRONG"]  # truncated below the cursor, then diverged
         with pytest.raises(ScriptMismatch):
-            model.next_token(ctx)
+            model.next_token(ctx, state)
+
+    def test_finished_context_raises_and_keeps_state(self, kind, fig3_script):
+        model = MODELS[kind][0](fig3_script)
+        ctx, state = ["Q"], []
+        while (tok := model.next_token(ctx, state)) != EOS:
+            ctx.append(tok)
+        ctx.append(EOS)
+        before = list(state)
+        with pytest.raises(ScriptMismatch, match="finished context"):
+            model.next_token(ctx, state)
+        assert state == before
+        ctx.append("x")
+        with pytest.raises(ScriptMismatch, match="after"):
+            model.next_token(ctx, state)
 
     def test_decode_leaves_no_cursors(self, kind):
         make, decode = MODELS[kind]
@@ -202,7 +220,7 @@ class TestCursors:
             model = make(script)
             result = decode(list(script.prompt), model)
             assert not result.trace.truncated
-            assert model._cursors == {}, seed
+            assert list(vars(model)) == ["script"], seed
 
     @pytest.mark.parametrize(
         "cut", [{"max_seq_len": 8}, {"max_steps": 3}], ids=["max_seq_len", "max_steps"]
@@ -213,7 +231,7 @@ class TestCursors:
         model = make(script)
         for _ in range(3):
             assert decode(list(script.prompt), model, **cut).trace.truncated
-            assert model._cursors == {}
+            assert list(vars(model)) == ["script"]
 
     def test_reads_per_call_do_not_grow_with_context(self, kind):
         detail = tuple(f"d{i}" for i in range(4100))
@@ -226,12 +244,12 @@ class TestCursors:
             },
             prompt=("q",),
         )
-        model = MODELS[kind][0](script)
+        model, state = MODELS[kind][0](script), []
         ctx = CountingList(script.prompt)
         reads = []
         while True:
             ctx.reads = 0
-            tok = model.next_token(ctx)
+            tok = model.next_token(ctx, state)
             reads.append(ctx.reads)
             if tok == EOS:
                 break
@@ -241,5 +259,5 @@ class TestCursors:
         assert len(ctx) > 4000
         assert max(reads) <= 2
         ctx.reads = 0
-        MODELS[kind][0](script).next_token(ctx)
+        MODELS[kind][0](script).next_token(ctx, [])
         assert ctx.reads >= len(ctx)  # a cold model reads the whole context

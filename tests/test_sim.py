@@ -116,8 +116,8 @@ class TestPoolDiscipline:
     @pytest.mark.parametrize("mode", ["apar", "ar"])
     def test_one_model_per_request_and_no_cursor_outlives_the_run(self, monkeypatch, mode):
         # A preempted request is admitted again with the model built at its
-        # first admission, so the preemption must have dropped the cursors
-        # of the threads it threw away.
+        # first admission; the threads the preemption threw away took their
+        # scan state with them, and the model keeps none of its own.
         built = []
 
         def collecting(make):
@@ -139,7 +139,7 @@ class TestPoolDiscipline:
         assert report.summary["preemptions"] > 0
         assert report.summary["completed"] == 12
         assert len(built) == 12
-        assert [model._cursors for model in built] == [{}] * 12
+        assert [list(vars(model)) for model in built] == [["script"]] * 12
 
     def test_unschedulable_prompt(self):
         script = ScriptTree(
@@ -358,3 +358,9 @@ class TestConfigIO:
     def test_list_without_items_rejected(self):
         with pytest.raises(ValueError, match="at least 1 item"):
             list_script(items=0)
+
+    @pytest.mark.parametrize("field", ["intro_len", "head_len", "detail_len"])
+    def test_negative_list_length_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            list_script(**{field: -1})
+        assert list_script(**{field: 0}).nodes  # an empty part is still a list
