@@ -21,15 +21,15 @@ more decodes in 0 steps with an empty output, and any cut sets truncated.
 
 A model answers next_token(context, state), where state is the thread's own
 model_state list: whatever the model keeps per thread lives and dies with
-the thread, so neither a cut nor a preemption has to tell the model.
+the thread, so a cut does not have to tell the model.
 
 apar_step returns counts, (batch, attended, content), and builds no record
 of its own: it fills a StepRecord only when given one, and only the decode
 loop gives one, for its trace.
 
-Capacity has one rule: the simulator reserves every step's blocks before
-the step runs, and a standalone decode owns a pool with no cap, so a fork
-inside a decode cannot run out of blocks.
+Capacity has one rule: every pool a step runs on has no cap (a standalone
+decode's, and the private one the simulator profiles a request on), so a
+fork cannot run out of blocks.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ child's content node) and a next_sibling (the parent's continuation node).
 
 The group owns its threads' blocks in the physical pool.  A thread's blocks
 are freed when it appends [EOS]; ``step_block_demand`` answers how many
-blocks the group's next step can allocate, and ``release_live`` drops the
-blocks of every live thread when the group is preempted.
+blocks the group's next step can allocate.
 
 The group also tracks *logical* cache occupancy: distinct cached tokens with
 shared prefixes counted once, released per-thread as threads finish.  This
@@ -98,9 +97,8 @@ class SequenceGroup:
         """Fork ``parent_id`` after its trailing [Fork] token; return the child id.
 
         Raises CapacityError before any state changes if the pool cannot
-        supply the single block the child needs.  No decode loop catches it: the
-        simulator reserves each step's blocks before the step runs, and a
-        standalone decode's pool has no cap.
+        supply the single block the child needs.  No decode loop catches it:
+        every pool a decode steps on has no cap.
         """
         parent = self._get(parent_id)
         if parent.finished:
@@ -179,11 +177,6 @@ class SequenceGroup:
         del self.live[seq_id]
         self._release_logical(seq)
         return self.pool.release_sequence(seq.block_table)
-
-    def release_live(self) -> None:
-        """Free every live thread's blocks; a preempted group takes no further step."""
-        for seq in self.live.values():
-            self.pool.release_sequence(seq.block_table)
 
     # -- logical accounting --
 

@@ -4,20 +4,31 @@ All requests wait in a queue from time zero.  Groups are admitted while the
 concurrency limit and the block pool allow, every live sequence advances one
 token per global step, and the clock advances by the step's modeled cost.
 Before each step the scheduler reserves the exact number of blocks the step
-can allocate, as each group answers it; if the pool cannot cover it, the
-most recently admitted group is preempted (blocks dropped, request requeued
-for recompute).  A thread's blocks return to the pool at its [EOS].  Each
-request has one replay model, built at its first admission, reused when it
-is admitted again and dropped when the request completes; the model keeps
-its scan state on each thread, so a preempted group's state goes with its
-threads.  The step loop reads only apar_step's counts.  A config
-that admits no schedule raises SimulationError.  A run that ends with blocks
-still held, with requests not completed, or with completed requests whose
-content tokens differ from the workload's flattened content raises its
-subclass SimulationInvariantError, since that is a fault of the program, not
-of the config.
+can allocate; if the pool cannot cover it, the most recently admitted group
+is preempted (blocks dropped, request requeued for recompute).  A thread's
+blocks return to the pool at its [EOS].
 
-Profiling samples the system every ``sample_period`` simulated seconds.
+A request's steps depend on its script alone: the engine is deterministic,
+and the reservation means no step waits on another group.  So each run
+works in two parts.  The first admission of a script's content decodes it
+alone, with apar_step and the mode's replay model on a private pool, into a
+step profile: per step, the block demand, the batch, the attended and
+content tokens, the blocks and slots the group holds after it, and how far
+its blocks peak above the step's start.  The model lives only while the
+profile is built, and requests with equal scripts share one profile.  The
+scheduler then runs on integers: each live group is a profile and a step
+index, and the pool is a running count of used blocks and slots and their
+peak, moved by each admission, step and preemption.  No profile outlives
+the run.
+
+A config that admits no schedule raises SimulationError.  A profile whose
+private pool is not drained, or a run that ends with blocks still held,
+with requests not completed, or with completed requests whose content
+tokens differ from the workload's flattened content raises its subclass
+SimulationInvariantError, since that is a fault of the program, not of the
+config.
+
+The run samples the system every ``sample_period`` simulated seconds.
 Summary figures discard the leading warm-up fraction of samples and the
 trailing samples taken with no request waiting and none live.
 """
@@ -29,14 +40,14 @@ import math
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence as Seq
+from typing import Callable, Sequence as Seq
 
 import numpy as np
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
-from .engine import apar_step
+from .engine import LanguageModel, apar_step
 from .errors import SimulationError, SimulationInvariantError
-from .runtime import SequenceGroup, new_group
+from .runtime import new_group
 from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, random_script
 
 __all__ = [
@@ -176,21 +187,82 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+class _Profile:
+    """One request decoded alone: what the scheduler needs of each step.
+
+    ``rows[k]`` holds step k's batch, attended tokens, content tokens and
+    peak rise (how far the group's blocks rose above the step's start),
+    the change in the group's used blocks and slots, and then the state
+    after the step: the next step's block demand and the used blocks and
+    slots.  ``start`` is that state before the first step.  A group shares
+    no block with another, so on the shared pool its counts move just as
+    they do here.
+    """
+
+    __slots__ = ("start", "rows", "content")
+
+    def __init__(
+        self,
+        script: ScriptTree,
+        make_model: Callable[[ScriptTree], LanguageModel],
+        block_size: int,
+    ):
+        # The pool fills lazily, so a capacity it never reaches costs nothing.
+        pool = KvBlockPool(sys.maxsize, block_size=block_size)
+        group = new_group(script.prompt, pool)
+        model = make_model(script)
+        used, slots, _ = pool.usage_snapshot()
+        self.start = (group.step_block_demand(), used, slots)
+        self.rows: list[tuple[int, ...]] = []
+        self.content = 0
+        while group.live:
+            pool.peak_used = used  # so the peak read after the step is its own
+            batch, attended, content = apar_step(group, model)
+            after, after_slots, peak = pool.usage_snapshot()
+            self.rows.append(
+                (batch, attended, content, peak - used, after - used,
+                 after_slots - slots, group.step_block_demand(), after, after_slots)
+            )
+            self.content += content
+            used, slots = after, after_slots
+        if used:
+            raise SimulationInvariantError(
+                f"decoding a request alone ended with {used} blocks still held"
+            )
+
+    def state(self, step: int) -> tuple[int, int, int]:
+        """Block demand, used blocks and used slots after ``step`` steps."""
+        return self.rows[step - 1][6:] if step else self.start
+
+
+def _content_key(script: ScriptTree) -> tuple:
+    """Everything a request's decode depends on: prompt, root and nodes."""
+    return (
+        script.prompt,
+        script.root,
+        tuple(
+            (nid, node.id, node.tokens, node.first_child, node.next_sibling)
+            for nid, node in sorted(script.nodes.items())
+        ),
+    )
+
+
+@dataclass(slots=True)
 class _LiveGroup:
     request_id: int
-    group: SequenceGroup
-    model: ReplayModel
+    profile: _Profile
     admit_time: float
-    content_generated: int = 0
+    step: int = 0  # profile rows already run
 
 
 def run_simulation(config: SimConfig) -> SimReport:
     """Deterministic event loop over the configured workload."""
-    pool = KvBlockPool(config.effective_blocks, block_size=config.block_size)
+    capacity = config.effective_blocks
     bs = config.block_size
     waiting: deque[int] = deque(range(len(config.workload)))
     live: list[_LiveGroup] = []
+    # The shared pool as counters, and the next step's summed block demand.
+    used = used_slots = peak = demand = 0
     clock = 0.0
     next_sample = config.sample_period
     preemptions = 0
@@ -201,7 +273,20 @@ def run_simulation(config: SimConfig) -> SimReport:
     total_content = 0
     completed_content = 0
     make_model = ReplayModel if config.mode == "apar" else as_linear
-    models: list[ReplayModel | None] = [None] * len(config.workload)
+    # Requests with equal scripts share one profile; none outlives the call.
+    by_content: dict[tuple, _Profile] = {}
+    profiles: list[_Profile | None] = [None] * len(config.workload)
+
+    def profile_of(req_id: int) -> _Profile:
+        profile = profiles[req_id]
+        if profile is None:
+            script = config.workload[req_id]
+            key = _content_key(script)
+            profile = by_content.get(key)
+            if profile is None:
+                profile = by_content[key] = _Profile(script, make_model, bs)
+            profiles[req_id] = profile
+        return profile
 
     def prompt_blocks(script: ScriptTree) -> int:
         return (len(script.prompt) + bs - 1) // bs
@@ -210,7 +295,6 @@ def run_simulation(config: SimConfig) -> SimReport:
         nonlocal next_sample, window_content, window_latencies
         while clock >= next_sample:
             lat = np.array(window_latencies) if window_latencies else np.array([0.0])
-            used_blocks, used_slots, _ = pool.usage_snapshot()
             samples.append(
                 SimSample(
                     time=next_sample,
@@ -219,7 +303,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                     latency_p25=float(np.percentile(lat, 25)),
                     latency_p75=float(np.percentile(lat, 75)),
                     used_slots=used_slots,
-                    used_blocks=used_blocks,
+                    used_blocks=used,
                     live_groups=len(live),
                     waiting=len(waiting),
                 )
@@ -236,16 +320,17 @@ def run_simulation(config: SimConfig) -> SimReport:
         # Admission: fill up to the concurrency limit while the pool can
         # take the prompt plus one block of headroom.
         while waiting and len(live) < config.concurrency_limit and admission_open:
-            script = config.workload[waiting[0]]
-            if pool.free_blocks < prompt_blocks(script) + 1:
+            if capacity - used < prompt_blocks(config.workload[waiting[0]]) + 1:
                 break
             req_id = waiting.popleft()
-            group = new_group(list(script.prompt), pool)
-            clock += config.cost.t_fixed + config.cost.c_token * len(script.prompt)
-            model = models[req_id]
-            if model is None:
-                model = models[req_id] = make_model(script)
-            live.append(_LiveGroup(req_id, group, model, admit_time=clock))
+            profile = profile_of(req_id)
+            first_demand, blocks, slots = profile.start
+            demand += first_demand
+            used += blocks
+            used_slots += slots
+            peak = max(peak, used)
+            clock += config.cost.t_fixed + config.cost.c_token * slots
+            live.append(_LiveGroup(req_id, profile, admit_time=clock))
             close_windows()
 
         # Nothing live means admission is open and the pool empty: only a
@@ -255,48 +340,58 @@ def run_simulation(config: SimConfig) -> SimReport:
             script = config.workload[waiting[0]]
             raise SimulationError(
                 f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
-                f" but the pool holds {config.effective_blocks}"
+                f" but the pool holds {capacity}"
             )
 
         # Reserve this step's worst-case allocations; preempt the most
-        # recently admitted group until the step is guaranteed to fit.  A
-        # group's demand does not depend on the pool, so it is summed once.
-        demand = sum(entry.group.step_block_demand() for entry in live)
-        while pool.free_blocks < demand:
+        # recently admitted group until the step is guaranteed to fit.
+        # ``demand`` sums the live groups' next-step demand: each step,
+        # admission and preemption moves it.
+        while capacity - used < demand:
             if len(live) == 1:
                 raise SimulationError(
                     f"request {live[0].request_id} cannot fit in"
-                    f" {config.effective_blocks} blocks even alone"
+                    f" {capacity} blocks even alone"
                 )
             victim = live.pop()
-            demand -= victim.group.step_block_demand()
-            victim.group.release_live()
+            victim_demand, blocks, slots = victim.profile.state(victim.step)
+            demand -= victim_demand
+            used -= blocks
+            used_slots -= slots
             waiting.append(victim.request_id)
             preemptions += 1
             admission_open = False
 
-        step_batch = step_attended = finished = 0
+        # Groups step in live order, and a step's blocks peak within it.
+        step_batch = step_attended = step_content = demand = finished = 0
         for entry in live:
-            batch, attended, content = apar_step(entry.group, entry.model)
+            batch, attended, content, rise, d_blocks, d_slots, next_demand, _, _ = (
+                entry.profile.rows[entry.step]
+            )
             step_batch += batch
             step_attended += attended
-            entry.content_generated += content
-            window_content += content
-            total_content += content
-            if not entry.group.live:
+            step_content += content
+            if used + rise > peak:
+                peak = used + rise
+            used += d_blocks
+            used_slots += d_slots
+            demand += next_demand
+            entry.step += 1
+            if entry.step == len(entry.profile.rows):
                 finished += 1
+        window_content += step_content
+        total_content += step_content
         clock += config.cost.latency(step_batch, step_attended)
 
         if finished:
             still_live: list[_LiveGroup] = []
             for entry in live:
-                if entry.group.live:
+                if entry.step < len(entry.profile.rows):
                     still_live.append(entry)
                     continue
-                models[entry.request_id] = None
-                completed_content += entry.content_generated
-                elapsed = clock - entry.admit_time
-                per_token = elapsed / max(entry.content_generated, 1)
+                content = entry.profile.content
+                completed_content += content
+                per_token = (clock - entry.admit_time) / max(content, 1)
                 window_latencies.append(per_token)
                 completions.append((clock, per_token))
             admission_open = True
@@ -307,12 +402,12 @@ def run_simulation(config: SimConfig) -> SimReport:
         len(node.tokens) for s in config.workload for node in s.nodes.values()
     )
     if (
-        pool.used_blocks
+        used
         or len(completions) != len(config.workload)
         or completed_content != workload_content
     ):
         raise SimulationInvariantError(
-            f"run ended with {pool.used_blocks} blocks still held,"
+            f"run ended with {used} blocks still held,"
             f" {len(completions)} of {len(config.workload)} requests completed and"
             f" {completed_content} content tokens completed of the"
             f" workload's {workload_content}"
@@ -349,7 +444,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         "preemptions": preemptions,
         "content_tokens": total_content,
         "completed_content": completed_content,
-        "peak_blocks": pool.peak_used,
+        "peak_blocks": peak,
         "simulated_time": clock,
         "samples_kept": len(trimmed),
         "samples_total": len(samples),

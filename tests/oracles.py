@@ -6,13 +6,19 @@ second way, so a test can compare it with what the program produced.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from typing import Mapping, Sequence as Seq
 
+import numpy as np
+
 from apar.attention import LinearizedSample
-from apar.blocks import BlockTable
-from apar.engine import DecodeTrace
-from apar.runtime import SequenceGroup
-from apar.sim import StepCostModel
+from apar.blocks import BlockTable, KvBlockPool
+from apar.engine import DecodeTrace, LanguageModel, apar_step
+from apar.errors import SimulationError, SimulationInvariantError
+from apar.runtime import SequenceGroup, new_group
+from apar.script import ReplayModel, ScriptTree, as_linear
+from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
 from apar.tokens import EOS
 from apar.tree import ParagraphTree, preorder
 
@@ -57,3 +63,182 @@ def check_invariants(group: SequenceGroup) -> None:
             raise AssertionError(f"current node {node.id} of {seq.id} is not a leaf")
         if seq.finished and seq.tokens[-1] != EOS:
             raise AssertionError(f"finished sequence {seq.id} lacks {EOS}")
+
+
+@dataclass
+class _LiveGroup:
+    request_id: int
+    group: SequenceGroup
+    model: LanguageModel
+    admit_time: float
+    content_generated: int = 0
+
+
+def reference_simulation(config: SimConfig) -> SimReport:
+    """``run_simulation`` with the decode engine in the scheduler loop.
+
+    Every admission, re-admissions after a preemption included, decodes its
+    request again with ``apar_step`` on the one shared pool, and the samples
+    and the summary read that pool.
+    """
+    pool = KvBlockPool(config.effective_blocks, block_size=config.block_size)
+    bs = config.block_size
+    waiting: deque[int] = deque(range(len(config.workload)))
+    live: list[_LiveGroup] = []
+    clock = 0.0
+    next_sample = config.sample_period
+    preemptions = 0
+    window_content = 0
+    window_latencies: list[float] = []
+    samples: list[SimSample] = []
+    completions: list[tuple[float, float]] = []
+    total_content = 0
+    completed_content = 0
+    make_model = ReplayModel if config.mode == "apar" else as_linear
+    models: list[LanguageModel | None] = [None] * len(config.workload)
+
+    def prompt_blocks(script: ScriptTree) -> int:
+        return (len(script.prompt) + bs - 1) // bs
+
+    def close_windows() -> None:
+        nonlocal next_sample, window_content, window_latencies
+        while clock >= next_sample:
+            lat = np.array(window_latencies) if window_latencies else np.array([0.0])
+            used_blocks, used_slots, _ = pool.usage_snapshot()
+            samples.append(
+                SimSample(
+                    time=next_sample,
+                    throughput=window_content / config.sample_period,
+                    latency_mean=float(lat.mean()),
+                    latency_p25=float(np.percentile(lat, 25)),
+                    latency_p75=float(np.percentile(lat, 75)),
+                    used_slots=used_slots,
+                    used_blocks=used_blocks,
+                    live_groups=len(live),
+                    waiting=len(waiting),
+                )
+            )
+            window_content = 0
+            window_latencies = []
+            next_sample += config.sample_period
+
+    admission_open = True
+    while waiting or live:
+        while waiting and len(live) < config.concurrency_limit and admission_open:
+            script = config.workload[waiting[0]]
+            if pool.free_blocks < prompt_blocks(script) + 1:
+                break
+            req_id = waiting.popleft()
+            group = new_group(list(script.prompt), pool)
+            clock += config.cost.t_fixed + config.cost.c_token * len(script.prompt)
+            model = models[req_id]
+            if model is None:
+                model = models[req_id] = make_model(script)
+            live.append(_LiveGroup(req_id, group, model, admit_time=clock))
+            close_windows()
+
+        if not live:
+            script = config.workload[waiting[0]]
+            raise SimulationError(
+                f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
+                f" but the pool holds {config.effective_blocks}"
+            )
+
+        demand = sum(entry.group.step_block_demand() for entry in live)
+        while pool.free_blocks < demand:
+            if len(live) == 1:
+                raise SimulationError(
+                    f"request {live[0].request_id} cannot fit in"
+                    f" {config.effective_blocks} blocks even alone"
+                )
+            victim = live.pop()
+            demand -= victim.group.step_block_demand()
+            for seq in victim.group.live.values():
+                pool.release_sequence(seq.block_table)
+            waiting.append(victim.request_id)
+            preemptions += 1
+            admission_open = False
+
+        step_batch = step_attended = finished = 0
+        for entry in live:
+            batch, attended, content = apar_step(entry.group, entry.model)
+            step_batch += batch
+            step_attended += attended
+            entry.content_generated += content
+            window_content += content
+            total_content += content
+            if not entry.group.live:
+                finished += 1
+        clock += config.cost.latency(step_batch, step_attended)
+
+        if finished:
+            still_live: list[_LiveGroup] = []
+            for entry in live:
+                if entry.group.live:
+                    still_live.append(entry)
+                    continue
+                models[entry.request_id] = None
+                completed_content += entry.content_generated
+                elapsed = clock - entry.admit_time
+                per_token = elapsed / max(entry.content_generated, 1)
+                window_latencies.append(per_token)
+                completions.append((clock, per_token))
+            admission_open = True
+            live = still_live
+        close_windows()
+
+    workload_content = sum(
+        len(node.tokens) for s in config.workload for node in s.nodes.values()
+    )
+    if (
+        pool.used_blocks
+        or len(completions) != len(config.workload)
+        or completed_content != workload_content
+    ):
+        raise SimulationInvariantError(
+            f"run ended with {pool.used_blocks} blocks still held,"
+            f" {len(completions)} of {len(config.workload)} requests completed and"
+            f" {completed_content} content tokens completed of the"
+            f" workload's {workload_content}"
+        )
+    clock = max(clock, next_sample)
+    close_windows()
+
+    keep = samples[int(np.ceil(len(samples) * config.warmup_discard_fraction)):]
+    trimmed = list(keep)
+    while trimmed and trimmed[-1].waiting == 0 and trimmed[-1].live_groups == 0:
+        trimmed.pop()
+    if not trimmed:
+        trimmed = keep if keep else samples
+    kept_content = sum(s.throughput for s in trimmed) * config.sample_period
+    kept_time = len(trimmed) * config.sample_period
+    warmup_time = trimmed[0].time - config.sample_period
+    kept_lats = [lat for t, lat in completions if t > warmup_time]
+    if not kept_lats:
+        kept_lats = [lat for _, lat in completions]
+    lats = np.array(kept_lats)
+    kept_tputs = [s.throughput for s in trimmed]
+    summary = {
+        "mode": config.mode,
+        "cache_budget_fraction": config.cache_budget_fraction,
+        "effective_blocks": config.effective_blocks,
+        "throughput": kept_content / kept_time,
+        "steady_throughput": float(np.median(kept_tputs)),
+        "latency_mean": float(lats.mean()),
+        "latency_p25": float(np.percentile(lats, 25)),
+        "latency_p75": float(np.percentile(lats, 75)),
+        "completed": len(completions),
+        "preemptions": preemptions,
+        "content_tokens": total_content,
+        "completed_content": completed_content,
+        "peak_blocks": pool.peak_used,
+        "simulated_time": clock,
+        "samples_kept": len(trimmed),
+        "samples_total": len(samples),
+    }
+    return SimReport(
+        mode=config.mode,
+        cache_budget_fraction=config.cache_budget_fraction,
+        samples=samples,
+        summary=summary,
+    )

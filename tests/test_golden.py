@@ -81,6 +81,30 @@ def test_simulate_shipped_config_ar_bytes(tmp_path, capsys):
     )
 
 
+# Distinct random scripts at block size 3 on a small pool: no two requests
+# share a script, so every admission decodes a script of its own.
+RANDOM_CONFIG = {
+    "workload": {"kind": "random", "count": 40, "seed": 3},
+    "block_size": 3,
+    "capacity_blocks": 40,
+    "concurrency_limit": 8,
+    "sample_period": 0.5,
+}
+
+
+def test_simulate_random_workload_bytes(tmp_path, capsys):
+    parts: list[bytes] = []
+    for mode in ("apar", "ar"):
+        path = tmp_path / f"random_{mode}.json"
+        path.write_text(json.dumps({**RANDOM_CONFIG, "mode": mode}))
+        mode_parts = _simulate_parts(tmp_path, capsys, ["--config", str(path)])
+        assert json.loads(mode_parts[0])["summary"]["preemptions"] > 0
+        parts += mode_parts
+    assert _digest(parts) == (
+        "5dd5cae76d881ea862e0eda17f36f589382b41fe53207a4d69b6144294b50d80"
+    )
+
+
 def test_decode_trace_bytes(tmp_path, capsys):
     parts: list[bytes] = []
     truncated = 0

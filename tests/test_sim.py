@@ -1,5 +1,7 @@
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,9 @@ from apar.sim import (
     run_simulation,
 )
 from apar.tokens import CONTROL_TOKENS
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import reference_simulation  # noqa: E402
 
 
 def constant_cost(t_fixed=0.01):
@@ -114,10 +119,12 @@ class TestPoolDiscipline:
         assert report.summary["completed"] == 12
 
     @pytest.mark.parametrize("mode", ["apar", "ar"])
-    def test_one_model_per_request_and_no_cursor_outlives_the_run(self, monkeypatch, mode):
-        # A preempted request is admitted again with the model built at its
-        # first admission; the threads the preemption threw away took their
-        # scan state with them, and the model keeps none of its own.
+    def test_one_model_per_distinct_script_and_none_outlives_the_run(
+        self, monkeypatch, mode
+    ):
+        # Twelve equal scripts, preempted and admitted again, are decoded
+        # once; a second run decodes them again, since nothing is cached
+        # across calls.  The model keeps no state of its own.
         built = []
 
         def collecting(make):
@@ -138,8 +145,10 @@ class TestPoolDiscipline:
         report = run_simulation(config)
         assert report.summary["preemptions"] > 0
         assert report.summary["completed"] == 12
-        assert len(built) == 12
-        assert [list(vars(model)) for model in built] == [["script"]] * 12
+        assert len(built) == 1
+        run_simulation(config)
+        assert len(built) == 2
+        assert [list(vars(model)) for model in built] == [["script"]] * 2
 
     def test_unschedulable_prompt(self):
         script = ScriptTree(
@@ -201,14 +210,18 @@ class TestEndOfRunChecks:
             run_simulation(config)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# Random workloads of 1-12 random_scripts on small pools.
+random_runs = given(
     seeds=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
     capacity=st.integers(min_value=2, max_value=40),
     block_size=st.integers(min_value=1, max_value=4),
     concurrency=st.integers(min_value=1, max_value=6),
     mode=st.sampled_from(["apar", "ar"]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@random_runs
 def test_random_workload_completes_or_is_refused(
     seeds, capacity, block_size, concurrency, mode
 ):
@@ -230,6 +243,65 @@ def test_random_workload_completes_or_is_refused(
     assert report.summary["completed"] == len(workload)
     expected = sum(len(flatten_script(s)) for s in workload)
     assert report.summary["completed_content"] == expected
+
+
+def _outcome(simulate, config: SimConfig):
+    """The report's bytes, or the type and message of the SimulationError."""
+    try:
+        report = simulate(config)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+    return report.to_json(), report.to_csv()
+
+
+@settings(max_examples=300, deadline=None)
+@random_runs
+def test_random_workload_matches_the_engine_in_the_loop(
+    seeds, capacity, block_size, concurrency, mode
+):
+    """Scheduling from step profiles gives the bytes, or the refusal, of
+    decoding every admission with the engine on the shared pool."""
+    config = SimConfig(
+        workload=[random_script(seed) for seed in seeds],
+        mode=mode,
+        capacity_blocks=capacity,
+        block_size=block_size,
+        concurrency_limit=concurrency,
+    )
+    assert _outcome(run_simulation, config) == _outcome(reference_simulation, config)
+
+
+class TestSharedProfiles:
+    @pytest.mark.parametrize("mode", ["apar", "ar"])
+    def test_repeated_script_objects(self, mode):
+        a, b = random_script(1), random_script(2)
+        config = SimConfig(
+            workload=[a, b, a, a, b, a, b, b],
+            mode=mode,
+            capacity_blocks=16,
+            block_size=1,
+            concurrency_limit=4,
+            sample_period=0.1,
+        )
+        outcome = _outcome(run_simulation, config)
+        assert json.loads(outcome[0])["summary"]["preemptions"] > 0
+        assert outcome == _outcome(reference_simulation, config)
+
+    @pytest.mark.parametrize("mode", ["apar", "ar"])
+    def test_equal_content_distinct_objects(self, mode):
+        workload = [list_script(items=3, detail_len=9 + i % 2) for i in range(10)]
+        assert workload[0] == workload[2] and workload[0] is not workload[2]
+        config = SimConfig(
+            workload=workload,
+            mode=mode,
+            capacity_blocks=30,
+            block_size=3,
+            concurrency_limit=5,
+            sample_period=0.1,
+        )
+        outcome = _outcome(run_simulation, config)
+        assert json.loads(outcome[0])["summary"]["preemptions"] > 0
+        assert outcome == _outcome(reference_simulation, config)
 
 
 class TestDeterminismAndSweep:
