@@ -3,7 +3,6 @@
 from .blocks import DEFAULT_BLOCK_SIZE, BlockTable, KvBlockPool
 from .engine import DecodeResult, DecodeTrace, apar_decode, apar_step, ar_decode
 from .errors import (
-    CapacityError,
     ProtocolError,
     ScriptMismatch,
     SimulationError,

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .engine import apar_decode, ar_decode
 from .errors import (
-    CapacityError,
     ProtocolError,
     ScriptMismatch,
     SimulationError,
@@ -288,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ProtocolError,
         TreeError,
-        CapacityError,
         ScriptMismatch,
         SimulationInvariantError,
         AssertionError,

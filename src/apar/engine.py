@@ -27,15 +27,15 @@ apar_step returns counts, (batch, attended, content), and builds no record
 of its own: it fills a StepRecord only when given one, and only the decode
 loop gives one, for its trace.
 
-Capacity has one rule: every pool a step runs on has no cap (a standalone
-decode's, and the private one the simulator profiles a request on), so a
-fork cannot run out of blocks.
+Every pool a step runs on has no cap: a standalone decode's, and the
+private one the simulator profiles a request on.  So a fork cannot run
+out of blocks; the simulator bounds its shared pool by reserving each
+step's blocks before the step runs.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence as Seq
 
@@ -188,19 +188,20 @@ def _decode(
     max_seq_len: int,
     block_size: int,
 ) -> DecodeResult:
-    # The pool fills lazily, so a capacity it never reaches costs nothing.
-    pool = KvBlockPool(sys.maxsize, block_size=block_size)
+    pool = KvBlockPool(block_size=block_size)
     group = new_group(prompt, pool)
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
+    steps = 0
     while True:
-        out_of_steps = trace.steps >= max_steps
+        out_of_steps = steps >= max_steps
         for seq in list(group.live.values()):
             if out_of_steps or len(seq.tokens) >= max_seq_len:
                 group.append_token(seq.id, EOS)
                 trace.truncated = True
-        if group.all_finished():
+        if not group.live:
             break
-        rec = StepRecord(step=trace.steps + 1)
+        steps += 1
+        rec = StepRecord(step=steps)
         apar_step(group, model, rec)
         rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
         rec.logical_slots = group.logical_slots

@@ -9,10 +9,6 @@ class ProtocolError(RuntimeError):
     """An operation was invoked in a state its contract forbids."""
 
 
-class CapacityError(RuntimeError):
-    """The block pool cannot satisfy an allocation."""
-
-
 class ScriptMismatch(RuntimeError):
     """A decode context diverged from the script that should have produced it."""
 

@@ -6,8 +6,8 @@ ends with [Fork], forking it clones the prefix into a child thread, injects
 child's content node) and a next_sibling (the parent's continuation node).
 
 The group owns its threads' blocks in the physical pool.  A thread's blocks
-are freed when it appends [EOS]; ``step_block_demand`` answers how many
-blocks the group's next step can allocate.
+are freed when it appends [EOS].  The pool has no cap, so a fork or an
+append cannot run out of blocks.
 
 The group also tracks *logical* cache occupancy: distinct cached tokens with
 shared prefixes counted once, released per-thread as threads finish.  This
@@ -76,30 +76,10 @@ class SequenceGroup:
     def thread_count(self) -> int:
         return len(self.sequences)
 
-    def step_block_demand(self) -> int:
-        """Blocks the next step allocates.
-
-        A fork takes one block, and so does an append to a thread whose
-        last block is full.
-        """
-        block_size = self.pool.block_size
-        demand = 0
-        for seq in self.live.values():
-            if seq.tokens[-1] == FORK:
-                demand += 1  # a fork allocates exactly one block either way
-            if len(seq.tokens) % block_size == 0:
-                demand += 1
-        return demand
-
     # -- mutation --
 
     def fork_sequence(self, parent_id: int) -> int:
-        """Fork ``parent_id`` after its trailing [Fork] token; return the child id.
-
-        Raises CapacityError before any state changes if the pool cannot
-        supply the single block the child needs.  No decode loop catches it:
-        every pool a decode steps on has no cap.
-        """
+        """Fork ``parent_id`` after its trailing [Fork] token; return the child id."""
         parent = self._get(parent_id)
         if parent.finished:
             raise ProtocolError(f"fork from finished sequence {parent_id}")
@@ -117,11 +97,7 @@ class SequenceGroup:
             current_node=-1,
             block_table=child_table,
         )
-        try:
-            self.pool.append_slot(child_table)  # slot for the injected [Child]
-        except Exception:
-            self.pool.release_sequence(child_table)
-            raise
+        self.pool.append_slot(child_table)  # slot for the injected [Child]
         child.tokens.append(CHILD)
         self._next_seq_id += 1
 

@@ -11,15 +11,16 @@ blocks return to the pool at its [EOS].
 A request's steps depend on its script alone: the engine is deterministic,
 and the reservation means no step waits on another group.  So each run
 works in two parts.  The first admission of a script's content decodes it
-alone, with apar_step and the mode's replay model on a private pool, into a
-step profile: per step, the block demand, the batch, the attended and
-content tokens, the blocks and slots the group holds after it, and how far
-its blocks peak above the step's start.  The model lives only while the
-profile is built, and requests with equal scripts share one profile.  The
-scheduler then runs on integers: each live group is a profile and a step
-index, and the pool is a running count of used blocks and slots and their
-peak, moved by each admission, step and preemption.  No profile outlives
-the run.
+alone, with apar_step and the mode's replay model on a private uncapped
+pool, into a step profile: per step, the batch, the attended and content
+tokens, the blocks and slots the group holds after it, how far its blocks
+peak above the step's start, and the blocks it allocates, which is the
+block demand the scheduler reserves before the step.  The model lives only
+while the profile is built, and requests with equal scripts share one
+profile.  The scheduler then runs on integers: each live group is a profile
+and a step index, and the pool is a running count of used blocks and slots
+and their peak, moved by each admission, step and preemption.  No profile
+outlives the run.
 
 A config that admits no schedule raises SimulationError.  A profile whose
 private pool is not drained, or a run that ends with blocks still held,
@@ -28,7 +29,9 @@ tokens differ from the workload's flattened content raises its subclass
 SimulationInvariantError, since that is a fault of the program, not of the
 config.
 
-The run samples the system every ``sample_period`` simulated seconds.
+The run samples the system every ``sample_period`` simulated seconds, at
+most MAX_SAMPLES times: a period that would take more raises
+SimulationError.
 Summary figures discard the leading warm-up fraction of samples and the
 trailing samples taken with no request waiting and none live.
 """
@@ -66,6 +69,7 @@ DEFAULT_CAPACITY_BLOCKS = 600
 DEFAULT_CONCURRENCY = 350
 DEFAULT_SAMPLE_PERIOD = 3.0
 DEFAULT_WARMUP_FRACTION = 1.0 / 3.0
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,10 @@ class _Profile:
     peak rise (how far the group's blocks rose above the step's start),
     the change in the group's used blocks and slots, and then the state
     after the step: the next step's block demand and the used blocks and
-    slots.  ``start`` is that state before the first step.  A group shares
-    no block with another, so on the shared pool its counts move just as
-    they do here.
+    slots.  ``start`` is that state before the first step.  A step's
+    demand is the blocks it allocates, counted on the private pool.  A
+    group shares no block with another, so on the shared pool its counts
+    move just as they do here.
     """
 
     __slots__ = ("start", "rows", "content")
@@ -207,21 +212,23 @@ class _Profile:
         make_model: Callable[[ScriptTree], LanguageModel],
         block_size: int,
     ):
-        # The pool fills lazily, so a capacity it never reaches costs nothing.
-        pool = KvBlockPool(sys.maxsize, block_size=block_size)
+        pool = KvBlockPool(block_size=block_size)
         group = new_group(script.prompt, pool)
         model = make_model(script)
         used, slots, _ = pool.usage_snapshot()
-        self.start = (group.step_block_demand(), used, slots)
-        self.rows: list[tuple[int, ...]] = []
+        start = (used, slots)
+        stepped: list[tuple[int, ...]] = []
+        allocated: list[int] = []
         self.content = 0
         while group.live:
             pool.peak_used = used  # so the peak read after the step is its own
+            allocations = pool.allocations
             batch, attended, content = apar_step(group, model)
             after, after_slots, peak = pool.usage_snapshot()
-            self.rows.append(
+            allocated.append(pool.allocations - allocations)
+            stepped.append(
                 (batch, attended, content, peak - used, after - used,
-                 after_slots - slots, group.step_block_demand(), after, after_slots)
+                 after_slots - slots, after, after_slots)
             )
             self.content += content
             used, slots = after, after_slots
@@ -229,6 +236,12 @@ class _Profile:
             raise SimulationInvariantError(
                 f"decoding a request alone ended with {used} blocks still held"
             )
+        # Shift the counts back one row: each row holds the next step's.
+        allocated.append(0)
+        self.start = (allocated[0], *start)
+        self.rows = [
+            (*row[:6], demand, *row[6:]) for row, demand in zip(stepped, allocated[1:])
+        ]
 
     def state(self, step: int) -> tuple[int, int, int]:
         """Block demand, used blocks and used slots after ``step`` steps."""
@@ -293,6 +306,12 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     def close_windows() -> None:
         nonlocal next_sample, window_content, window_latencies
+        # Checked before sampling, so that a tiny period fails at once.
+        if clock >= next_sample + (MAX_SAMPLES - len(samples)) * config.sample_period:
+            raise SimulationError(
+                f"sample_period {config.sample_period} takes more than"
+                f" {MAX_SAMPLES} samples"
+            )
         while clock >= next_sample:
             lat = np.array(window_latencies) if window_latencies else np.array([0.0])
             samples.append(

@@ -19,7 +19,7 @@ from apar.errors import SimulationError, SimulationInvariantError
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, ScriptTree, as_linear
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
-from apar.tokens import EOS
+from apar.tokens import EOS, FORK
 from apar.tree import ParagraphTree, preorder
 
 
@@ -55,6 +55,22 @@ def cached_tokens(table: BlockTable, block_size: int) -> int:
     return (len(table.blocks) - 1) * block_size + table.slots_used_in_last_block
 
 
+def step_block_demand(group: SequenceGroup) -> int:
+    """Blocks the group's next step allocates, read from its live threads.
+
+    A fork takes one block, and so does an append to a thread whose last
+    block is full.
+    """
+    block_size = group.pool.block_size
+    demand = 0
+    for seq in group.live.values():
+        if seq.tokens[-1] == FORK:
+            demand += 1  # a fork allocates exactly one block either way
+        if len(seq.tokens) % block_size == 0:
+            demand += 1
+    return demand
+
+
 def check_invariants(group: SequenceGroup) -> None:
     """Every thread sits on a leaf node, and a finished one ends in [EOS]."""
     for seq in group.sequences.values():
@@ -79,9 +95,11 @@ def reference_simulation(config: SimConfig) -> SimReport:
 
     Every admission, re-admissions after a preemption included, decodes its
     request again with ``apar_step`` on the one shared pool, and the samples
-    and the summary read that pool.
+    and the summary read that pool.  The pool has no cap: the scheduler keeps
+    it within ``effective_blocks``, and every step checks that it did.
     """
-    pool = KvBlockPool(config.effective_blocks, block_size=config.block_size)
+    pool = KvBlockPool(block_size=config.block_size)
+    capacity = config.effective_blocks
     bs = config.block_size
     waiting: deque[int] = deque(range(len(config.workload)))
     live: list[_LiveGroup] = []
@@ -126,7 +144,7 @@ def reference_simulation(config: SimConfig) -> SimReport:
     while waiting or live:
         while waiting and len(live) < config.concurrency_limit and admission_open:
             script = config.workload[waiting[0]]
-            if pool.free_blocks < prompt_blocks(script) + 1:
+            if capacity - pool.used_blocks < prompt_blocks(script) + 1:
                 break
             req_id = waiting.popleft()
             group = new_group(list(script.prompt), pool)
@@ -141,18 +159,18 @@ def reference_simulation(config: SimConfig) -> SimReport:
             script = config.workload[waiting[0]]
             raise SimulationError(
                 f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
-                f" but the pool holds {config.effective_blocks}"
+                f" but the pool holds {capacity}"
             )
 
-        demand = sum(entry.group.step_block_demand() for entry in live)
-        while pool.free_blocks < demand:
+        demand = sum(step_block_demand(entry.group) for entry in live)
+        while capacity - pool.used_blocks < demand:
             if len(live) == 1:
                 raise SimulationError(
                     f"request {live[0].request_id} cannot fit in"
-                    f" {config.effective_blocks} blocks even alone"
+                    f" {capacity} blocks even alone"
                 )
             victim = live.pop()
-            demand -= victim.group.step_block_demand()
+            demand -= step_block_demand(victim.group)
             for seq in victim.group.live.values():
                 pool.release_sequence(seq.block_table)
             waiting.append(victim.request_id)
@@ -170,6 +188,10 @@ def reference_simulation(config: SimConfig) -> SimReport:
             if not entry.group.live:
                 finished += 1
         clock += config.cost.latency(step_batch, step_attended)
+        # The peak covers the step's blocks before its [EOS] frees any.
+        assert pool.peak_used <= capacity, (
+            f"a step took the pool to {pool.peak_used} of {capacity} blocks"
+        )
 
         if finished:
             still_live: list[_LiveGroup] = []

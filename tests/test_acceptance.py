@@ -86,7 +86,7 @@ def test_criterion_02_mask_oracle():
 
 def test_criterion_03_fork_copies_at_most_one_block():
     for parent_len in range(0, 161):
-        pool = KvBlockPool(64, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = BlockTable(owner=0)
         for _ in range(parent_len):
             pool.append_slot(parent)
@@ -104,7 +104,7 @@ def test_criterion_03_fork_copies_at_most_one_block():
 
     for seed in range(500):
         rng = random.Random(seed)
-        pool = KvBlockPool(512, block_size=16)
+        pool = KvBlockPool(block_size=16)
         tables = []
         first = BlockTable(owner=0)
         for _ in range(rng.randint(0, 50)):
@@ -125,7 +125,6 @@ def test_criterion_03_fork_copies_at_most_one_block():
         for table in tables:
             pool.release_sequence(table)
         assert pool.usage_snapshot()[:2] == (0, 0), seed
-        assert pool.free_blocks == pool.capacity, seed
 
 
 def test_criterion_04a_fig3_toy_schedule(fig3_script):

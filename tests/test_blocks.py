@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import cached_tokens  # noqa: E402
 
 from apar.blocks import BlockTable, KvBlockPool
-from apar.errors import CapacityError, ProtocolError
+from apar.errors import ProtocolError
 
 
 def filled_table(pool, n, owner=0):
@@ -21,13 +21,13 @@ def filled_table(pool, n, owner=0):
 
 class TestAppendSlot:
     def test_first_append(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 1)
         assert len(table.blocks) == 1
         assert table.slots_used_in_last_block == 1
 
     def test_boundary(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 16)
         assert len(table.blocks) == 1
         pool.append_slot(table)
@@ -35,22 +35,23 @@ class TestAppendSlot:
         assert table.slots_used_in_last_block == 1
 
     def test_33_appends(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 33)
         assert len(table.blocks) == 3
         assert table.slots_used_in_last_block == 1
         assert cached_tokens(table, 16) == 33
 
-    def test_exhaustion(self):
-        pool = KvBlockPool(1, block_size=2)
-        table = filled_table(pool, 2)
-        with pytest.raises(CapacityError):
-            pool.append_slot(table)
+    def test_no_cap(self):
+        # Never-used ids go out in ascending order, as many as asked for.
+        pool = KvBlockPool(block_size=2)
+        table = filled_table(pool, 2 * 5000)
+        assert table.blocks == list(range(5000))
+        assert pool.usage_snapshot() == (5000, 10000, 5000)
 
 
 class TestForkTable:
     def test_full_blocks_all_shared(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = filled_table(pool, 32)
         child = pool.fork_table(parent, child_owner=1)
         assert child.blocks == parent.blocks
@@ -59,7 +60,7 @@ class TestForkTable:
         assert pool.used_blocks == 2
 
     def test_partial_block_copied(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = filled_table(pool, 33)
         child = pool.fork_table(parent, child_owner=1)
         assert child.blocks[:2] == parent.blocks[:2]
@@ -71,7 +72,7 @@ class TestForkTable:
         assert child.slots_used_in_last_block == 1
 
     def test_three_successive_forks(self):
-        pool = KvBlockPool(16, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = filled_table(pool, 33)
         copies = set()
         for owner in (1, 2, 3):
@@ -82,23 +83,23 @@ class TestForkTable:
         assert len(copies) == 3
 
     def test_empty_parent(self):
-        pool = KvBlockPool(4, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = BlockTable(owner=0)
         child = pool.fork_table(parent, child_owner=1)
         assert child.blocks == []
 
-    def test_no_free_block_for_copy(self):
-        pool = KvBlockPool(1, block_size=4)
+    def test_copy_takes_the_last_freed_block(self):
+        pool = KvBlockPool(block_size=4)
         parent = filled_table(pool, 3)
-        before = pool.usage_snapshot()
-        with pytest.raises(CapacityError):
-            pool.fork_table(parent, child_owner=1)
-        assert pool.usage_snapshot() == before
+        pool.release_sequence(filled_table(pool, 8, owner=1))  # frees 1, then 2
+        child = pool.fork_table(parent, child_owner=2)
+        assert child.blocks == [2]
+        assert pool.usage_snapshot() == (2, 6, 3)
 
 
 class TestRelease:
     def test_shared_and_unique(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = filled_table(pool, 33)
         child = pool.fork_table(parent, child_owner=1)
         for _ in range(16):  # grow the child into one more block
@@ -110,13 +111,13 @@ class TestRelease:
         assert pool.refcount[parent.blocks[1]] == 1
 
     def test_sole_sequence_frees_all(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 33)
         assert pool.release_sequence(table) == 3
         assert pool.used_blocks == 0
 
     def test_double_release(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 5)
         pool.release_sequence(table)
         with pytest.raises(ProtocolError):
@@ -125,15 +126,15 @@ class TestRelease:
 
 class TestUsageSnapshot:
     def test_fresh(self):
-        assert KvBlockPool(8).usage_snapshot() == (0, 0, 0)
+        assert KvBlockPool().usage_snapshot() == (0, 0, 0)
 
     def test_after_33(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         filled_table(pool, 33)
         assert pool.usage_snapshot() == (3, 33, 3)
 
     def test_after_fork(self):
-        pool = KvBlockPool(8, block_size=16)
+        pool = KvBlockPool(block_size=16)
         parent = filled_table(pool, 33)
         pool.fork_table(parent, child_owner=1)
         assert pool.usage_snapshot() == (4, 34, 4)
@@ -142,7 +143,7 @@ class TestUsageSnapshot:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=160))
 def test_fork_allocates_at_most_one_block(parent_len):
-    pool = KvBlockPool(64, block_size=16)
+    pool = KvBlockPool(block_size=16)
     parent = filled_table(pool, parent_len)
     used_before = pool.used_blocks
     child = pool.fork_table(parent, child_owner=1)
@@ -156,7 +157,7 @@ def test_fork_allocates_at_most_one_block(parent_len):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_no_leaks_random_schedules(seed):
     rng = random.Random(seed)
-    pool = KvBlockPool(256, block_size=8)
+    pool = KvBlockPool(block_size=8)
     tables = [filled_table(pool, rng.randint(0, 40), owner=0)]
     next_owner = 1
     for _ in range(rng.randint(1, 30)):
@@ -174,22 +175,23 @@ def test_no_leaks_random_schedules(seed):
     for table in tables:
         pool.release_sequence(table)
     assert pool.usage_snapshot()[:2] == (0, 0)
-    assert pool.free_blocks == pool.capacity
 
 
 class EagerPool:
-    """Reference pool: the eager free list of ids and a summed slot count."""
+    """Reference pool: an eager free list of ids and a summed slot count.
 
-    def __init__(self, capacity, block_size):
+    The free list starts with ``ids`` ids, more than a run can hold at
+    once, so it never runs dry: like the lazy pool, it has no cap.
+    """
+
+    def __init__(self, block_size, ids):
         self.block_size = block_size
         self.refcount = {}
-        self.free_list = list(range(capacity - 1, -1, -1))
+        self.free_list = list(range(ids - 1, -1, -1))
         self.slots_filled = {}
         self.peak_used = 0
 
     def _alloc(self):
-        if not self.free_list:
-            raise CapacityError("block pool exhausted")
         block = self.free_list.pop()
         self.refcount[block] = 1
         self.slots_filled[block] = 0
@@ -233,10 +235,6 @@ class EagerPool:
     def usage_snapshot(self):
         return len(self.refcount), sum(self.slots_filled.values()), self.peak_used
 
-    @property
-    def free_blocks(self):
-        return len(self.free_list)
-
 
 def _apply(pool, tables, op, pick, count):
     """Run one operation on ``pool``; return its result or the error type."""
@@ -252,14 +250,13 @@ def _apply(pool, tables, op, pick, count):
             tables.append(pool.fork_table(tables[pick % len(tables)], child_owner=len(tables)))
         elif op == "release" and tables:
             return pool.release_sequence(tables.pop(pick % len(tables)))
-    except (CapacityError, ProtocolError) as exc:
+    except ProtocolError as exc:
         return type(exc)
     return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=12),
     st.sampled_from([1, 2, 4]),
     st.lists(
         st.tuples(
@@ -270,12 +267,13 @@ def _apply(pool, tables, op, pick, count):
         max_size=60,
     ),
 )
-def test_lazy_pool_matches_eager_reference(capacity, block_size, ops):
-    pool, ref = KvBlockPool(capacity, block_size=block_size), EagerPool(capacity, block_size)
+def test_lazy_pool_matches_eager_reference(block_size, ops):
+    # An operation allocates at most ``count`` blocks, a fork at most one.
+    ids = sum(count for _, _, count in ops)
+    pool, ref = KvBlockPool(block_size=block_size), EagerPool(block_size, ids)
     tables, ref_tables = [], []
     for op, pick, count in ops + [("release", 0, 1)] * (len(ops) + 1):
         assert _apply(pool, tables, op, pick, count) == _apply(ref, ref_tables, op, pick, count)
         assert [t.blocks for t in tables] == [t.blocks for t in ref_tables]
-        assert pool.free_blocks == ref.free_blocks
         assert pool.usage_snapshot() == ref.usage_snapshot()
-    assert pool.free_blocks == pool.capacity
+    assert pool.usage_snapshot()[:2] == (0, 0)

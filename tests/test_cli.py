@@ -13,7 +13,7 @@ from apar import engine
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
 from apar.script import ScriptNode, ScriptTree, script_to_json
-from apar.sim import list_script
+from apar.sim import MAX_SAMPLES, list_script
 from apar.tokens import CONTROL_TOKENS
 
 
@@ -336,6 +336,17 @@ class TestBadInput:
             ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
         )
         assert named in err
+        assert not (tmp_path / "r").exists()
+
+    def test_simulate_tiny_sample_period(self, tmp_path, capsys):
+        # One sample per elapsed period made this run append samples without
+        # end; the sample cap refuses it before the first sample.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sample_period": 1e-300}))
+        err = self.assert_input_error(
+            ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
+        )
+        assert f"more than {MAX_SAMPLES} samples" in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("value", ["1e400", "NaN"])

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import check_invariants  # noqa: E402
+from oracles import check_invariants, step_block_demand  # noqa: E402
 
 from apar.blocks import KvBlockPool
 from apar.engine import StepRecord, apar_decode, apar_step, ar_decode
-from apar.errors import CapacityError, ProtocolError
+from apar.errors import ProtocolError
 from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import list_script
@@ -145,20 +145,21 @@ class TestProperties:
     @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
     def test_step_block_demand_is_the_step_allocation(self, make_model, block_size):
-        # The simulator reserves this demand before each step; on a pool
-        # that cannot run out, the step must allocate exactly that many.
+        # The oracle reads the step's allocations off the live threads before
+        # it runs; the pool counts them as they happen.
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
-            pool = KvBlockPool(1 << 16, block_size=block_size)
+            pool = KvBlockPool(block_size=block_size)
             group = new_group(list(script.prompt), pool)
             model = make_model(script)
             while not group.all_finished():
-                demand = group.step_block_demand()
-                before = pool.used_blocks
+                demand = step_block_demand(group)
+                before, allocations = pool.used_blocks, pool.allocations
                 rec = StepRecord(step=steps + 1)
                 apar_step(group, model, rec)
                 assert pool.used_blocks - before + rec.blocks_freed == demand, (seed, steps)
+                assert pool.allocations - allocations == demand, (seed, steps)
                 steps += 1
         assert steps > 1000
 
@@ -172,7 +173,7 @@ class TestProperties:
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
             traced, plain = (
-                new_group(list(script.prompt), KvBlockPool(1 << 16, block_size=block_size))
+                new_group(list(script.prompt), KvBlockPool(block_size=block_size))
                 for _ in range(2)
             )
             traced_model, plain_model = make_model(script), make_model(script)
@@ -184,22 +185,10 @@ class TestProperties:
                 assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
                 assert plain.sequences_map() == traced.sequences_map()
                 assert plain.pool.used_blocks == traced.pool.used_blocks
-                assert plain.step_block_demand() == traced.step_block_demand()
+                assert step_block_demand(plain) == step_block_demand(traced)
                 steps += 1
             assert plain.all_finished()
         assert steps > 1000
-
-    def test_fork_without_a_block_raises(self, fig3_script):
-        # Blocks are reserved before a step runs, so a fork that finds none
-        # is an error, not a fork silently skipped.
-        pool = KvBlockPool(1, block_size=16)
-        group = new_group(list(fig3_script.prompt), pool)
-        model = ReplayModel(fig3_script)
-        for _ in range(3):  # a1 a2 [Fork]
-            apar_step(group, model)
-        with pytest.raises(CapacityError):
-            apar_step(group, model)
-        assert group.thread_count() == 1 and pool.used_blocks == 1
 
     def test_standalone_pool_has_no_cap(self):
         # Within the decode limits, but it needs more than 65,536 one-slot blocks.

@@ -7,13 +7,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import check_invariants  # noqa: E402
 
 from apar.blocks import KvBlockPool
-from apar.errors import CapacityError, ProtocolError
+from apar.errors import ProtocolError
 from apar.runtime import new_group
 from apar.tokens import CHILD, EOS, FORK
 
 
-def make_group(prompt=("Q",), capacity=64, block_size=16, **kw):
-    pool = KvBlockPool(capacity, block_size=block_size)
+def make_group(prompt=("Q",), block_size=16, **kw):
+    pool = KvBlockPool(block_size=block_size)
     return new_group(list(prompt), pool, **kw), pool
 
 
@@ -30,12 +30,12 @@ class TestNewGroup:
         assert len(group.sequences) == 1
 
     def test_control_token_rejected(self):
-        pool = KvBlockPool(8)
+        pool = KvBlockPool()
         with pytest.raises(ProtocolError):
             new_group(["hi", FORK], pool)
 
     def test_empty_prompt_rejected(self):
-        pool = KvBlockPool(8)
+        pool = KvBlockPool()
         with pytest.raises(ProtocolError):
             new_group([], pool)
 
@@ -93,20 +93,6 @@ class TestFork:
         n = len(parent.tokens)
         assert child.tokens[:n] == parent.tokens
         assert child.tokens[n:] == [CHILD]
-
-    def test_fork_abort_on_capacity_leaves_state_intact(self):
-        group, pool = make_group(("Q",), capacity=1, block_size=16)
-        for tok in ("a1", "a2", FORK):
-            group.append_token(0, tok)
-        nodes_before = dict(group.tree.nodes)
-        with pytest.raises(CapacityError):
-            group.fork_sequence(0)
-        assert len(group.sequences) == 1
-        assert dict(group.tree.nodes) == nodes_before
-        assert group.tree.nodes[0].end is None
-        # parent can continue linearly
-        group.append_token(0, "b1")
-        assert group.sequences[0].tokens[-1] == "b1"
 
 
 class TestAppend:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from apar import engine, sim
 from apar.blocks import KvBlockPool
+from apar.engine import apar_step
 from apar.errors import SimulationError, SimulationInvariantError
+from apar.runtime import new_group
 from apar.script import (
     ReplayModel,
     ScriptNode,
@@ -28,7 +30,7 @@ from apar.sim import (
 from apar.tokens import CONTROL_TOKENS
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import reference_simulation  # noqa: E402
+from oracles import reference_simulation, step_block_demand  # noqa: E402
 
 
 def constant_cost(t_fixed=0.01):
@@ -269,6 +271,24 @@ def test_random_workload_matches_the_engine_in_the_loop(
         concurrency_limit=concurrency,
     )
     assert _outcome(run_simulation, config) == _outcome(reference_simulation, config)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 4, 16])
+@pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+def test_profile_demand_is_the_walked_demand(make_model, block_size):
+    """A profile counts each step's allocations after the step; the oracle
+    reads them off the live threads before it.  Both give the demand the
+    scheduler reserves, for the first step and after every step."""
+    for seed in range(60):
+        script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+        profile = sim._Profile(script, make_model, block_size)
+        group = new_group(list(script.prompt), KvBlockPool(block_size=block_size))
+        model = make_model(script)
+        walked = [step_block_demand(group)]
+        while group.live:
+            apar_step(group, model)
+            walked.append(step_block_demand(group))
+        assert [profile.start[0]] + [row[6] for row in profile.rows] == walked, seed
 
 
 class TestSharedProfiles:
