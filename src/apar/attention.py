@@ -4,6 +4,9 @@ Linearization layout: a node emits its content, then [Fork] if it has
 children; a first_child subtree opens with the injected [Child]; a leaf
 closes its thread with [EOS].  Under that layout the training mask of a
 token equals exactly what the token could see at decode time.
+
+Nodes are laid out in ``preorder``, so a node's subtree is one stretch of
+positions: a mask needs each subtree's last node, not an ancestor relation.
 """
 
 from __future__ import annotations
@@ -63,48 +66,56 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
     return LinearizedSample(tokens, node_of, len(script.prompt)), tree
 
 
-def _ancestor_matrix(tree: ParagraphTree) -> tuple[dict[int, int], np.ndarray]:
-    """Dense index map plus strict-ancestor relation over the tree's nodes.
-
-    A node's dense index is its ``preorder`` position.  Preorder yields a
-    node after the node pointing at it, so each row is its parent's row
-    plus the parent.  Nodes the root does not reach get no index.
-    """
-    dense: dict[int, int] = {}
-    anc = np.zeros((len(tree.nodes), len(tree.nodes)), dtype=np.bool_)
-    for node, parent in preorder(tree.root, tree.nodes):
-        i = dense[node.id] = len(dense)
-        if parent is not None:
-            p = dense[parent]
-            anc[i] = anc[p]
-            anc[i, p] = True
-    return dense, anc
-
-
 def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:
     """Boolean (n, n) mask: row = query token, column = key token.
 
     A token sees the prompt, every token of its strict ancestors, and its
-    own node causally.
+    own node causally.  Generated positions must follow ``preorder``, as
+    ``linearize_script`` lays them out; a position whose node comes before
+    the previous position's node raises TreeError.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
-    dense, anc = _ancestor_matrix(tree)
+    dense: dict[int, int] = {}
+    parent_of: list[int] = []
+    for node, parent in preorder(tree.root, tree.nodes):
+        parent_of.append(dense[parent] if parent is not None else -1)
+        dense[node.id] = len(dense)
+    # A child follows its parent in preorder: one reverse pass carries last up.
+    last = list(range(len(parent_of)))
+    for v in range(len(parent_of) - 1, 0, -1):
+        p = parent_of[v]
+        last[p] = max(last[p], last[v])
     dense[-1] = -1  # prompt positions; unknown ids map to -2
     node_of = np.fromiter(
         map(dense.get, sample.node_of, repeat(-2)), dtype=np.int64, count=n
     )
-    bad = node_of == -2
-    generated = slice(max(sample.prompt_len, 0), None)
-    bad[generated] |= node_of[generated] == -1
-    bad_at = np.flatnonzero(bad)
-    if bad_at.size:
-        i = int(bad_at[0])
-        if node_of[i] == -1:
+    plen = min(max(sample.prompt_len, 0), n)
+    gen = node_of[plen:]
+    if (plen and node_of[:plen].min() < -1) or (
+        gen.size and (gen[0] < 0 or (gen[1:] < gen[:-1]).any())
+    ):
+        _raise_first_bad(sample, node_of.tolist(), plen)
+    return build_mask_array(node_of, last, sample.prompt_len)
+
+
+def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:
+    """Raise TreeError for the first position build_training_mask rejects."""
+    prev = -1
+    for i, v in enumerate(node_of):
+        if v == -2:
+            raise TreeError(f"position {i} maps to unknown node {sample.node_of[i]}")
+        if i < plen:
+            continue
+        if v == -1:
             raise TreeError(f"generated position {i} has no node")
-        raise TreeError(f"position {i} maps to unknown node {sample.node_of[i]}")
-    return build_mask_array(node_of, anc, sample.prompt_len)
+        if v < prev:
+            raise TreeError(
+                f"position {i} is out of preorder: node {sample.node_of[i]}"
+                f" follows node {sample.node_of[i - 1]}"
+            )
+        prev = v
 
 
 def build_loss_mask(sample: LinearizedSample) -> np.ndarray:

@@ -102,7 +102,10 @@ class TrainingSample:
 
 def tokenize(text: str) -> list[str]:
     """Whitespace word split; reserved control surfaces get escaped."""
-    return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in text.split()]
+    tokens = text.split()
+    if CONTROL_TOKENS.isdisjoint(tokens):
+        return tokens
+    return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
 
 
 def _chain_tree(
@@ -196,7 +199,7 @@ def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
     """The response's kind and, for a list or paragraphs, its parsed tree."""
     if any(p.search(text) for p in _AMBIGUOUS_RES):
         return "unstructured", None
-    if any(tok in CONTROL_TOKENS for tok in text.split()):
+    if not CONTROL_TOKENS.isdisjoint(text.split()):
         return "unstructured", None
     content = extract_ordered_list(text)
     if content is not None:

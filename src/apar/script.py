@@ -49,8 +49,8 @@ class ScriptTree:
 
     def __post_init__(self) -> None:
         for node in self.nodes.values():
-            bad = [t for t in node.tokens if t in CONTROL_TOKENS]
-            if bad:
+            if not CONTROL_TOKENS.isdisjoint(node.tokens):
+                bad = [t for t in node.tokens if t in CONTROL_TOKENS]
                 raise ValueError(f"script node {node.id} contains control tokens {bad}")
             if (node.first_child is None) != (node.next_sibling is None):
                 raise ValueError(f"script node {node.id} has exactly 1 pointer")

@@ -58,34 +58,54 @@ def dense_reference_mask(node_of, ancestor, prompt_len):
 
 @st.composite
 def kernel_inputs(draw):
-    """node_of as runs over a few nodes (-1 included, one node often in
-    several runs), any ancestor relation, and prompt_len from 0 to past n."""
-    k = draw(st.integers(min_value=1, max_value=5))
-    runs = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-1, max_value=k - 1),
-                st.integers(min_value=1, max_value=6),
-            ),
-            max_size=12,
-        )
-    )
-    node_of = np.array([v for v, length in runs for _ in range(length)], dtype=np.int64)
+    """A random pointer tree laid out in preorder, 0-6 tokens a node, and
+    prompt_len from 0 to past n; prompt positions keep their node or read -1.
+
+    Returns (node_of, ancestor, last, prompt_len) over dense preorder
+    indices: ancestor[a, b] says b is a strict ancestor of a, and last[v] is
+    the last index of v's subtree.
+    """
+    m = draw(st.integers(min_value=1, max_value=8))
+    pointers = [[None, None]]  # first_child, next_sibling
+    for k in range(1, m):
+        free = [(v, s) for v in range(k) for s in (0, 1) if pointers[v][s] is None]
+        v, s = draw(st.sampled_from(free))
+        pointers[v][s] = k
+        pointers.append([None, None])
+    order, parent = [], {0: None}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in reversed(pointers[v]):
+            if c is not None:
+                parent[c] = v
+                stack.append(c)
+    dense = {v: i for i, v in enumerate(order)}
+    ancestor = np.zeros((m, m), dtype=bool)
+    for v in order:
+        p = parent[v]
+        while p is not None:
+            ancestor[dense[v], dense[p]] = True
+            p = parent[p]
+    last = [max(b for b in range(m) if b == a or ancestor[b, a]) for a in range(m)]
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=m, max_size=m))
+    node_of = np.repeat(np.arange(m), sizes)
     n = len(node_of)
-    cells = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
-    ancestor = np.array(cells, dtype=bool).reshape(k, k)
     prompt_len = draw(st.sampled_from([0, n, n + 2]) | st.integers(min_value=0, max_value=n))
-    return node_of, ancestor, prompt_len
+    if draw(st.booleans()):
+        node_of[:prompt_len] = -1
+    return node_of, ancestor, last, prompt_len
 
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
-@example((np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=bool), 0))
-@example((np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=bool), 0))
-@example((np.array([0, 1, 0, 1]), np.array([[False, False], [True, False]]), 1))
-def test_run_block_kernel_matches_dense_reference(args):
-    node_of, ancestor, prompt_len = args
-    mask = build_mask_array(node_of, ancestor, prompt_len)
+@example((np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=bool), [0], 0))
+@example((np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=bool), [0], 0))
+@example((np.array([0, 0, 1, 1]), np.array([[False, False], [True, False]]), [1, 1], 6))
+def test_subtree_kernel_matches_dense_reference(args):
+    node_of, ancestor, last, prompt_len = args
+    mask = build_mask_array(node_of, last, prompt_len)
     assert mask.dtype == np.bool_
     assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, prompt_len))
 
@@ -152,6 +172,26 @@ class TestTrainingMask:
             build_training_mask(sample, tree)
         sample.node_of[4] = 777
         with pytest.raises(TreeError, match="position 4 maps to unknown node 777"):
+            build_training_mask(sample, tree)
+        sample, tree = linearize_script(fig3_script)
+        sample.node_of[1] = -1
+        with pytest.raises(TreeError, match="generated position 1 has no node"):
+            build_training_mask(sample, tree)
+        sample.node_of[1] = 0
+        sample.node_of[0] = 777
+        with pytest.raises(TreeError, match="position 0 maps to unknown node 777"):
+            build_training_mask(sample, tree)
+
+    def test_out_of_preorder_node_of_rejected(self, fig3_script):
+        # Node 2's tokens moved ahead of node 1's: a valid tree, but the
+        # generated positions no longer follow its preorder.
+        sample, tree = linearize_script(fig3_script)
+        sample.tokens[4:] = sample.tokens[8:] + sample.tokens[4:8]
+        sample.node_of[4:] = sample.node_of[8:] + sample.node_of[4:8]
+        assert sample.node_of == [-1, 0, 0, 0, 2, 2, 1, 1, 1, 1]
+        with pytest.raises(
+            TreeError, match=r"position 6 is out of preorder: node 1 follows node 2"
+        ):
             build_training_mask(sample, tree)
 
     def test_peak_memory_is_one_mask(self):

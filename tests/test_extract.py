@@ -254,3 +254,8 @@ class TestCorpusLevel:
 
 def test_tokenize_escapes_reserved():
     assert tokenize("a [Fork] b") == ["a", "\\[Fork]", "b"]
+
+
+def test_tokenize_without_control_surfaces_is_split():
+    text = " 1. Fork:  [fork] [Fork]x\tEOS [EOS.\n"
+    assert tokenize(text) == text.split()

@@ -109,6 +109,22 @@ class TestRandomScript:
             random_script(0, max_nodes=0)
 
 
+def test_script_node_with_control_tokens_rejected():
+    with pytest.raises(
+        ValueError,
+        match=r"script node 1 contains control tokens \['\[Fork\]', '\[EOS\]'\]",
+    ):
+        ScriptTree(
+            root=0,
+            nodes={
+                0: ScriptNode(0, ("a",), first_child=1, next_sibling=2),
+                1: ScriptNode(1, ("b", FORK, "c", EOS)),
+                2: ScriptNode(2, ("d",)),
+            },
+            prompt=("Q",),
+        )
+
+
 def test_engine_tree_isomorphic_to_script():
     for seed in range(30):
         script = random_script(seed, max_nodes=11, max_node_len=5)
