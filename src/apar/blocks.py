@@ -29,10 +29,10 @@ class BlockTable:
 class KvBlockPool:
     """Uncapped pool of cache blocks with per-block refcounts.
 
-    Block ids are handed out newest-freed first; with nothing freed, the
-    next never-used id in ascending order (0, 1, 2, ...).  The pool has no
-    cap: a caller that models a bounded cache keeps its own count, as the
-    simulator does.
+    Block ids are handed out in allocation order and never reused: a
+    block's id is the number of blocks allocated before it (0, 1, 2, ...).
+    The pool has no cap: a caller that models a bounded cache keeps its own
+    count, as the simulator does.
 
     A pool belongs to one decode or one simulator profile, and takes no lock.
     """
@@ -42,22 +42,16 @@ class KvBlockPool:
             raise ValueError("block_size must be > 0")
         self.block_size = block_size
         self.refcount: dict[int, int] = {}
-        self._freed: list[int] = []  # a stack: the last freed id goes out first
-        self._next_fresh = 0  # ids from here up were never handed out
         # Filled slots over all used blocks.  Every block but a table's last
         # is full, and a partial last block has exactly one owner.
         self._used_slots = 0
         self.peak_used: int = 0
-        self.allocations = 0  # blocks handed out so far, freed or not
+        self.allocations = 0  # blocks handed out so far, freed or not; the next id
 
     # -- internal helpers --
 
     def _alloc(self) -> int:
-        if self._freed:
-            block = self._freed.pop()
-        else:
-            block = self._next_fresh
-            self._next_fresh += 1
+        block = self.allocations
         self.allocations += 1
         self.refcount[block] = 1
         used = len(self.refcount)
@@ -71,7 +65,6 @@ class KvBlockPool:
         if self.refcount[block] == 0:
             del self.refcount[block]
             self._used_slots -= slots
-            self._freed.append(block)
             return True
         return False
 
@@ -133,7 +126,3 @@ class KvBlockPool:
     def usage_snapshot(self) -> tuple[int, int, int]:
         """(used blocks, used slots, peak used blocks); slots count exact fills."""
         return len(self.refcount), self._used_slots, self.peak_used
-
-    @property
-    def used_blocks(self) -> int:
-        return len(self.refcount)

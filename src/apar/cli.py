@@ -161,14 +161,10 @@ def _load_script(path: str):
 
 def cmd_decode(args: argparse.Namespace) -> int:
     script = _load_script(args.script)
-    if args.mode == "apar":
-        result = apar_decode(
-            list(script.prompt), ReplayModel(script), block_size=args.block_size
-        )
-    else:
-        result = ar_decode(
-            list(script.prompt), as_linear(script), block_size=args.block_size
-        )
+    decode, make_model = (
+        (apar_decode, ReplayModel) if args.mode == "apar" else (ar_decode, as_linear)
+    )
+    result = decode(list(script.prompt), make_model(script), block_size=args.block_size)
     print(" ".join(result.output))
     if args.trace:
         Path(args.trace).write_text(result.trace.to_jsonl())

@@ -13,11 +13,14 @@ TestBigTree in tests/test_engine.py and
 test_big_tree_constant_steps in tests/test_metrics.py.
 
 apar_decode and ar_decode run one loop; ar is that loop over a model that
-never emits [Fork].  Before each step the loop ends, with an appended [EOS],
-every unfinished thread once max_steps steps have run, and otherwise each
-one whose context (prompt included) holds at least max_seq_len tokens; it
-stops once every thread has finished.  So a prompt of max_seq_len tokens or
-more decodes in 0 steps with an empty output, and any cut sets truncated.
+never emits [Fork].  The threads move in lockstep: before each step, every
+unfinished thread holds the prompt plus one token per step run, since a
+step appends one token to each and a child forked in it starts at its
+parent's length after it.  So one comparison decides a cut: once max_steps
+steps have run, or the prompt plus the steps run reach max_seq_len tokens,
+the loop ends every unfinished thread with an appended [EOS] and sets
+truncated.  Otherwise it stops once every thread has finished.  A prompt
+of max_seq_len tokens or more thus decodes in 0 steps with an empty output.
 
 A model answers next_token(context, state), where state is the thread's own
 model_state list: whatever the model keeps per thread lives and dies with
@@ -192,13 +195,11 @@ def _decode(
     group = new_group(prompt, pool)
     trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
     steps = 0
-    while True:
-        out_of_steps = steps >= max_steps
-        for seq in list(group.live.values()):
-            if out_of_steps or len(seq.tokens) >= max_seq_len:
-                group.append_token(seq.id, EOS)
-                trace.truncated = True
-        if not group.live:
+    while group.live:
+        if steps >= max_steps or len(group.prompt) + steps >= max_seq_len:
+            for seq_id in list(group.live):
+                group.append_token(seq_id, EOS)
+            trace.truncated = True
             break
         steps += 1
         rec = StepRecord(step=steps)

@@ -43,13 +43,8 @@ LIST_ITEM_RE = re.compile(r"^\s*(\d+)\.\s+([^:\n]{1,80}):\s*(.+)$")
 MIN_LIST_ITEMS = 3
 MIN_DETAIL_CHARS = 10
 
-_AMBIGUOUS_RES = [
-    re.compile(r"```"),
-    re.compile(r"\$[^$\n]+\$"),
-    re.compile(r"\\\["),
-    re.compile(r"\\\("),
-    re.compile(r"https?://"),
-]
+# Code fences, TeX math and URLs leave a response unstructured.
+_AMBIGUOUS_RE = re.compile(r"```|\$[^$\n]+\$|\\\[|\\\(|https?://")
 
 _SENTENCE_END_RE = re.compile(r"[.!?:](?=\s|$)")
 
@@ -197,7 +192,7 @@ def extract_paragraphs(text: str) -> ScriptTree | None:
 
 def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
     """The response's kind and, for a list or paragraphs, its parsed tree."""
-    if any(p.search(text) for p in _AMBIGUOUS_RES):
+    if _AMBIGUOUS_RE.search(text):
         return "unstructured", None
     if not CONTROL_TOKENS.isdisjoint(text.split()):
         return "unstructured", None

@@ -69,9 +69,9 @@ def mean_attended_tokens(tree: ParagraphTree, sequences: Mapping[int, Seq[str]])
         start, end = node.slice_bounds(len(seq))
         if start < end and seq[start] == CHILD:
             start += 1
-        for pos in range(start, end):
-            total += pos
-            count += 1
+        n = max(end - start, 0)
+        total += n * (start + end - 1) // 2  # positions start .. end - 1
+        count += n
     if count == 0:
         return 0.0
     return total / count

@@ -33,7 +33,6 @@ class Sequence:
     tokens: list[str]
     current_node: int
     block_table: BlockTable
-    finished: bool = False
     # The model's own per-thread state; the runtime never reads it.
     model_state: list = field(default_factory=list)
 
@@ -50,12 +49,12 @@ class SequenceGroup:
         for _ in prompt:
             pool.append_slot(table)
         first = Sequence(id=0, tokens=list(prompt), current_node=0, block_table=table)
+        # Every sequence by id.  It and tree.nodes only grow, so their sizes
+        # are the next sequence and node ids.
         self.sequences: dict[int, Sequence] = {0: first}
-        # Unfinished sequences by id; ids only grow, so insertion order is
-        # ascending id order.
+        # Unfinished sequences by id, in ascending id order; a sequence has
+        # finished when it is missing here.
         self.live: dict[int, Sequence] = {0: first}
-        self._next_seq_id = 1
-        self._next_node_id = 1
         # Node id -> the node whose pointer targets it; the root has none.
         self._parents: dict[int, int] = {}
         # Node id -> live holders: the live thread whose current node it is,
@@ -70,9 +69,6 @@ class SequenceGroup:
     def sequences_map(self) -> dict[int, list[str]]:
         return {sid: seq.tokens for sid, seq in self.sequences.items()}
 
-    def all_finished(self) -> bool:
-        return not self.live
-
     def thread_count(self) -> int:
         return len(self.sequences)
 
@@ -80,15 +76,16 @@ class SequenceGroup:
 
     def fork_sequence(self, parent_id: int) -> int:
         """Fork ``parent_id`` after its trailing [Fork] token; return the child id."""
-        parent = self._get(parent_id)
-        if parent.finished:
-            raise ProtocolError(f"fork from finished sequence {parent_id}")
+        try:
+            parent = self.live[parent_id]
+        except KeyError:
+            raise self._not_live(parent_id, "fork from") from None
         if not parent.tokens or parent.tokens[-1] != FORK:
             raise ProtocolError(
                 f"sequence {parent_id} does not end with {FORK}; cannot fork"
             )
 
-        child_id = self._next_seq_id
+        child_id = len(self.sequences)
         child_table = self.pool.fork_table(parent.block_table, child_owner=child_id)
         fork_len = len(parent.tokens)
         child = Sequence(
@@ -99,11 +96,10 @@ class SequenceGroup:
         )
         self.pool.append_slot(child_table)  # slot for the injected [Child]
         child.tokens.append(CHILD)
-        self._next_seq_id += 1
 
-        cont = ParagraphNode(id=self._next_node_id, seq=parent.id, start=fork_len)
-        detail = ParagraphNode(id=self._next_node_id + 1, seq=child_id, start=fork_len)
-        self._next_node_id += 2
+        cont_id = len(self.tree.nodes)
+        cont = ParagraphNode(id=cont_id, seq=parent.id, start=fork_len)
+        detail = ParagraphNode(id=cont_id + 1, seq=child_id, start=fork_len)
         old = self.tree.nodes[parent.current_node]
         old.end = fork_len
         old.next_sibling = cont.id
@@ -137,11 +133,9 @@ class SequenceGroup:
         # The lookup is written out: this is the per-token path of every
         # decode and simulation.
         try:
-            seq = self.sequences[seq_id]
+            seq = self.live[seq_id]
         except KeyError:
-            raise ProtocolError(f"unknown sequence {seq_id}") from None
-        if seq.finished:
-            raise ProtocolError(f"append to finished sequence {seq_id}")
+            raise self._not_live(seq_id, "append to") from None
         self.pool.append_slot(seq.block_table)
         seq.tokens.append(token)
         self.logical_slots += 1
@@ -149,7 +143,6 @@ class SequenceGroup:
             self.logical_peak = self.logical_slots
         if token != EOS:
             return 0
-        seq.finished = True
         del self.live[seq_id]
         self._release_logical(seq)
         return self.pool.release_sequence(seq.block_table)
@@ -170,11 +163,11 @@ class SequenceGroup:
         if not self.live:
             self.logical_slots -= len(self.prompt)
 
-    def _get(self, seq_id: int) -> Sequence:
-        try:
-            return self.sequences[seq_id]
-        except KeyError:
-            raise ProtocolError(f"unknown sequence {seq_id}") from None
+    def _not_live(self, seq_id: int, action: str) -> ProtocolError:
+        """The error for ``action`` on a sequence that is not live."""
+        if seq_id in self.sequences:
+            return ProtocolError(f"{action} finished sequence {seq_id}")
+        return ProtocolError(f"unknown sequence {seq_id}")
 
 
 def new_group(prompt: Iterable[str], pool: KvBlockPool) -> SequenceGroup:

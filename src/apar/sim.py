@@ -10,17 +10,17 @@ blocks return to the pool at its [EOS].
 
 A request's steps depend on its script alone: the engine is deterministic,
 and the reservation means no step waits on another group.  So each run
-works in two parts.  The first admission of a script's content decodes it
-alone, with apar_step and the mode's replay model on a private uncapped
-pool, into a step profile: per step, the batch, the attended and content
-tokens, the blocks and slots the group holds after it, how far its blocks
-peak above the step's start, and the blocks it allocates, which is the
-block demand the scheduler reserves before the step.  The model lives only
-while the profile is built, and requests with equal scripts share one
-profile.  The scheduler then runs on integers: each live group is a profile
-and a step index, and the pool is a running count of used blocks and slots
-and their peak, moved by each admission, step and preemption.  No profile
-outlives the run.
+works in two parts.  Before scheduling, each distinct script content is
+decoded once, alone, with apar_step and the mode's replay model on a
+private uncapped pool, into a step profile: per step, the batch, the
+attended and content tokens, the blocks and slots the group holds after
+it, how far its blocks peak above the step's start, and the blocks it
+allocates, which is the block demand the scheduler reserves before the
+step.  The model lives only while the profile is built, and requests with
+equal scripts share one profile.  The scheduler then runs on integers:
+each live group is a profile and a step index, and the pool is a running
+count of used blocks and slots and their peak, moved by each admission,
+step and preemption.  No profile outlives the run.
 
 A config that admits no schedule raises SimulationError.  A profile whose
 private pool is not drained, or a run that ends with blocks still held,
@@ -288,18 +288,12 @@ def run_simulation(config: SimConfig) -> SimReport:
     make_model = ReplayModel if config.mode == "apar" else as_linear
     # Requests with equal scripts share one profile; none outlives the call.
     by_content: dict[tuple, _Profile] = {}
-    profiles: list[_Profile | None] = [None] * len(config.workload)
-
-    def profile_of(req_id: int) -> _Profile:
-        profile = profiles[req_id]
-        if profile is None:
-            script = config.workload[req_id]
-            key = _content_key(script)
-            profile = by_content.get(key)
-            if profile is None:
-                profile = by_content[key] = _Profile(script, make_model, bs)
-            profiles[req_id] = profile
-        return profile
+    profiles: list[_Profile] = []
+    for script in config.workload:
+        key = _content_key(script)
+        if key not in by_content:
+            by_content[key] = _Profile(script, make_model, bs)
+        profiles.append(by_content[key])
 
     def prompt_blocks(script: ScriptTree) -> int:
         return (len(script.prompt) + bs - 1) // bs
@@ -342,7 +336,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             if capacity - used < prompt_blocks(config.workload[waiting[0]]) + 1:
                 break
             req_id = waiting.popleft()
-            profile = profile_of(req_id)
+            profile = profiles[req_id]
             first_demand, blocks, slots = profile.start
             demand += first_demand
             used += blocks

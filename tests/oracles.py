@@ -77,7 +77,7 @@ def check_invariants(group: SequenceGroup) -> None:
         node = group.tree.nodes[seq.current_node]
         if node.first_child is not None or node.next_sibling is not None:
             raise AssertionError(f"current node {node.id} of {seq.id} is not a leaf")
-        if seq.finished and seq.tokens[-1] != EOS:
+        if seq.id not in group.live and seq.tokens[-1] != EOS:
             raise AssertionError(f"finished sequence {seq.id} lacks {EOS}")
 
 
@@ -144,7 +144,7 @@ def reference_simulation(config: SimConfig) -> SimReport:
     while waiting or live:
         while waiting and len(live) < config.concurrency_limit and admission_open:
             script = config.workload[waiting[0]]
-            if capacity - pool.used_blocks < prompt_blocks(script) + 1:
+            if capacity - pool.usage_snapshot()[0] < prompt_blocks(script) + 1:
                 break
             req_id = waiting.popleft()
             group = new_group(list(script.prompt), pool)
@@ -163,7 +163,7 @@ def reference_simulation(config: SimConfig) -> SimReport:
             )
 
         demand = sum(step_block_demand(entry.group) for entry in live)
-        while capacity - pool.used_blocks < demand:
+        while capacity - pool.usage_snapshot()[0] < demand:
             if len(live) == 1:
                 raise SimulationError(
                     f"request {live[0].request_id} cannot fit in"
@@ -212,13 +212,14 @@ def reference_simulation(config: SimConfig) -> SimReport:
     workload_content = sum(
         len(node.tokens) for s in config.workload for node in s.nodes.values()
     )
+    used = pool.usage_snapshot()[0]
     if (
-        pool.used_blocks
+        used
         or len(completions) != len(config.workload)
         or completed_content != workload_content
     ):
         raise SimulationInvariantError(
-            f"run ended with {pool.used_blocks} blocks still held,"
+            f"run ended with {used} blocks still held,"
             f" {len(completions)} of {len(config.workload)} requests completed and"
             f" {completed_content} content tokens completed of the"
             f" workload's {workload_content}"

@@ -90,9 +90,9 @@ def test_criterion_03_fork_copies_at_most_one_block():
         parent = BlockTable(owner=0)
         for _ in range(parent_len):
             pool.append_slot(parent)
-        used_before = pool.used_blocks
+        used_before = pool.usage_snapshot()[0]
         child = pool.fork_table(parent, child_owner=1)
-        allocated = pool.used_blocks - used_before
+        allocated = pool.usage_snapshot()[0] - used_before
         partial = parent_len % 16 != 0 and parent_len > 0
         assert allocated == (1 if partial else 0), parent_len
         full_blocks = parent.blocks[:-1] if partial else parent.blocks

@@ -42,7 +42,7 @@ class TestAppendSlot:
         assert cached_tokens(table, 16) == 33
 
     def test_no_cap(self):
-        # Never-used ids go out in ascending order, as many as asked for.
+        # Ids go out in allocation order, as many as asked for.
         pool = KvBlockPool(block_size=2)
         table = filled_table(pool, 2 * 5000)
         assert table.blocks == list(range(5000))
@@ -57,7 +57,7 @@ class TestForkTable:
         assert child.blocks == parent.blocks
         assert pool.refcount[parent.blocks[0]] == 2
         assert pool.refcount[parent.blocks[1]] == 2
-        assert pool.used_blocks == 2
+        assert pool.usage_snapshot()[0] == 2
 
     def test_partial_block_copied(self):
         pool = KvBlockPool(block_size=16)
@@ -88,12 +88,13 @@ class TestForkTable:
         child = pool.fork_table(parent, child_owner=1)
         assert child.blocks == []
 
-    def test_copy_takes_the_last_freed_block(self):
+    def test_copy_takes_the_next_unused_id(self):
         pool = KvBlockPool(block_size=4)
         parent = filled_table(pool, 3)
-        pool.release_sequence(filled_table(pool, 8, owner=1))  # frees 1, then 2
+        pool.release_sequence(filled_table(pool, 8, owner=1))  # frees 1 and 2
         child = pool.fork_table(parent, child_owner=2)
-        assert child.blocks == [2]
+        assert child.blocks == [3]  # freed ids are never handed out again
+        assert pool.allocations == 4
         assert pool.usage_snapshot() == (2, 6, 3)
 
 
@@ -114,7 +115,7 @@ class TestRelease:
         pool = KvBlockPool(block_size=16)
         table = filled_table(pool, 33)
         assert pool.release_sequence(table) == 3
-        assert pool.used_blocks == 0
+        assert pool.usage_snapshot()[0] == 0
 
     def test_double_release(self):
         pool = KvBlockPool(block_size=16)
@@ -145,9 +146,9 @@ class TestUsageSnapshot:
 def test_fork_allocates_at_most_one_block(parent_len):
     pool = KvBlockPool(block_size=16)
     parent = filled_table(pool, parent_len)
-    used_before = pool.used_blocks
+    used_before = pool.usage_snapshot()[0]
     child = pool.fork_table(parent, child_owner=1)
-    new_blocks = pool.used_blocks - used_before
+    new_blocks = pool.usage_snapshot()[0] - used_before
     partial = parent_len % 16 != 0 and parent_len > 0
     assert new_blocks == (1 if partial else 0)
     assert cached_tokens(child, 16) == cached_tokens(parent, 16)
@@ -178,21 +179,22 @@ def test_no_leaks_random_schedules(seed):
 
 
 class EagerPool:
-    """Reference pool: an eager free list of ids and a summed slot count.
+    """Reference pool: every block's filled slots, summed on demand.
 
-    The free list starts with ``ids`` ids, more than a run can hold at
-    once, so it never runs dry: like the lazy pool, it has no cap.
+    Ids go out in allocation order from a counter of its own, and a freed
+    id is never handed out again.  Like the lazy pool, it has no cap.
     """
 
-    def __init__(self, block_size, ids):
+    def __init__(self, block_size):
         self.block_size = block_size
         self.refcount = {}
-        self.free_list = list(range(ids - 1, -1, -1))
+        self.next_id = 0
         self.slots_filled = {}
         self.peak_used = 0
 
     def _alloc(self):
-        block = self.free_list.pop()
+        block = self.next_id
+        self.next_id += 1
         self.refcount[block] = 1
         self.slots_filled[block] = 0
         self.peak_used = max(self.peak_used, len(self.refcount))
@@ -227,7 +229,6 @@ class EagerPool:
             if self.refcount[block] == 0:
                 del self.refcount[block]
                 del self.slots_filled[block]
-                self.free_list.append(block)
                 freed += 1
         table.released = True
         return freed
@@ -268,12 +269,11 @@ def _apply(pool, tables, op, pick, count):
     ),
 )
 def test_lazy_pool_matches_eager_reference(block_size, ops):
-    # An operation allocates at most ``count`` blocks, a fork at most one.
-    ids = sum(count for _, _, count in ops)
-    pool, ref = KvBlockPool(block_size=block_size), EagerPool(block_size, ids)
+    pool, ref = KvBlockPool(block_size=block_size), EagerPool(block_size)
     tables, ref_tables = [], []
     for op, pick, count in ops + [("release", 0, 1)] * (len(ops) + 1):
         assert _apply(pool, tables, op, pick, count) == _apply(ref, ref_tables, op, pick, count)
         assert [t.blocks for t in tables] == [t.blocks for t in ref_tables]
         assert pool.usage_snapshot() == ref.usage_snapshot()
     assert pool.usage_snapshot()[:2] == (0, 0)
+    assert pool.allocations == ref.next_id

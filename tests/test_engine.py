@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import check_invariants, step_block_demand  # noqa: E402
@@ -64,7 +65,7 @@ class TestDegenerateAndErrors:
         )
         assert result.trace.truncated
         assert result.trace.steps == 3
-        assert all(s.finished for s in result.group.sequences.values())
+        assert not result.group.live
 
     def test_max_seq_len_truncation(self, fig3_script):
         result = apar_decode(
@@ -82,6 +83,25 @@ class TestDegenerateAndErrors:
             assert result.trace.steps == 0
             assert result.trace.truncated
             assert result.output == []
+
+    @pytest.mark.parametrize("cut", ["max_steps", "max_seq_len"])
+    def test_cut_ends_every_live_thread_at_one_length(self, big_tree_script, cut):
+        # Four threads are live after step 30: the parent and three children.
+        prompt_len = len(big_tree_script.prompt)
+        limit = {"max_steps": 30, "max_seq_len": prompt_len + 30}[cut]
+        result = apar_decode(
+            list(big_tree_script.prompt), ReplayModel(big_tree_script), **{cut: limit}
+        )
+        assert result.trace.truncated
+        assert result.trace.steps == 30
+        ended = {sid for rec in result.trace.records for sid in rec.finished}
+        cut_threads = [
+            s for s in result.group.sequences.values() if s.id not in ended
+        ]
+        assert len(cut_threads) == 4
+        assert {len(s.tokens) for s in cut_threads} == {prompt_len + 30 + 1}
+        assert all(s.tokens[-1] == EOS for s in result.group.sequences.values())
+        assert not result.group.live
 
     def test_ar_truncation(self, fig3_script):
         result = ar_decode(
@@ -153,12 +173,13 @@ class TestProperties:
             pool = KvBlockPool(block_size=block_size)
             group = new_group(list(script.prompt), pool)
             model = make_model(script)
-            while not group.all_finished():
+            while group.live:
                 demand = step_block_demand(group)
-                before, allocations = pool.used_blocks, pool.allocations
+                before, allocations = pool.usage_snapshot()[0], pool.allocations
                 rec = StepRecord(step=steps + 1)
                 apar_step(group, model, rec)
-                assert pool.used_blocks - before + rec.blocks_freed == demand, (seed, steps)
+                used = pool.usage_snapshot()[0]
+                assert used - before + rec.blocks_freed == demand, (seed, steps)
                 assert pool.allocations - allocations == demand, (seed, steps)
                 steps += 1
         assert steps > 1000
@@ -177,17 +198,17 @@ class TestProperties:
                 for _ in range(2)
             )
             traced_model, plain_model = make_model(script), make_model(script)
-            while not traced.all_finished():
+            while traced.live:
                 rec = StepRecord(step=steps + 1)
                 counts = apar_step(traced, traced_model, rec)
                 assert apar_step(plain, plain_model) == counts, (seed, steps)
                 content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
                 assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
                 assert plain.sequences_map() == traced.sequences_map()
-                assert plain.pool.used_blocks == traced.pool.used_blocks
+                assert plain.pool.usage_snapshot() == traced.pool.usage_snapshot()
                 assert step_block_demand(plain) == step_block_demand(traced)
                 steps += 1
-            assert plain.all_finished()
+            assert not plain.live
         assert steps > 1000
 
     def test_standalone_pool_has_no_cap(self):
@@ -225,3 +246,35 @@ class TestProperties:
         assert header["steps"] == 7 and header["mode"] == "apar"
         assert len(lines) == 1 + 7
         assert json.loads(lines[4])["forks"] == [[0, 1]]
+
+
+class _ContextLengths:
+    """A model wrapper that records each context length it is shown."""
+
+    def __init__(self, model):
+        self.model = model
+        self.lengths = []
+
+    def next_token(self, context, state):
+        self.lengths.append(len(context))
+        return self.model.next_token(context, state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["apar", "ar"]),
+    st.sampled_from([1, 2, 3, 5, 16]),
+)
+def test_live_threads_hold_prompt_plus_steps(seed, mode, block_size):
+    # The decode loop cuts on len(prompt) + steps alone, which holds only if
+    # every thread the step is about to advance has exactly that length.
+    script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+    decode, make_model = (apar_decode, ReplayModel) if mode == "apar" else (ar_decode, as_linear)
+    model = _ContextLengths(make_model(script))
+    result = decode(list(script.prompt), model, block_size=block_size)
+    prompt_len = len(script.prompt)
+    assert model.lengths == [
+        prompt_len + rec.step - 1 for rec in result.trace.records for _ in rec.sampled
+    ]
+    assert not result.trace.truncated

@@ -106,7 +106,7 @@ class TestAppend:
         group, pool = make_group(("Q",))
         group.append_token(0, "a1")
         freed = group.append_token(0, EOS)
-        assert group.sequences[0].finished
+        assert 0 not in group.live
         assert freed == 1
         assert pool.usage_snapshot()[:2] == (0, 0)
 
@@ -115,6 +115,17 @@ class TestAppend:
         group.append_token(0, EOS)
         with pytest.raises(ProtocolError):
             group.append_token(0, "x")
+
+    def test_not_live_errors_name_the_sequence(self):
+        group, _ = make_group(("Q",))
+        group.append_token(0, EOS)
+        with pytest.raises(ProtocolError, match="^append to finished sequence 0$"):
+            group.append_token(0, "x")
+        with pytest.raises(ProtocolError, match="^fork from finished sequence 0$"):
+            group.fork_sequence(0)
+        for call in (lambda: group.append_token(5, "x"), lambda: group.fork_sequence(5)):
+            with pytest.raises(ProtocolError, match="^unknown sequence 5$"):
+                call()
 
     def test_sequence_count_tracks_forks(self):
         group, _ = make_group(("Q",))
