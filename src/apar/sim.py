@@ -13,19 +13,25 @@ and the reservation means no step waits on another group.  So each run
 works in two parts.  Before scheduling, each distinct script content is
 decoded once, alone, with apar_step and the mode's replay model on a
 private uncapped pool, into a step profile: per step, the batch, the
-attended and content tokens, the blocks and slots the group holds after
-it, how far its blocks peak above the step's start, and the blocks it
-allocates, which is the block demand the scheduler reserves before the
-step.  The model lives only while the profile is built, and requests with
-equal scripts share one profile.  The scheduler then runs on integers:
-each live group is a profile and a step index, and the pool is a running
-count of used blocks and slots and their peak, moved by each admission,
-step and preemption.  No profile outlives the run.
+attended and content tokens, the change in the blocks and slots the group
+holds, the blocks it allocates, which is the block demand the scheduler
+reserves before the step, how far its blocks peak above the step's start,
+and the blocks and slots it holds before the step.  The model lives only
+while the profile is built, and requests with equal scripts share one
+profile.  The scheduler then runs on a step timeline: an array indexed by
+global step whose row sums the profile rows of every live group at that
+step.  An admission adds its profile from the current step on and a
+preemption subtracts the victim's remaining rows, so each global step
+reads one row, whatever the number of live groups.  The pool is a running
+count of used blocks and slots and their peak; only a step whose summed
+rise could pass the peak walks the live groups for it.  Completions are
+kept by the step each group ends at.  No profile outlives the run.
 
 A config that admits no schedule raises SimulationError.  A profile whose
-private pool is not drained, or a run that ends with blocks still held,
-with requests not completed, or with completed requests whose content
-tokens differ from the workload's flattened content raises its subclass
+private pool is not drained, whose tree is invalid or does not restore to
+its script's content, or a run that ends with blocks still held, with
+requests not completed, or with completed requests whose content tokens
+differ from the workload's flattened content raises its subclass
 SimulationInvariantError, since that is a fault of the program, not of the
 config.
 
@@ -51,7 +57,15 @@ from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import LanguageModel, apar_step
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import new_group
-from .script import ReplayModel, ScriptTree, as_linear, chain_nodes, random_script
+from .script import (
+    ReplayModel,
+    ScriptTree,
+    as_linear,
+    chain_nodes,
+    flatten_script,
+    random_script,
+)
+from .tree import restore, validate
 
 __all__ = [
     "StepCostModel",
@@ -191,20 +205,25 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
+# Columns of a profile's rows, and of the scheduler's timeline, which sums
+# them over the live groups.
+BATCH, ATTENDED, CONTENT, D_BLOCKS, D_SLOTS, ALLOC, RISE, BLOCKS, SLOTS = range(9)
+
+
 class _Profile:
     """One request decoded alone: what the scheduler needs of each step.
 
-    ``rows[k]`` holds step k's batch, attended tokens, content tokens and
-    peak rise (how far the group's blocks rose above the step's start),
-    the change in the group's used blocks and slots, and then the state
-    after the step: the next step's block demand and the used blocks and
-    slots.  ``start`` is that state before the first step.  A step's
-    demand is the blocks it allocates, counted on the private pool.  A
-    group shares no block with another, so on the shared pool its counts
-    move just as they do here.
+    ``rows[k]`` holds step k's batch, attended tokens and content tokens,
+    the change in the group's used blocks and slots, and the blocks the
+    step allocates, which is the block demand the scheduler reserves
+    before it; then the peak rise (how far the group's blocks rose above
+    the step's start) and the used blocks and slots before the step.  A
+    step's allocations are counted on the private pool.  A group shares no
+    block with another, so on the shared pool its counts move just as they
+    do here.
     """
 
-    __slots__ = ("start", "rows", "content")
+    __slots__ = ("rows", "content")
 
     def __init__(
         self,
@@ -216,36 +235,35 @@ class _Profile:
         group = new_group(script.prompt, pool)
         model = make_model(script)
         used, slots, _ = pool.usage_snapshot()
-        start = (used, slots)
-        stepped: list[tuple[int, ...]] = []
-        allocated: list[int] = []
-        self.content = 0
+        flat: list[int] = []  # the rows end to end
         while group.live:
             pool.peak_used = used  # so the peak read after the step is its own
             allocations = pool.allocations
             batch, attended, content = apar_step(group, model)
             after, after_slots, peak = pool.usage_snapshot()
-            allocated.append(pool.allocations - allocations)
-            stepped.append(
-                (batch, attended, content, peak - used, after - used,
-                 after_slots - slots, after, after_slots)
+            flat.extend(
+                (batch, attended, content, after - used, after_slots - slots,
+                 pool.allocations - allocations, peak - used, used, slots)
             )
-            self.content += content
             used, slots = after, after_slots
         if used:
             raise SimulationInvariantError(
                 f"decoding a request alone ended with {used} blocks still held"
             )
-        # Shift the counts back one row: each row holds the next step's.
-        allocated.append(0)
-        self.start = (allocated[0], *start)
-        self.rows = [
-            (*row[:6], demand, *row[6:]) for row, demand in zip(stepped, allocated[1:])
-        ]
-
-    def state(self, step: int) -> tuple[int, int, int]:
-        """Block demand, used blocks and used slots after ``step`` steps."""
-        return self.rows[step - 1][6:] if step else self.start
+        sequences = group.sequences_map()
+        violations = validate(group.tree, sequences)
+        if violations:
+            raise SimulationInvariantError(
+                f"decoding a request alone gave an invalid tree: {violations}"
+            )
+        restored = restore(group.tree, sequences, strip_control=True)
+        if restored != flatten_script(script):
+            raise SimulationInvariantError(
+                f"decoding a request alone restored {len(restored)} content tokens"
+                " that differ from its script's"
+            )
+        self.rows = np.array(flat, dtype=np.int64).reshape(-1, SLOTS + 1)
+        self.content = int(self.rows[:, CONTENT].sum())
 
 
 def _content_key(script: ScriptTree) -> tuple:
@@ -262,10 +280,11 @@ def _content_key(script: ScriptTree) -> tuple:
 
 @dataclass(slots=True)
 class _LiveGroup:
+    serial: int  # admission count: its key in ``live``
     request_id: int
     profile: _Profile
+    first: int  # the global step that runs its first profile row
     admit_time: float
-    step: int = 0  # profile rows already run
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -273,9 +292,14 @@ def run_simulation(config: SimConfig) -> SimReport:
     capacity = config.effective_blocks
     bs = config.block_size
     waiting: deque[int] = deque(range(len(config.workload)))
-    live: list[_LiveGroup] = []
-    # The shared pool as counters, and the next step's summed block demand.
-    used = used_slots = peak = demand = 0
+    # Live groups in admission order, and the groups that finish after each
+    # global step, in admission order too.
+    live: dict[int, _LiveGroup] = {}
+    ends: dict[int, list[_LiveGroup]] = {}
+    admitted = 0
+    # The shared pool as counters, and the global steps already run.
+    used = used_slots = peak = 0
+    step = 0
     clock = 0.0
     next_sample = config.sample_period
     preemptions = 0
@@ -294,6 +318,12 @@ def run_simulation(config: SimConfig) -> SimReport:
         if key not in by_content:
             by_content[key] = _Profile(script, make_model, bs)
         profiles.append(by_content[key])
+    # Row t sums every live group's profile row for global step t: the
+    # step's batch, attended and content tokens, its change in used blocks
+    # and slots, its block demand, a bound on how far its blocks peak above
+    # their start, and the blocks and slots held before it.  The timeline
+    # grows as admissions reach past its end.
+    timeline = np.zeros((0, SLOTS + 1), dtype=np.int64)
 
     def prompt_blocks(script: ScriptTree) -> int:
         return (len(script.prompt) + bs - 1) // bs
@@ -308,13 +338,14 @@ def run_simulation(config: SimConfig) -> SimReport:
             )
         while clock >= next_sample:
             lat = np.array(window_latencies) if window_latencies else np.array([0.0])
+            p25, p75 = np.percentile(lat, (25, 75))
             samples.append(
                 SimSample(
                     time=next_sample,
                     throughput=window_content / config.sample_period,
                     latency_mean=float(lat.mean()),
-                    latency_p25=float(np.percentile(lat, 25)),
-                    latency_p75=float(np.percentile(lat, 75)),
+                    latency_p25=float(p25),
+                    latency_p75=float(p75),
                     used_slots=used_slots,
                     used_blocks=used,
                     live_groups=len(live),
@@ -337,13 +368,22 @@ def run_simulation(config: SimConfig) -> SimReport:
                 break
             req_id = waiting.popleft()
             profile = profiles[req_id]
-            first_demand, blocks, slots = profile.start
-            demand += first_demand
+            rows = profile.rows
+            end = step + len(rows)
+            if end > len(timeline):
+                grown = np.zeros((max(end, 2 * len(timeline)), SLOTS + 1), dtype=np.int64)
+                grown[: len(timeline)] = timeline
+                timeline = grown
+            timeline[step:end] += rows
+            blocks, slots = rows[0, BLOCKS:].tolist()
             used += blocks
             used_slots += slots
             peak = max(peak, used)
             clock += config.cost.t_fixed + config.cost.c_token * slots
-            live.append(_LiveGroup(req_id, profile, admit_time=clock))
+            entry = _LiveGroup(admitted, req_id, profile, step, admit_time=clock)
+            live[admitted] = entry
+            ends.setdefault(end, []).append(entry)
+            admitted += 1
             close_windows()
 
         # Nothing live means admission is open and the pool empty: only a
@@ -358,58 +398,57 @@ def run_simulation(config: SimConfig) -> SimReport:
 
         # Reserve this step's worst-case allocations; preempt the most
         # recently admitted group until the step is guaranteed to fit.
-        # ``demand`` sums the live groups' next-step demand: each step,
-        # admission and preemption moves it.
-        while capacity - used < demand:
+        row = timeline[step].tolist()
+        while capacity - row[BLOCKS] < row[ALLOC]:
             if len(live) == 1:
                 raise SimulationError(
-                    f"request {live[0].request_id} cannot fit in"
+                    f"request {next(iter(live.values())).request_id} cannot fit in"
                     f" {capacity} blocks even alone"
                 )
-            victim = live.pop()
-            victim_demand, blocks, slots = victim.profile.state(victim.step)
-            demand -= victim_demand
-            used -= blocks
-            used_slots -= slots
+            _, victim = live.popitem()
+            rows = victim.profile.rows
+            end = victim.first + len(rows)
+            timeline[step:end] -= rows[step - victim.first :]
+            row = timeline[step].tolist()
+            # Admitted last, it is also the last of the groups ending with it.
+            bucket = ends[end]
+            bucket.pop()
+            if not bucket:
+                del ends[end]
             waiting.append(victim.request_id)
             preemptions += 1
             admission_open = False
+        batch, attended, content, d_blocks, d_slots, _, rise, used, used_slots = row
 
-        # Groups step in live order, and a step's blocks peak within it.
-        step_batch = step_attended = step_content = demand = finished = 0
-        for entry in live:
-            batch, attended, content, rise, d_blocks, d_slots, next_demand, _, _ = (
-                entry.profile.rows[entry.step]
-            )
-            step_batch += batch
-            step_attended += attended
-            step_content += content
-            if used + rise > peak:
-                peak = used + rise
-            used += d_blocks
-            used_slots += d_slots
-            demand += next_demand
-            entry.step += 1
-            if entry.step == len(entry.profile.rows):
-                finished += 1
-        window_content += step_content
-        total_content += step_content
-        clock += config.cost.latency(step_batch, step_attended)
+        # Groups step in live order, and a step's blocks peak within it.  A
+        # group's change in blocks is at most its rise, and no rise is
+        # negative, so the peak can pass ``peak`` only if ``used + rise`` does.
+        if used + rise > peak:
+            rising = used
+            for entry in live.values():
+                own = entry.profile.rows[step - entry.first].tolist()
+                if rising + own[RISE] > peak:
+                    peak = rising + own[RISE]
+                rising += own[D_BLOCKS]
+        used += d_blocks
+        used_slots += d_slots
+        window_content += content
+        total_content += content
+        clock += config.cost.latency(batch, attended)
+        step += 1
 
+        finished = ends.pop(step, None)
         if finished:
-            still_live: list[_LiveGroup] = []
-            for entry in live:
-                if entry.step < len(entry.profile.rows):
-                    still_live.append(entry)
-                    continue
+            for entry in finished:
+                del live[entry.serial]
                 content = entry.profile.content
                 completed_content += content
                 per_token = (clock - entry.admit_time) / max(content, 1)
                 window_latencies.append(per_token)
                 completions.append((clock, per_token))
             admission_open = True
-            live = still_live
-        close_windows()
+        if clock >= next_sample:
+            close_windows()
 
     workload_content = sum(
         len(node.tokens) for s in config.workload for node in s.nodes.values()
@@ -442,6 +481,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         kept_lats = [lat for _, lat in completions]
     lats = np.array(kept_lats)
     kept_tputs = [s.throughput for s in trimmed]
+    p25, p75 = np.percentile(lats, (25, 75))
     summary = {
         "mode": config.mode,
         "cache_budget_fraction": config.cache_budget_fraction,
@@ -451,8 +491,8 @@ def run_simulation(config: SimConfig) -> SimReport:
         # identical-request workload leaves behind.
         "steady_throughput": float(np.median(kept_tputs)),
         "latency_mean": float(lats.mean()),
-        "latency_p25": float(np.percentile(lats, 25)),
-        "latency_p75": float(np.percentile(lats, 75)),
+        "latency_p25": float(p25),
+        "latency_p75": float(p75),
         "completed": len(completions),
         "preemptions": preemptions,
         "content_tokens": total_content,

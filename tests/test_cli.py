@@ -12,6 +12,7 @@ from corpus_data import conversations  # noqa: E402
 from apar import engine
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
+from apar.runtime import SequenceGroup
 from apar.script import ScriptNode, ScriptTree, script_to_json
 from apar.sim import MAX_SAMPLES, list_script
 from apar.tokens import CONTROL_TOKENS
@@ -256,6 +257,30 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "366 content tokens completed of the workload's 368" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_invalid_profile_tree_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        fork = SequenceGroup.fork_sequence
+
+        def unlinking_fork(group, parent_id):
+            # Fork, then drop the forked node's pointer to its continuation.
+            child_id = fork(group, parent_id)
+            forked = group._parents[group.live[parent_id].current_node]
+            group.tree.nodes[forked].next_sibling = None
+            return child_id
+
+        monkeypatch.setattr(SequenceGroup, "fork_sequence", unlinking_fork)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "capacity_blocks": 120,
+            "concurrency_limit": 2,
+            "workload": {"kind": "list", "count": 2},
+        }))
+        rc = main(["simulate", "--config", str(config), "--report", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "internal error: decoding a request alone gave an invalid tree" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 

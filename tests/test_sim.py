@@ -10,7 +10,7 @@ from apar import engine, sim
 from apar.blocks import KvBlockPool
 from apar.engine import apar_step
 from apar.errors import SimulationError, SimulationInvariantError
-from apar.runtime import new_group
+from apar.runtime import SequenceGroup, new_group
 from apar.script import (
     ReplayModel,
     ScriptNode,
@@ -211,6 +211,67 @@ class TestEndOfRunChecks:
         ):
             run_simulation(config)
 
+    def test_invalid_profile_tree_is_an_error(self, monkeypatch):
+        fork = SequenceGroup.fork_sequence
+
+        def unlinking_fork(group, parent_id):
+            # Fork, then drop the forked node's pointer to its continuation:
+            # the decode goes on, but the tree is invalid.
+            child_id = fork(group, parent_id)
+            forked = group._parents[group.live[parent_id].current_node]
+            group.tree.nodes[forked].next_sibling = None
+            return child_id
+
+        monkeypatch.setattr(SequenceGroup, "fork_sequence", unlinking_fork)
+        config = SimConfig(
+            workload=[list_script() for _ in range(2)],
+            mode="apar",
+            capacity_blocks=200,
+            cost=constant_cost(),
+        )
+        with pytest.raises(SimulationInvariantError, match="exactly 1 pointer"):
+            run_simulation(config)
+
+    def test_profile_restoring_other_content_is_an_error(self, monkeypatch):
+        # A model replaying a script of the same shape with other tokens
+        # decodes a valid tree with the right number of content tokens.
+        def renamed(script):
+            nodes = {
+                nid: replace(node, tokens=tuple(t.upper() for t in node.tokens))
+                for nid, node in script.nodes.items()
+            }
+            return ReplayModel(replace(script, nodes=nodes))
+
+        monkeypatch.setattr(sim, "ReplayModel", renamed)
+        config = SimConfig(
+            workload=[list_script() for _ in range(2)],
+            mode="apar",
+            capacity_blocks=200,
+            cost=constant_cost(),
+        )
+        with pytest.raises(
+            SimulationInvariantError,
+            match="restored 184 content tokens that differ from its script's",
+        ):
+            run_simulation(config)
+
+
+def test_peak_is_reached_within_a_step_in_live_order():
+    """Three requests on 19 blocks, one preemption.  The pool peaks at 15
+    blocks inside a step: every count at a step's end is at most 14, and
+    stepping the live groups in reverse order would peak at 16."""
+    config = SimConfig(
+        workload=[random_script(seed, max_nodes=8, max_node_len=4) for seed in (155, 145, 300)],
+        mode="apar",
+        capacity_blocks=19,
+        block_size=3,
+        concurrency_limit=3,
+    )
+    summary = run_simulation(config).summary
+    assert summary["preemptions"] == 1
+    assert summary["peak_blocks"] == 15
+    assert reference_simulation(config).summary == summary
+
 
 # Random workloads of 1-12 random_scripts on small pools.
 random_runs = given(
@@ -278,7 +339,7 @@ def test_random_workload_matches_the_engine_in_the_loop(
 def test_profile_demand_is_the_walked_demand(make_model, block_size):
     """A profile counts each step's allocations after the step; the oracle
     reads them off the live threads before it.  Both give the demand the
-    scheduler reserves, for the first step and after every step."""
+    scheduler reserves before every step, and none after the last."""
     for seed in range(60):
         script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
         profile = sim._Profile(script, make_model, block_size)
@@ -288,7 +349,7 @@ def test_profile_demand_is_the_walked_demand(make_model, block_size):
         while group.live:
             apar_step(group, model)
             walked.append(step_block_demand(group))
-        assert [profile.start[0]] + [row[6] for row in profile.rows] == walked, seed
+        assert profile.rows[:, sim.ALLOC].tolist() + [0] == walked, seed
 
 
 class TestSharedProfiles:
