@@ -1,9 +1,9 @@
 """Linearized training samples, their attention masks and loss masks.
 
-Linearization layout: a node emits its content, then [Fork] if it has
-children; a first_child subtree opens with the injected [Child]; a leaf
-closes its thread with [EOS].  Under that layout the training mask of a
-token equals exactly what the token could see at decode time.
+Linearization layout: ``script.lay_out``, the one statement of where
+[Child], [Fork] and [EOS] go, which the replay model reads too.  Under that
+layout the training mask of a token equals exactly what the token could see
+at decode time.
 
 Nodes are laid out in ``preorder``, so a node's subtree is one stretch of
 positions: a mask needs each subtree's last node, not an ancestor relation.
@@ -12,14 +12,14 @@ positions: a mask needs each subtree's last node, not an ancestor relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 
 import numpy as np
 
 from ._kernels import build_mask_array
 from .errors import TreeError
-from .script import ScriptTree
-from .tokens import CHILD, EOS, FORK
+from .script import ScriptTree, lay_out
+from .tokens import CHILD
 from .tree import ParagraphNode, ParagraphTree, preorder
 
 __all__ = [
@@ -40,30 +40,22 @@ class LinearizedSample:
 def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTree]:
     """Linearize a content script into a training sample plus an aligned tree.
 
-    The returned tree's nodes slice into the linearized stream itself
-    (sequence id 0), which keeps mask construction and restore checks on a
-    single coordinate system.
+    The sample is the script's ``lay_out``.  The returned tree's nodes slice
+    into that stream itself (sequence id 0), which keeps mask construction
+    and restore checks on a single coordinate system.
     """
-    tokens: list[str] = list(script.prompt)
-    node_of: list[int] = [-1] * len(script.prompt)
-    tree = ParagraphTree(root=script.root, prompt_len=len(script.prompt))
-
-    for node, parent in preorder(script.root, script.nodes):
-        start = len(tokens)
-        if parent is not None and script.nodes[parent].first_child == node.id:
-            tokens.append(CHILD)
-        tokens.extend(node.tokens)
-        tokens.append(FORK if node.first_child is not None else EOS)
-        node_of.extend([node.id] * (len(tokens) - start))
-        tree.nodes[node.id] = ParagraphNode(
-            id=node.id,
-            seq=0,
-            start=start,
-            end=len(tokens),
-            first_child=node.first_child,
-            next_sibling=node.next_sibling,
+    tokens, starts = lay_out(script)
+    plen = len(script.prompt)
+    node_of: list[int] = [-1] * plen
+    tree = ParagraphTree(root=script.root, prompt_len=plen)
+    for nid, (start, end) in zip(starts, pairwise([*starts.values(), len(tokens)])):
+        node = script.nodes[nid]
+        node_of.extend([nid] * (end - start))
+        # Positional fields: with keywords this call takes twice as long.
+        tree.nodes[nid] = ParagraphNode(
+            nid, 0, start, end, node.first_child, node.next_sibling
         )
-    return LinearizedSample(tokens, node_of, len(script.prompt)), tree
+    return LinearizedSample(tokens, node_of, plen), tree
 
 
 def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Deterministic language models that replay a paragraph-tree script.
 
-A script node carries literal content tokens only; the model inserts the
-control tokens.  Given a context, the replay model walks the script to find
-its position: plain tokens advance within the current node, a [Fork] not
-followed by [Child] moves to the next sibling, and [Fork] [Child] descends
-into the first child.  Divergence from the script raises, because a silent
-fallback would mask engine bugs.
+A script node carries literal content tokens only.  ``lay_out`` is the one
+rule that places the control tokens around them: the training sample of a
+script (``attention.linearize_script``) is its layout, and the replay model
+answers a thread by reading the same layout with a cursor, so the model
+decodes exactly what training shows.  Divergence from the script raises,
+because a silent fallback would mask engine bugs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "as_linear",
     "chain_nodes",
     "flatten_script",
+    "lay_out",
     "random_script",
     "script_to_json",
     "script_from_json",
@@ -81,76 +82,81 @@ def flatten_script(script: ScriptTree) -> list[str]:
     return out
 
 
-_CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
+def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
+    """The training layout of a script, and where each node starts in it.
+
+    The prompt comes first, then each node in ``preorder``: [Child] if the
+    node is its parent's first child, its content, then [Fork] if it has
+    children or [EOS] if not.  The starts keep ``preorder`` order, so a
+    node ends where the next one starts, and the last at the layout's end.
+    """
+    tokens = list(script.prompt)
+    starts: dict[int, int] = {}
+    for node, parent in preorder(script.root, script.nodes):
+        starts[node.id] = len(tokens)
+        if parent is not None and script.nodes[parent].first_child == node.id:
+            tokens.append(CHILD)
+        tokens += node.tokens
+        tokens.append(EOS if node.first_child is None else FORK)
+    return tokens, starts
 
 
 class ReplayModel:
     """Replays one script; deterministic given the context.
 
+    A thread's context is the script's ``lay_out`` less the first-child
+    subtrees it did not enter, so a cursor into the layout checks it: a
+    [Fork] not followed by [Child] jumps to the node's next sibling, and an
+    [EOS] moves onto the sentinel past the end, which no token matches.
+
     ``state`` is a list the calling thread owns and the model alone fills:
-    the scan position ``[checked, node, k, phase]``, where positions
-    ``[0, checked)`` of the context are checked.  A call checks only the
-    tokens appended since, so a call on a growing context costs the same at
-    any length.  An empty state, or a context shorter than ``checked``, is
-    checked again from the prompt.  A call that raises leaves the state as
-    it was.
+    ``[checked, pos]``, where positions ``[0, checked)`` of the context are
+    checked and ``layout[pos]`` is the token due next.  A call checks only
+    the tokens appended since, so a call on a growing context costs the same
+    at any length.  An empty state, or a context shorter than ``checked``,
+    is checked again from the prompt.  A call that raises leaves the state
+    as it was.
     """
 
     def __init__(self, script: ScriptTree):
         self.script = script
+        self.layout, starts = lay_out(script)
+        self.layout.append(None)  # the sentinel
+        # A node's [Fork] sits just before its first child's [Child].
+        self.sibling_after = {
+            starts[node.first_child] - 1: starts[node.next_sibling]
+            for node in (script.nodes[nid] for nid in starts)
+            if node.first_child is not None
+        }
 
     def next_token(self, context: Seq[str], state: list) -> str:
-        script = self.script
+        layout = self.layout
+        end = len(layout) - 1
         n = len(context)
         if not state or n < state[0]:
-            plen = len(script.prompt)
-            if tuple(context[:plen]) != script.prompt:
+            prompt = self.script.prompt
+            if tuple(context[: len(prompt)]) != prompt:
                 raise ScriptMismatch("context does not start with the script prompt")
-            i, node, k, phase = plen, script.nodes[script.root], 0, _CONTENT
+            i = pos = len(prompt)
         else:
-            i, node, k, phase = state
+            i, pos = state
         while i < n:
             tok = context[i]
-            if phase == _AFTER_FORK:
-                if tok == CHILD:
-                    node = script.nodes[node.first_child]
-                    k = 0
-                    phase = _CONTENT
-                    i += 1
-                    continue
-                node = script.nodes[node.next_sibling]
-                k = 0
-                phase = _CONTENT
-                continue  # reprocess tok as sibling content
-            if phase == _DONE:
+            want = layout[pos]
+            if tok == want:
+                pos = end if tok == EOS else pos + 1
+                i += 1
+            elif want == CHILD:  # no [Child] after the [Fork]: on to the sibling
+                pos = self.sibling_after[pos - 1]
+            elif pos == end:
                 raise ScriptMismatch(f"token {tok!r} after {EOS} at position {i}")
-            if k < len(node.tokens):
-                if tok != node.tokens[k]:
-                    raise ScriptMismatch(
-                        f"position {i}: expected {node.tokens[k]!r}, saw {tok!r}"
-                    )
-                k += 1
-            elif node.first_child is not None:
-                if tok != FORK:
-                    raise ScriptMismatch(f"position {i}: expected {FORK}, saw {tok!r}")
-                phase = _AFTER_FORK
             else:
-                if tok != EOS:
-                    raise ScriptMismatch(f"position {i}: expected {EOS}, saw {tok!r}")
-                phase = _DONE
-            i += 1
-        if phase == _DONE:
+                raise ScriptMismatch(f"position {i}: expected {want!r}, saw {tok!r}")
+        if pos == end:
             raise ScriptMismatch("next_token called on a finished context")
-        state[:] = i, node, k, phase
-
-        if phase == _AFTER_FORK:
-            node = script.nodes[node.next_sibling]
-            k = 0
-        if k < len(node.tokens):
-            return node.tokens[k]
-        if node.first_child is not None:
-            return FORK
-        return EOS
+        state[:] = n, pos
+        tok = layout[pos]
+        return layout[self.sibling_after[pos - 1]] if tok == CHILD else tok
 
 
 class LinearModel(ReplayModel):

@@ -290,7 +290,6 @@ class _LiveGroup:
 def run_simulation(config: SimConfig) -> SimReport:
     """Deterministic event loop over the configured workload."""
     capacity = config.effective_blocks
-    bs = config.block_size
     waiting: deque[int] = deque(range(len(config.workload)))
     # Live groups in admission order, and the groups that finish after each
     # global step, in admission order too.
@@ -316,7 +315,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     for script in config.workload:
         key = _content_key(script)
         if key not in by_content:
-            by_content[key] = _Profile(script, make_model, bs)
+            by_content[key] = _Profile(script, make_model, config.block_size)
         profiles.append(by_content[key])
     # Row t sums every live group's profile row for global step t: the
     # step's batch, attended and content tokens, its change in used blocks
@@ -324,9 +323,6 @@ def run_simulation(config: SimConfig) -> SimReport:
     # their start, and the blocks and slots held before it.  The timeline
     # grows as admissions reach past its end.
     timeline = np.zeros((0, SLOTS + 1), dtype=np.int64)
-
-    def prompt_blocks(script: ScriptTree) -> int:
-        return (len(script.prompt) + bs - 1) // bs
 
     def close_windows() -> None:
         nonlocal next_sample, window_content, window_latencies
@@ -364,11 +360,12 @@ def run_simulation(config: SimConfig) -> SimReport:
         # Admission: fill up to the concurrency limit while the pool can
         # take the prompt plus one block of headroom.
         while waiting and len(live) < config.concurrency_limit and admission_open:
-            if capacity - used < prompt_blocks(config.workload[waiting[0]]) + 1:
+            profile = profiles[waiting[0]]
+            rows = profile.rows
+            # Row 0 holds the blocks of the prompt alone.
+            if capacity - used < rows[0, BLOCKS] + 1:
                 break
             req_id = waiting.popleft()
-            profile = profiles[req_id]
-            rows = profile.rows
             end = step + len(rows)
             if end > len(timeline):
                 grown = np.zeros((max(end, 2 * len(timeline)), SLOTS + 1), dtype=np.int64)
@@ -390,9 +387,9 @@ def run_simulation(config: SimConfig) -> SimReport:
         # preemption closes admission, and it leaves a group live; the
         # completions that empty ``live`` reopen it.
         if not live:
-            script = config.workload[waiting[0]]
+            need = profiles[waiting[0]].rows[0, BLOCKS] + 1
             raise SimulationError(
-                f"request {waiting[0]} needs {prompt_blocks(script) + 1} blocks"
+                f"request {waiting[0]} needs {need} blocks"
                 f" but the pool holds {capacity}"
             )
 

@@ -6,8 +6,8 @@ the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the one walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline,
-the training linearizer and the training mask's subtree bounds call it, so
-a training mask describes the order decoding produced.
+the script layout (``script.lay_out``) and the training mask's subtree
+bounds call it, so a training mask describes the order decoding produced.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ import numpy as np
 from apar.attention import LinearizedSample
 from apar.blocks import BlockTable, KvBlockPool
 from apar.engine import DecodeTrace, LanguageModel, apar_step
-from apar.errors import SimulationError, SimulationInvariantError
+from apar.errors import ScriptMismatch, SimulationError, SimulationInvariantError
 from apar.runtime import SequenceGroup, new_group
-from apar.script import ReplayModel, ScriptTree, as_linear
+from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
-from apar.tokens import EOS, FORK
+from apar.tokens import CHILD, EOS, FORK
 from apar.tree import ParagraphTree, preorder
 
 
@@ -36,6 +36,81 @@ def linearize_group(
         tokens.extend(seq[start:end])
         node_of.extend([node.id] * (end - start))
     return LinearizedSample(tokens, node_of, tree.prompt_len)
+
+
+_CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
+
+
+class ReferenceReplayModel:
+    """``script.ReplayModel`` as a walk over the script's nodes.
+
+    Plain tokens advance within the current node, a [Fork] not followed by
+    [Child] moves to the next sibling, and [Fork] [Child] descends into the
+    first child.  ``state`` is ``[checked, node, k, phase]``; the contract
+    is otherwise the replay model's.
+    """
+
+    def __init__(self, script: ScriptTree):
+        self.script = script
+
+    def next_token(self, context: Seq[str], state: list) -> str:
+        script = self.script
+        n = len(context)
+        if not state or n < state[0]:
+            plen = len(script.prompt)
+            if tuple(context[:plen]) != script.prompt:
+                raise ScriptMismatch("context does not start with the script prompt")
+            i, node, k, phase = plen, script.nodes[script.root], 0, _CONTENT
+        else:
+            i, node, k, phase = state
+        while i < n:
+            tok = context[i]
+            if phase == _AFTER_FORK:
+                if tok == CHILD:
+                    node = script.nodes[node.first_child]
+                    k = 0
+                    phase = _CONTENT
+                    i += 1
+                    continue
+                node = script.nodes[node.next_sibling]
+                k = 0
+                phase = _CONTENT
+                continue  # reprocess tok as sibling content
+            if phase == _DONE:
+                raise ScriptMismatch(f"token {tok!r} after {EOS} at position {i}")
+            if k < len(node.tokens):
+                if tok != node.tokens[k]:
+                    raise ScriptMismatch(
+                        f"position {i}: expected {node.tokens[k]!r}, saw {tok!r}"
+                    )
+                k += 1
+            elif node.first_child is not None:
+                if tok != FORK:
+                    raise ScriptMismatch(f"position {i}: expected {FORK}, saw {tok!r}")
+                phase = _AFTER_FORK
+            else:
+                if tok != EOS:
+                    raise ScriptMismatch(f"position {i}: expected {EOS}, saw {tok!r}")
+                phase = _DONE
+            i += 1
+        if phase == _DONE:
+            raise ScriptMismatch("next_token called on a finished context")
+        state[:] = i, node, k, phase
+
+        if phase == _AFTER_FORK:
+            node = script.nodes[node.next_sibling]
+            k = 0
+        if k < len(node.tokens):
+            return node.tokens[k]
+        if node.first_child is not None:
+            return FORK
+        return EOS
+
+
+def reference_linear(script: ScriptTree) -> ReferenceReplayModel:
+    """The node walker over the flattened script as one node."""
+    flat = ScriptNode(0, tuple(flatten_script(script)))
+    return ReferenceReplayModel(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
 
 
 def tokens_per_second(trace: DecodeTrace, cost: StepCostModel) -> float:

@@ -1,4 +1,9 @@
+import copy
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apar.attention import linearize_script
 from apar.engine import apar_decode, ar_decode
@@ -15,6 +20,9 @@ from apar.script import (
 )
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import validate
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import ReferenceReplayModel, reference_linear  # noqa: E402
 
 
 class TestReplay:
@@ -229,14 +237,16 @@ class TestCursors:
         with pytest.raises(ScriptMismatch, match="after"):
             model.next_token(ctx, state)
 
+    # A decode changes no attribute of the model: it keeps no per-thread state.
     def test_decode_leaves_no_cursors(self, kind):
         make, decode = MODELS[kind]
         for seed in range(30):
             script = random_script(seed, max_nodes=13, max_node_len=6)
             model = make(script)
+            built = copy.deepcopy(vars(model))
             result = decode(list(script.prompt), model)
             assert not result.trace.truncated
-            assert list(vars(model)) == ["script"], seed
+            assert vars(model) == built, seed
 
     @pytest.mark.parametrize(
         "cut", [{"max_seq_len": 8}, {"max_steps": 3}], ids=["max_seq_len", "max_steps"]
@@ -245,9 +255,10 @@ class TestCursors:
         make, decode = MODELS[kind]
         script = random_script(5, max_nodes=13)
         model = make(script)
+        built = copy.deepcopy(vars(model))
         for _ in range(3):
             assert decode(list(script.prompt), model, **cut).trace.truncated
-            assert list(vars(model)) == ["script"]
+            assert vars(model) == built
 
     def test_reads_per_call_do_not_grow_with_context(self, kind):
         detail = tuple(f"d{i}" for i in range(4100))
@@ -277,3 +288,76 @@ class TestCursors:
         ctx.reads = 0
         MODELS[kind][0](script).next_token(ctx, [])
         assert ctx.reads >= len(ctx)  # a cold model reads the whole context
+
+
+# Each model kind with the node walker that states its layout rule again.
+REFERENCES = {"replay": ReferenceReplayModel, "linear": reference_linear}
+
+
+def _answer(model, context, state):
+    """The model's answer, or ScriptMismatch when the call raises."""
+    try:
+        return model.next_token(context, state)
+    except ScriptMismatch:
+        return ScriptMismatch
+
+
+def _cases(tokens, plen, pool):
+    """Yield ``(context, cut)`` pairs to compare the models on.
+
+    Each prefix of the thread comes with ``cut`` one token short of it.  Each
+    one-token replacement, insertion or deletion at position j comes cut to
+    end one or two tokens past j and at its own end, with ``cut`` = j.
+    """
+    for m in range(plen, len(tokens) + 1):
+        yield tokens[:m], m - 1
+    for j in range(len(tokens)):
+        mutants = [tokens[:j] + tokens[j + 1 :]]
+        for tok in pool:
+            mutants.append(tokens[:j] + [tok] + tokens[j + 1 :])
+            mutants.append(tokens[:j] + [tok] + tokens[j:])
+        for ctx in mutants:
+            for m in {j + 1, j + 2, len(ctx)}:
+                yield ctx[:m], j
+
+
+def _check_against_walker(kind, script, pool):
+    make, decode = MODELS[kind]
+    model, reference = make(script), REFERENCES[kind](script)
+    for tokens in decode(list(script.prompt), model).sequences_map().values():
+        for ctx, cut in _cases(tokens, len(script.prompt), pool):
+            assert _answer(model, ctx, []) == _answer(reference, ctx, []), ctx
+            state, ref_state = [], []
+            # Resumed from the state each model leaves on ctx[:cut].
+            _answer(model, ctx[:cut], state)
+            _answer(reference, ctx[:cut], ref_state)
+            assert _answer(model, ctx, state) == _answer(reference, ctx, ref_state), ctx
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_layout_cursor_matches_the_node_walker(kind, seed, data):
+    script = random_script(seed, max_nodes=9, max_node_len=4)
+    word = data.draw(st.sampled_from(sorted(set(flatten_script(script)))))
+    _check_against_walker(kind, script, (FORK, CHILD, EOS, word, "zz"))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_layout_cursor_matches_the_node_walker_past_an_empty_forking_sibling(kind):
+    # The main thread reads [Fork] [Fork]: its second node is empty and forks.
+    script = ScriptTree(
+        root=0,
+        nodes={
+            0: ScriptNode(0, ("a",), first_child=1, next_sibling=2),
+            1: ScriptNode(1, ("d",)),
+            2: ScriptNode(2, (), first_child=3, next_sibling=4),
+            3: ScriptNode(3, ("e",)),
+            4: ScriptNode(4, ("b",)),
+        },
+        prompt=("Q",),
+    )
+    _check_against_walker(kind, script, (FORK, CHILD, EOS, "a", "zz"))

@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from dataclasses import replace
@@ -126,13 +127,15 @@ class TestPoolDiscipline:
     ):
         # Twelve equal scripts, preempted and admitted again, are decoded
         # once; a second run decodes them again, since nothing is cached
-        # across calls.  The model keeps no state of its own.
+        # across calls.  The model keeps no state of its own: decoding
+        # changes none of its attributes.
         built = []
 
         def collecting(make):
             def build(script):
-                built.append(make(script))
-                return built[-1]
+                model = make(script)
+                built.append((model, copy.deepcopy(vars(model))))
+                return model
 
             return build
 
@@ -150,7 +153,7 @@ class TestPoolDiscipline:
         assert len(built) == 1
         run_simulation(config)
         assert len(built) == 2
-        assert [list(vars(model)) for model in built] == [["script"]] * 2
+        assert all(vars(model) == attributes for model, attributes in built)
 
     def test_unschedulable_prompt(self):
         script = ScriptTree(
