@@ -12,23 +12,30 @@ test_criterion_04b_big_tree_step_speedup (tests/test_acceptance.py),
 TestBigTree in tests/test_engine.py and
 test_big_tree_constant_steps in tests/test_metrics.py.
 
-apar_decode and ar_decode run one loop; ar is that loop over a model that
-never emits [Fork].  The threads move in lockstep: before each step, every
-unfinished thread holds the prompt plus one token per step run, since a
-step appends one token to each and a child forked in it starts at its
-parent's length after it.  So one comparison decides a cut: once max_steps
-steps have run, or the prompt plus the steps run reach max_seq_len tokens,
-the loop ends every unfinished thread with an appended [EOS] and sets
-truncated.  Otherwise it stops once every thread has finished.  A prompt
-of max_seq_len tokens or more thus decodes in 0 steps with an empty output.
+apar_decode and ar_decode run one loop, run_steps, which the simulator's
+step profiles run too; ar is that loop over a model that never emits
+[Fork].  The threads move in lockstep: before each
+step, every unfinished thread holds the prompt plus one token per step run,
+since a step appends one token to each and a child forked in it starts at
+its parent's length after it.  So one comparison decides a cut: once
+max_steps steps have run, or the prompt plus the steps run reach
+max_seq_len tokens, the loop ends every unfinished thread with an appended
+[EOS] and sets truncated.  Otherwise it stops once every thread has
+finished.  A prompt of max_seq_len tokens or more thus decodes in 0 steps
+with an empty output.
 
 A model answers next_token(context, state), where state is the thread's own
 model_state list: whatever the model keeps per thread lives and dies with
-the thread, so a cut does not have to tell the model.
+the thread, so a cut does not have to tell the model.  A forked child
+starts with a copy of its parent's state as the parent's call at the
+[Fork] left it.
 
-apar_step returns counts, (batch, attended, content), and builds no record
-of its own: it fills a StepRecord only when given one, and only the decode
-loop gives one, for its trace.
+apar_step returns counts, (batch, attended, content), and run_steps
+appends them and the pool and group counters read after the step,
+ROW_WIDTH integers per step and nothing else.  A trace's per-step records,
+with the tokens each step sampled and the forks it ran, are derived from
+the rows and the finished threads when first read: by the lockstep rule,
+token k of a thread was sampled at step k - prompt_len + 1.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
@@ -39,7 +46,9 @@ step's blocks before the step runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol, Sequence as Seq
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
@@ -51,12 +60,24 @@ from .tree import ParagraphTree, restore
 DEFAULT_MAX_STEPS = 4096
 DEFAULT_MAX_SEQ_LEN = 2048
 
+# Columns of a step row: the step's batch, attended and content tokens;
+# then, read after the step, the pool's used blocks and slots, the blocks
+# it has allocated so far and the step's own block peak, and the group's
+# logical slots and their running peak, in which an [EOS] slot counts
+# before its thread releases.
+(
+    BATCH, ATTENDED, CONTENT, USED_BLOCKS, USED_SLOTS,
+    ALLOCATIONS, PEAK, LOGICAL_SLOTS, LOGICAL_PEAK,
+) = range(9)
+ROW_WIDTH = LOGICAL_PEAK + 1
+
 __all__ = [
     "LanguageModel",
     "StepRecord",
     "DecodeTrace",
     "DecodeResult",
     "apar_step",
+    "run_steps",
     "apar_decode",
     "ar_decode",
 ]
@@ -65,12 +86,15 @@ __all__ = [
 class LanguageModel(Protocol):
     def next_token(self, context: Seq[str], state: list) -> str:
         """The token after ``context``; ``state`` is the thread's, empty until
-        the model first answers that thread."""
+        the model first answers that thread, or, for a forked child, a
+        shallow copy of its parent's state as the parent's call at the
+        [Fork] left it."""
 
 
 @dataclass
 class StepRecord:
-    """What one step observed; the counts its lists already hold are derived."""
+    """What one step did, as a trace derives it; the counts its lists hold
+    are derived too."""
 
     step: int
     sampled: list[tuple[int, str]] = field(default_factory=list)
@@ -115,15 +139,75 @@ class StepRecord:
 
 @dataclass
 class DecodeTrace:
+    """One decode's step rows, as run_steps returns them, and the group
+    they were read from; ``records`` is derived from both when first read."""
+
     mode: str
     prompt_len: int
-    records: list[StepRecord] = field(default_factory=list)
-    truncated: bool = False
-    content_tokens: int = 0
+    group: SequenceGroup = field(repr=False)
+    rows: list[int] = field(repr=False)
+    truncated: bool
+    content_tokens: int
 
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return len(self.rows) // ROW_WIDTH
+
+    @cached_property
+    def records(self) -> list[StepRecord]:
+        """One record per step.
+
+        Threads move in lockstep and each step visits its threads in
+        ascending id order, so token k of a thread was sampled at step
+        k - prompt_len + 1, in id order among that step's tokens.  Two
+        tokens have no step: a forked child's injected [Child], which
+        follows its first node's start, and the [EOS] a cut appends at
+        prompt_len + steps.  A fork runs in the step that samples its
+        parent's token at the [Child]'s position; its parent owns the node
+        whose first child is the child's first node.  The pool is the
+        decode's own, so it has freed no block before the first step, and
+        the blocks a step frees are its allocations less its change in used
+        blocks.
+        """
+        p, steps, rows = self.prompt_len, self.steps, self.rows
+        sampled: list[list[tuple[int, str]]] = [[] for _ in range(steps)]
+        forks: list[list[tuple[int, int]]] = [[] for _ in range(steps)]
+        nodes = self.group.tree.nodes
+        forked = {}  # child id -> (parent id, where its [Child] sits)
+        for node in nodes.values():
+            if node.first_child is not None:
+                child = nodes[node.first_child]
+                forked[child.seq] = (node.seq, child.start)
+        end = p + steps  # a cut's [EOS] sits here
+        for sid, seq in self.group.sequences.items():
+            first = p
+            if sid in forked:
+                parent, child_at = forked[sid]
+                forks[child_at - p].append((parent, sid))
+                first = child_at + 1
+            tokens = seq.tokens
+            for k in range(first, min(len(tokens), end)):
+                sampled[k - p].append((sid, tokens[k]))
+        records = []
+        freed = 0  # blocks freed before the step
+        for t in range(steps):
+            row = rows[t * ROW_WIDTH : (t + 1) * ROW_WIDTH]
+            freed_after = row[ALLOCATIONS] - row[USED_BLOCKS]
+            records.append(
+                StepRecord(
+                    step=t + 1,
+                    sampled=sampled[t],
+                    forks=forks[t],
+                    blocks_freed=freed_after - freed,
+                    attended_sum=row[ATTENDED],
+                    physical_slots=row[USED_SLOTS],
+                    physical_blocks=row[USED_BLOCKS],
+                    logical_slots=row[LOGICAL_SLOTS],
+                    logical_peak=row[LOGICAL_PEAK],
+                )
+            )
+            freed = freed_after
+        return records
 
     def to_jsonl(self) -> str:
         header = {
@@ -149,16 +233,12 @@ class DecodeResult:
         return self.group.sequences_map()
 
 
-def apar_step(
-    group: SequenceGroup, model: LanguageModel, rec: StepRecord | None = None
-) -> tuple[int, int, int]:
+def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, int, int]:
     """Advance every unfinished sequence by one token; fork where due.
 
     Returns ``(batch, attended, content)``: the sequences stepped, the
     context tokens they attended, and the sampled tokens that are not
-    control tokens.  ``rec``, when given, also receives the sampled tokens,
-    the forks, the blocks freed and the attended sum; its pool figures are
-    left as they are.
+    control tokens.
     """
     live = list(group.live.values())
     if not live:
@@ -169,18 +249,44 @@ def apar_step(
         token = model.next_token(tokens, seq.model_state)
         attended += len(tokens)
         if tokens[-1] == FORK:
-            child = group.fork_sequence(seq.id)
-            if rec is not None:
-                rec.forks.append((seq.id, child))
-        freed = group.append_token(seq.id, token)
+            group.fork_sequence(seq.id)
+        group.append_token(seq.id, token)
         if token not in CONTROL_TOKENS:
             content += 1
-        if rec is not None:
-            rec.sampled.append((seq.id, token))
-            rec.blocks_freed += freed
-    if rec is not None:
-        rec.attended_sum += attended
     return len(live), attended, content
+
+
+def run_steps(
+    group: SequenceGroup, model: LanguageModel, limit: float = math.inf
+) -> tuple[list[int], bool]:
+    """Step ``group`` until every thread has finished or ``limit`` steps ran.
+
+    Returns the step rows end to end, ROW_WIDTH integers per step, and
+    whether the run was cut: a cut ends every live thread with an appended
+    [EOS], which no row counts.  The pool's peak is set back to its used
+    blocks before each step, so a row's PEAK is the step's own; after the
+    run it is the run's again.
+    """
+    pool = group.pool
+    live = group.live
+    rows: list[int] = []
+    extend = rows.extend
+    used, _, top = pool.usage_snapshot()
+    steps = 0
+    while live and steps < limit:
+        pool.peak_used = used
+        batch, attended, content = apar_step(group, model)
+        used, slots, peak = pool.usage_snapshot()
+        extend(
+            (batch, attended, content, used, slots, pool.allocations, peak,
+             group.logical_slots, group.logical_peak)
+        )
+        steps += 1
+    cut = bool(live)
+    for seq_id in list(live):
+        group.append_token(seq_id, EOS)
+    pool.peak_used = max(top, pool.peak_used, max(rows[PEAK::ROW_WIDTH], default=0))
+    return rows, cut
 
 
 def _decode(
@@ -191,26 +297,11 @@ def _decode(
     max_seq_len: int,
     block_size: int,
 ) -> DecodeResult:
-    pool = KvBlockPool(block_size=block_size)
-    group = new_group(prompt, pool)
-    trace = DecodeTrace(mode=mode, prompt_len=len(group.prompt))
-    steps = 0
-    while group.live:
-        if steps >= max_steps or len(group.prompt) + steps >= max_seq_len:
-            for seq_id in list(group.live):
-                group.append_token(seq_id, EOS)
-            trace.truncated = True
-            break
-        steps += 1
-        rec = StepRecord(step=steps)
-        apar_step(group, model, rec)
-        rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
-        rec.logical_slots = group.logical_slots
-        # Running maximum: an [EOS] slot counts before its thread releases.
-        rec.logical_peak = group.logical_peak
-        trace.records.append(rec)
+    group = new_group(prompt, KvBlockPool(block_size=block_size))
+    prompt_len = len(group.prompt)
+    rows, truncated = run_steps(group, model, min(max_steps, max_seq_len - prompt_len))
     output = restore(group.tree, group.sequences_map(), strip_control=True)
-    trace.content_tokens = len(output)
+    trace = DecodeTrace(mode, prompt_len, group, rows, truncated, len(output))
     return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
 
 

@@ -11,7 +11,7 @@ import csv
 import json
 from typing import Iterable, Mapping, Sequence as Seq
 
-from .engine import DecodeTrace
+from .engine import LOGICAL_PEAK, ROW_WIDTH, DecodeTrace
 from .tokens import CHILD
 from .tree import ParagraphTree, restore
 
@@ -44,10 +44,13 @@ REPORT_COLUMNS = [
 
 
 def max_cached_tokens(trace: DecodeTrace) -> int:
-    """Peak logical cache slots over the run, prompt included."""
-    if not trace.records:
+    """Peak logical cache slots over the run's steps, prompt included.
+
+    The last row holds the group's running peak; a cut's [EOS] is not in it.
+    """
+    if not trace.rows:
         return trace.prompt_len
-    return max(rec.logical_peak for rec in trace.records)
+    return trace.rows[-ROW_WIDTH + LOGICAL_PEAK]
 
 
 def flatten_max_cached(tree: ParagraphTree, sequences: Mapping[int, Seq[str]]) -> int:

@@ -33,7 +33,8 @@ class Sequence:
     tokens: list[str]
     current_node: int
     block_table: BlockTable
-    # The model's own per-thread state; the runtime never reads it.
+    # The model's own per-thread state; the runtime never reads it.  A
+    # forked child starts with a shallow copy of its parent's.
     model_state: list = field(default_factory=list)
 
 
@@ -93,6 +94,7 @@ class SequenceGroup:
             tokens=list(parent.tokens),
             current_node=-1,
             block_table=child_table,
+            model_state=list(parent.model_state),
         )
         self.pool.append_slot(child_table)  # slot for the injected [Child]
         child.tokens.append(CHILD)

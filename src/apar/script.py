@@ -167,8 +167,12 @@ class LinearModel(ReplayModel):
     next_token = ReplayModel.next_token
 
     def __init__(self, script: ScriptTree):
-        flat = ScriptNode(0, tuple(flatten_script(script)))
-        super().__init__(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
+        # The layout of one node holding the content: written out, since the
+        # content was checked when ``script`` was built and one node forks
+        # nowhere.
+        self.script = script
+        self.layout = [*script.prompt, *flatten_script(script), EOS, None]
+        self.sibling_after = {}
 
 
 def as_linear(script: ScriptTree) -> LinearModel:

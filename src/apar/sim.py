@@ -11,21 +11,22 @@ blocks return to the pool at its [EOS].
 A request's steps depend on its script alone: the engine is deterministic,
 and the reservation means no step waits on another group.  So each run
 works in two parts.  Before scheduling, each distinct script content is
-decoded once, alone, with apar_step and the mode's replay model on a
-private uncapped pool, into a step profile: per step, the batch, the
-attended and content tokens, the change in the blocks and slots the group
-holds, the blocks it allocates, which is the block demand the scheduler
-reserves before the step, how far its blocks peak above the step's start,
-and the blocks and slots it holds before the step.  The model lives only
-while the profile is built, and requests with equal scripts share one
-profile.  The scheduler then runs on a step timeline: an array indexed by
-global step whose row sums the profile rows of every live group at that
-step.  An admission adds its profile from the current step on and a
-preemption subtracts the victim's remaining rows, so each global step
-reads one row, whatever the number of live groups.  The pool is a running
-count of used blocks and slots and their peak; only a step whose summed
-rise could pass the peak walks the live groups for it.  Completions are
-kept by the step each group ends at.  No profile outlives the run.
+decoded once, alone, by engine.run_steps with the mode's replay model on a
+private uncapped pool, and its step rows become a step profile in place:
+per step, the batch, the attended and content tokens, the change in the
+blocks and slots the group holds, the blocks it allocates, which is the
+block demand the scheduler reserves before the step, how far its blocks
+peak above the step's start, and the blocks and slots it holds before the
+step.  The model lives only while the profile is built, and requests with
+equal scripts share one profile.  The scheduler then runs on a step
+timeline: an array indexed by global step whose row sums the profile rows
+of every live group at that step.  An admission adds its profile from the
+current step on and a preemption subtracts the victim's remaining rows,
+so each global step reads one row, whatever the number of live groups.
+The pool is a running count of used blocks and slots and their peak; only
+a step whose summed rise could pass the peak walks the live groups for it.
+Completions are kept by the step each group ends at.  No profile outlives
+the run.
 
 A config that admits no schedule raises SimulationError.  A profile whose
 private pool is not drained, whose tree is invalid or does not restore to
@@ -54,7 +55,18 @@ from typing import Callable, Sequence as Seq
 import numpy as np
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
-from .engine import LanguageModel, apar_step
+from .engine import (
+    ALLOCATIONS,
+    CONTENT,
+    LOGICAL_PEAK,
+    LOGICAL_SLOTS,
+    PEAK,
+    ROW_WIDTH,
+    USED_BLOCKS,
+    USED_SLOTS,
+    LanguageModel,
+    run_steps,
+)
 from .errors import SimulationError, SimulationInvariantError
 from .runtime import new_group
 from .script import (
@@ -206,8 +218,11 @@ class SimReport:
 
 
 # Columns of a profile's rows, and of the scheduler's timeline, which sums
-# them over the live groups.
-BATCH, ATTENDED, CONTENT, D_BLOCKS, D_SLOTS, ALLOC, RISE, BLOCKS, SLOTS = range(9)
+# them over the live groups.  A profile row is its step's row turned into
+# changes in place, so each column sits where the step-row column it comes
+# from does; the batch, attended and content columns are the step row's.
+D_BLOCKS, D_SLOTS, ALLOC, RISE = USED_BLOCKS, USED_SLOTS, ALLOCATIONS, PEAK
+BLOCKS, SLOTS = LOGICAL_SLOTS, LOGICAL_PEAK
 
 
 class _Profile:
@@ -233,19 +248,11 @@ class _Profile:
     ):
         pool = KvBlockPool(block_size=block_size)
         group = new_group(script.prompt, pool)
-        model = make_model(script)
-        used, slots, _ = pool.usage_snapshot()
-        flat: list[int] = []  # the rows end to end
-        while group.live:
-            pool.peak_used = used  # so the peak read after the step is its own
-            allocations = pool.allocations
-            batch, attended, content = apar_step(group, model)
-            after, after_slots, peak = pool.usage_snapshot()
-            flat.extend(
-                (batch, attended, content, after - used, after_slots - slots,
-                 pool.allocations - allocations, peak - used, used, slots)
-            )
-            used, slots = after, after_slots
+        # Used blocks and slots and allocations before the first step.
+        start = [*pool.usage_snapshot()[:2], pool.allocations]
+        flat, _ = run_steps(group, make_model(script))
+        rows = np.array(flat, dtype=np.int64).reshape(-1, ROW_WIDTH)
+        used = int(rows[-1, USED_BLOCKS])
         if used:
             raise SimulationInvariantError(
                 f"decoding a request alone ended with {used} blocks still held"
@@ -262,7 +269,17 @@ class _Profile:
                 f"decoding a request alone restored {len(restored)} content tokens"
                 " that differ from its script's"
             )
-        self.rows = np.array(flat, dtype=np.int64).reshape(-1, SLOTS + 1)
+        # The step rows become the profile rows in place: the counts after
+        # each step turn into its changes, its peak into its rise above the
+        # blocks before it, and the logical columns into the blocks and
+        # slots before it.
+        before = np.empty((len(rows), 3), dtype=np.int64)
+        before[0] = start
+        before[1:] = rows[:-1, USED_BLOCKS : ALLOCATIONS + 1]
+        rows[:, RISE] -= before[:, 0]
+        rows[:, D_BLOCKS : ALLOC + 1] -= before
+        rows[:, BLOCKS:] = before[:, :2]
+        self.rows = rows
         self.content = int(self.rows[:, CONTENT].sum())
 
 
@@ -322,7 +339,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     # and slots, its block demand, a bound on how far its blocks peak above
     # their start, and the blocks and slots held before it.  The timeline
     # grows as admissions reach past its end.
-    timeline = np.zeros((0, SLOTS + 1), dtype=np.int64)
+    timeline = np.zeros((0, ROW_WIDTH), dtype=np.int64)
 
     def close_windows() -> None:
         nonlocal next_sample, window_content, window_latencies
@@ -368,7 +385,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             req_id = waiting.popleft()
             end = step + len(rows)
             if end > len(timeline):
-                grown = np.zeros((max(end, 2 * len(timeline)), SLOTS + 1), dtype=np.int64)
+                grown = np.zeros((max(end, 2 * len(timeline)), ROW_WIDTH), dtype=np.int64)
                 grown[: len(timeline)] = timeline
                 timeline = grown
             timeline[step:end] += rows

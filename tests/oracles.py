@@ -6,21 +6,22 @@ second way, so a test can compare it with what the program produced.
 
 from __future__ import annotations
 
+import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence as Seq
 
 import numpy as np
 
 from apar.attention import LinearizedSample
 from apar.blocks import BlockTable, KvBlockPool
-from apar.engine import DecodeTrace, LanguageModel, apar_step
-from apar.errors import ScriptMismatch, SimulationError, SimulationInvariantError
+from apar.engine import DecodeTrace, LanguageModel, StepRecord, apar_step
+from apar.errors import ProtocolError, ScriptMismatch, SimulationError, SimulationInvariantError
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
 from apar.tokens import CHILD, EOS, FORK
-from apar.tree import ParagraphTree, preorder
+from apar.tree import ParagraphTree, preorder, restore
 
 
 def linearize_group(
@@ -111,6 +112,91 @@ def reference_linear(script: ScriptTree) -> ReferenceReplayModel:
     """The node walker over the flattened script as one node."""
     flat = ScriptNode(0, tuple(flatten_script(script)))
     return ReferenceReplayModel(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
+
+
+def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -> None:
+    """``engine.apar_step`` that fills ``rec`` as the step runs.
+
+    ``rec`` receives the sampled tokens and the forks in the order the step
+    makes them, the blocks freed and the attended sum; its pool figures are
+    left as they are.
+    """
+    live = list(group.live.values())
+    if not live:
+        raise ProtocolError("all sequences of the group have finished")
+    for seq in live:
+        tokens = seq.tokens
+        token = model.next_token(tokens, seq.model_state)
+        rec.attended_sum += len(tokens)
+        if tokens[-1] == FORK:
+            rec.forks.append((seq.id, group.fork_sequence(seq.id)))
+        rec.blocks_freed += group.append_token(seq.id, token)
+        rec.sampled.append((seq.id, token))
+
+
+@dataclass
+class ReferenceTrace:
+    """A decode trace whose records were filled as the steps ran."""
+
+    mode: str
+    prompt_len: int
+    records: list[StepRecord] = field(default_factory=list)
+    truncated: bool = False
+    content_tokens: int = 0
+    sequences: dict[int, list[str]] = field(default_factory=dict)
+
+    @property
+    def steps(self) -> int:
+        return len(self.records)
+
+    def to_jsonl(self) -> str:
+        header = {
+            "mode": self.mode,
+            "prompt_len": self.prompt_len,
+            "steps": self.steps,
+            "truncated": self.truncated,
+            "content_tokens": self.content_tokens,
+        }
+        lines = [json.dumps(header)]
+        lines.extend(json.dumps(rec.to_dict()) for rec in self.records)
+        return "\n".join(lines) + "\n"
+
+
+def reference_decode(
+    mode: str,
+    prompt: Seq[str],
+    model: LanguageModel,
+    max_steps: int,
+    max_seq_len: int,
+    block_size: int,
+) -> ReferenceTrace:
+    """A decode that fills a ``StepRecord`` during every step: the reference
+    that ``DecodeTrace.records``, derived after the run, must match."""
+    pool = KvBlockPool(block_size=block_size)
+    group = new_group(prompt, pool)
+    trace = ReferenceTrace(mode=mode, prompt_len=len(group.prompt))
+    steps = 0
+    while group.live:
+        if steps >= max_steps or len(group.prompt) + steps >= max_seq_len:
+            for seq_id in list(group.live):
+                group.append_token(seq_id, EOS)
+            trace.truncated = True
+            break
+        steps += 1
+        rec = StepRecord(step=steps)
+        recorded_step(group, model, rec)
+        rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
+        rec.logical_slots = group.logical_slots
+        rec.logical_peak = group.logical_peak
+        trace.records.append(rec)
+    trace.sequences = group.sequences_map()
+    trace.content_tokens = len(restore(group.tree, trace.sequences, strip_control=True))
+    return trace
+
+
+def reference_max_cached(trace: ReferenceTrace) -> int:
+    """Peak logical cache slots as the maximum over every step's record."""
+    return max((rec.logical_peak for rec in trace.records), default=trace.prompt_len)
 
 
 def tokens_per_second(trace: DecodeTrace, cost: StepCostModel) -> float:

@@ -5,10 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import check_invariants, step_block_demand  # noqa: E402
+from oracles import (  # noqa: E402
+    check_invariants,
+    recorded_step,
+    reference_decode,
+    reference_max_cached,
+    step_block_demand,
+)
 
 from apar.blocks import KvBlockPool
-from apar.engine import StepRecord, apar_decode, apar_step, ar_decode
+from apar.engine import (
+    DEFAULT_MAX_SEQ_LEN,
+    DEFAULT_MAX_STEPS,
+    StepRecord,
+    apar_decode,
+    apar_step,
+    ar_decode,
+)
+from apar.metrics import max_cached_tokens
 from apar.errors import ProtocolError
 from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
@@ -177,7 +191,7 @@ class TestProperties:
                 demand = step_block_demand(group)
                 before, allocations = pool.usage_snapshot()[0], pool.allocations
                 rec = StepRecord(step=steps + 1)
-                apar_step(group, model, rec)
+                recorded_step(group, model, rec)
                 used = pool.usage_snapshot()[0]
                 assert used - before + rec.blocks_freed == demand, (seed, steps)
                 assert pool.allocations - allocations == demand, (seed, steps)
@@ -187,9 +201,9 @@ class TestProperties:
     @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
     def test_step_counts_match_the_record(self, make_model, block_size):
-        # The simulator steps without a record and reads only the returned
-        # counts; the decode loop reads the record.  Both describe one step,
-        # and passing a record must not change what the step does.
+        # The step loop reads only the counts apar_step returns; the
+        # reference step fills a record as it goes.  Both describe one
+        # step, and filling a record must not change what the step does.
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
@@ -200,8 +214,8 @@ class TestProperties:
             traced_model, plain_model = make_model(script), make_model(script)
             while traced.live:
                 rec = StepRecord(step=steps + 1)
-                counts = apar_step(traced, traced_model, rec)
-                assert apar_step(plain, plain_model) == counts, (seed, steps)
+                recorded_step(traced, traced_model, rec)
+                counts = apar_step(plain, plain_model)
                 content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
                 assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
                 assert plain.sequences_map() == traced.sequences_map()
@@ -278,3 +292,70 @@ def test_live_threads_hold_prompt_plus_steps(seed, mode, block_size):
         prompt_len + rec.step - 1 for rec in result.trace.records for _ in rec.sampled
     ]
     assert not result.trace.truncated
+
+
+def _same_trace(mode, script, block_size, limits) -> bool:
+    """Decode ``script`` and check its derived trace against the reference
+    loop's recorded one; return whether the run was cut."""
+    decode, make_model = (apar_decode, ReplayModel) if mode == "apar" else (ar_decode, as_linear)
+    prompt = list(script.prompt)
+    result = decode(prompt, make_model(script), block_size=block_size, **limits)
+    ref = reference_decode(
+        mode,
+        prompt,
+        make_model(script),
+        limits.get("max_steps", DEFAULT_MAX_STEPS),
+        limits.get("max_seq_len", DEFAULT_MAX_SEQ_LEN),
+        block_size,
+    )
+    assert result.trace.to_jsonl() == ref.to_jsonl(), (mode, block_size, limits)
+    assert result.sequences_map() == ref.sequences
+    assert max_cached_tokens(result.trace) == reference_max_cached(ref)
+    return ref.truncated
+
+
+@pytest.mark.parametrize("mode", ["apar", "ar"])
+def test_derived_trace_is_the_recorded_trace(mode):
+    # Each script decodes whole, cut by max_steps and cut by max_seq_len;
+    # the cuts include 0 steps and a cut in the step a child is forked.
+    runs = cut = 0
+    for seed in range(300):
+        script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+        prompt_len = len(script.prompt)
+        for limits in ({}, {"max_steps": seed % 17}, {"max_seq_len": prompt_len + seed % 13}):
+            cut += _same_trace(mode, script, (1, 3, 16)[seed % 3], limits)
+            runs += 1
+    for script in (list_script(), list_script(items=9, detail_len=5), list_script(items=3, intro_len=0)):
+        prompt_len = len(script.prompt)
+        for block_size in (1, 3, 16):
+            for limits in ({}, {"max_steps": 40}, {"max_seq_len": prompt_len + 25}):
+                cut += _same_trace(mode, script, block_size, limits)
+                runs += 1
+    assert 300 < cut < runs - 300
+
+
+class _CheckedTokens:
+    """A model wrapper that counts the context tokens each call must check:
+    those past the ``checked`` count its state holds, or all of them."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = self.checked = 0
+
+    def next_token(self, context, state):
+        self.calls += 1
+        self.checked += len(context) - (state[0] if state else 0)
+        return self.model.next_token(context, state)
+
+
+@pytest.mark.parametrize("items", [50, 200, 2000])
+def test_forked_child_checks_only_new_tokens(items):
+    # A child starts from its parent's state, so its first call checks its
+    # [Child] alone, not the context it inherited: the checked tokens per
+    # sampled token stay bounded however many forks the decode runs.
+    script = list_script(items=items, detail_len=5)
+    model = _CheckedTokens(ReplayModel(script))
+    result = apar_decode(list(script.prompt), model, max_steps=1 << 30, max_seq_len=1 << 30)
+    assert result.output == flatten_script(script)
+    assert result.group.thread_count() == items + 1
+    assert model.checked <= 2 * model.calls
