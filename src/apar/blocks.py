@@ -2,7 +2,15 @@
 
 Blocks are bookkeeping entries only; no tensors are stored.  Forking a
 sequence shares every full block of the parent and copies the trailing
-partial block, so a fork allocates at most one fresh block.
+partial block, so a fork allocates at most one fresh block, and a partial
+last block always has exactly one owner.
+
+append_slot reserves one slot for one table, with the refcount check.
+A lockstep decode step (engine.apar_step) calls it only on the steps
+where every table's last block is full, so that each append takes a fresh
+block.  On every other step the step moves each table's fill itself and
+adds its slots to used_slots once: each append lands in a partial last
+block, which has one owner, so it needs neither a block nor the check.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ class KvBlockPool:
         self.block_size = block_size
         self.refcount: dict[int, int] = {}
         # Filled slots over all used blocks.  Every block but a table's last
-        # is full, and a partial last block has exactly one owner.
-        self._used_slots = 0
+        # is full, and a partial last block has exactly one owner.  Public
+        # for the decode step, which counts its in-place appends here.
+        self.used_slots = 0
         self.peak_used: int = 0
         self.allocations = 0  # blocks handed out so far, freed or not; the next id
 
@@ -64,7 +73,7 @@ class KvBlockPool:
         self.refcount[block] -= 1
         if self.refcount[block] == 0:
             del self.refcount[block]
-            self._used_slots -= slots
+            self.used_slots -= slots
             return True
         return False
 
@@ -76,7 +85,7 @@ class KvBlockPool:
             block = self._alloc()
             table.blocks.append(block)
             table.slots_used_in_last_block = 1
-            self._used_slots += 1
+            self.used_slots += 1
         else:
             last = table.blocks[-1]
             if self.refcount[last] != 1:
@@ -84,7 +93,7 @@ class KvBlockPool:
                     f"append into shared block {last} (refcount {self.refcount[last]})"
                 )
             table.slots_used_in_last_block += 1
-            self._used_slots += 1
+            self.used_slots += 1
 
     def fork_table(self, parent: BlockTable, child_owner: int) -> BlockTable:
         """Map a forked child onto the parent's cache.
@@ -101,7 +110,7 @@ class KvBlockPool:
         shared = parent.blocks[:-1] if partial else parent.blocks
         if partial:
             copy = self._alloc()
-            self._used_slots += parent.slots_used_in_last_block
+            self.used_slots += parent.slots_used_in_last_block
         for block in shared:
             self.refcount[block] += 1
         child.blocks = list(shared)
@@ -125,4 +134,4 @@ class KvBlockPool:
 
     def usage_snapshot(self) -> tuple[int, int, int]:
         """(used blocks, used slots, peak used blocks); slots count exact fills."""
-        return len(self.refcount), self._used_slots, self.peak_used
+        return len(self.refcount), self.used_slots, self.peak_used

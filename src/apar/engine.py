@@ -30,12 +30,24 @@ the thread, so a cut does not have to tell the model.  A forked child
 starts with a copy of its parent's state as the parent's call at the
 [Fork] left it.
 
-apar_step returns counts, (batch, attended, content), and run_steps
-appends them and the pool and group counters read after the step,
-ROW_WIDTH integers per step and nothing else.  A trace's per-step records,
-with the tokens each step sampled and the forks it ran, are derived from
-the rows and the finished threads when first read: by the lockstep rule,
-token k of a thread was sampled at step k - prompt_len + 1.
+apar_step relies on the lockstep rule: every live thread, and so every
+live block table, holds the same L tokens, and a thread that does not
+raises ProtocolError before its model call.  A step attends batch * L
+tokens.  It allocates one block per stepped thread iff L % block_size == 0,
+when every last block is full, plus one per fork (the copy of a partial
+last block, or the child's first).  On such a step each thread appends
+through pool.append_slot in id order, so the pool's peak stays exact
+within the step; on any other step an append only moves its table's fill,
+in a last block that has one owner.  The pool's used slots and the group's
+logical slots are counted once per step, the logical ones also before
+each [EOS] release, the one event that lowers their running count, so
+their running peak is exact as well.  apar_step returns the step's row,
+ROW_WIDTH integers: its batch, attended and content tokens, then the pool
+and group counters after it; run_steps appends the rows and keeps
+nothing else.  A trace's per-step records, with the tokens each step
+sampled and the forks it ran, are derived from the rows and the finished
+threads when first read: by the lockstep rule, token k of a thread was
+sampled at step k - prompt_len + 1.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
@@ -233,27 +245,59 @@ class DecodeResult:
         return self.group.sequences_map()
 
 
-def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, int, int]:
+def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     """Advance every unfinished sequence by one token; fork where due.
 
-    Returns ``(batch, attended, content)``: the sequences stepped, the
-    context tokens they attended, and the sampled tokens that are not
-    control tokens.
+    Returns the step's row, ROW_WIDTH integers: the sequences stepped, the
+    context tokens they attended and the sampled tokens that are not
+    control tokens, then the pool's and the group's counters after the
+    step (see ROW_WIDTH).
     """
     live = list(group.live.values())
     if not live:
         raise ProtocolError("all sequences of the group have finished")
-    attended = content = 0
+    pool = group.pool
+    length = len(live[0].tokens)
+    fresh = length % pool.block_size == 0  # every last block is full
+    counted = controls = 0  # appends counted as logical slots; control tokens
     for seq in live:
         tokens = seq.tokens
+        if len(tokens) != length:
+            raise ProtocolError(
+                f"sequence {seq.id} holds {len(tokens)} tokens but sequence"
+                f" {live[0].id} holds {length}: the threads are out of lockstep"
+            )
         token = model.next_token(tokens, seq.model_state)
-        attended += len(tokens)
         if tokens[-1] == FORK:
             group.fork_sequence(seq.id)
-        group.append_token(seq.id, token)
-        if token not in CONTROL_TOKENS:
-            content += 1
-    return len(live), attended, content
+        if fresh:
+            pool.append_slot(seq.block_table)
+        else:
+            seq.block_table.slots_used_in_last_block += 1
+        tokens.append(token)
+        if token in CONTROL_TOKENS:
+            controls += 1
+            if token == EOS:
+                # Count every append so far, this [EOS] included, before
+                # the release can lower the count.  (A fork's own count
+                # lacks them, so it can only read low.)  Each search starts
+                # past the last one, so a step scans ``live`` at most once.
+                appended = live.index(seq, counted) + 1
+                group.count_appends(appended - counted)
+                counted = appended
+                group.finish(seq)
+    batch = len(live)
+    if not fresh:
+        pool.used_slots += batch
+    # group.count_appends, written out: it runs once per step.
+    group.logical_slots += batch - counted
+    if group.logical_slots > group.logical_peak:
+        group.logical_peak = group.logical_slots
+    return (
+        batch, batch * length, batch - controls, len(pool.refcount),
+        pool.used_slots, pool.allocations, pool.peak_used,
+        group.logical_slots, group.logical_peak,
+    )
 
 
 def run_steps(
@@ -271,16 +315,13 @@ def run_steps(
     live = group.live
     rows: list[int] = []
     extend = rows.extend
-    used, _, top = pool.usage_snapshot()
+    used, top = len(pool.refcount), pool.peak_used
     steps = 0
     while live and steps < limit:
         pool.peak_used = used
-        batch, attended, content = apar_step(group, model)
-        used, slots, peak = pool.usage_snapshot()
-        extend(
-            (batch, attended, content, used, slots, pool.allocations, peak,
-             group.logical_slots, group.logical_peak)
-        )
+        row = apar_step(group, model)
+        extend(row)
+        used = row[USED_BLOCKS]
         steps += 1
     cut = bool(live)
     for seq_id in list(live):

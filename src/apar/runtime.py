@@ -12,6 +12,13 @@ append cannot run out of blocks.
 The group also tracks *logical* cache occupancy: distinct cached tokens with
 shared prefixes counted once, released per-thread as threads finish.  This
 is the token-level counterpart of the physical block pool.
+
+append_token is the one-thread operation: one token, with its block slot
+and its logical slot.  A lockstep decode step (engine.apar_step) appends to
+each of its threads itself, and counts their logical slots at once: before
+each [EOS] release, the only event that lowers the running count, and at
+the step's end.  Both end a thread through finish, the one place that
+releases it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .tree import ParagraphNode, ParagraphTree
 __all__ = ["Sequence", "SequenceGroup", "new_group"]
 
 
-@dataclass
+@dataclass(eq=False)  # a thread is itself: list.index finds it by identity
 class Sequence:
     id: int
     tokens: list[str]
@@ -121,9 +128,7 @@ class SequenceGroup:
         child.current_node = detail.id
         self.sequences[child_id] = child
         self.live[child_id] = child
-        self.logical_slots += 1  # the injected [Child]; the prefix is shared
-        if self.logical_slots > self.logical_peak:
-            self.logical_peak = self.logical_slots
+        self.count_appends(1)  # the injected [Child]; the prefix is shared
         return child_id
 
     def append_token(self, seq_id: int, token: str) -> int:
@@ -132,24 +137,31 @@ class SequenceGroup:
         Returns the number of physical blocks freed (0 unless the token
         finished the sequence).
         """
-        # The lookup is written out: this is the per-token path of every
-        # decode and simulation.
         try:
             seq = self.live[seq_id]
         except KeyError:
             raise self._not_live(seq_id, "append to") from None
         self.pool.append_slot(seq.block_table)
         seq.tokens.append(token)
-        self.logical_slots += 1
-        if self.logical_slots > self.logical_peak:
-            self.logical_peak = self.logical_slots
+        self.count_appends(1)
         if token != EOS:
             return 0
-        del self.live[seq_id]
+        return self.finish(seq)
+
+    def finish(self, seq: Sequence) -> int:
+        """End live ``seq``, whose last token is [EOS] and already counted:
+        drop its hold on the tree and its blocks; return blocks freed."""
+        del self.live[seq.id]
         self._release_logical(seq)
         return self.pool.release_sequence(seq.block_table)
 
     # -- logical accounting --
+
+    def count_appends(self, count: int) -> None:
+        """Count ``count`` appended tokens as logical slots; raise the peak."""
+        self.logical_slots += count
+        if self.logical_slots > self.logical_peak:
+            self.logical_peak = self.logical_slots
 
     def _release_logical(self, seq: Sequence) -> None:
         """Drop the finished thread's hold on its node, freeing unheld ancestors."""

@@ -115,11 +115,14 @@ def reference_linear(script: ScriptTree) -> ReferenceReplayModel:
 
 
 def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -> None:
-    """``engine.apar_step`` that fills ``rec`` as the step runs.
+    """The per-token reference step that ``engine.apar_step`` must match.
 
-    ``rec`` receives the sampled tokens and the forks in the order the step
-    makes them, the blocks freed and the attended sum; its pool figures are
-    left as they are.
+    It advances each thread through ``SequenceGroup.append_token``, so every
+    token reserves its block slot through ``KvBlockPool.append_slot``, with
+    the refcount check, and counts its logical slot one at a time.  It fills
+    ``rec`` as the step runs: the sampled tokens and the forks in the order
+    the step makes them, the blocks freed and the attended sum; its pool
+    figures are left as they are.
     """
     live = list(group.live.values())
     if not live:
@@ -340,7 +343,7 @@ def reference_simulation(config: SimConfig) -> SimReport:
 
         step_batch = step_attended = finished = 0
         for entry in live:
-            batch, attended, content = apar_step(entry.group, entry.model)
+            batch, attended, content = apar_step(entry.group, entry.model)[:3]
             step_batch += batch
             step_attended += attended
             entry.content_generated += content

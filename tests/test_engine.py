@@ -73,6 +73,25 @@ class TestDegenerateAndErrors:
         with pytest.raises(ProtocolError):
             apar_step(result.group, ReplayModel(fig3_script))
 
+    def test_step_refuses_a_thread_out_of_lockstep(self, fig3_script):
+        # append_token can advance one thread alone; the step then names
+        # that thread before its model call, and leaves it as it was.
+        group = new_group(list(fig3_script.prompt), KvBlockPool(block_size=2))
+        model = ReplayModel(fig3_script)
+        for _ in range(4):
+            apar_step(group, model)  # a1 a2 [Fork], then b1 and the fork
+        assert list(group.live) == [0, 1]
+        length = len(group.live[0].tokens)
+        child = group.live[1]
+        group.append_token(1, "d1")  # the child runs one token ahead
+        before = list(child.tokens), list(child.model_state)
+        with pytest.raises(
+            ProtocolError,
+            match=f"sequence 1 holds {length + 1} tokens but sequence 0 holds {length}",
+        ):
+            apar_step(group, model)
+        assert (child.tokens, child.model_state) == before
+
     def test_max_steps_truncation(self, fig3_script):
         result = apar_decode(
             list(fig3_script.prompt), ReplayModel(fig3_script), max_steps=3
@@ -215,15 +234,63 @@ class TestProperties:
             while traced.live:
                 rec = StepRecord(step=steps + 1)
                 recorded_step(traced, traced_model, rec)
-                counts = apar_step(plain, plain_model)
+                counts = apar_step(plain, plain_model)[:3]
                 content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
                 assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
                 assert plain.sequences_map() == traced.sequences_map()
                 assert plain.pool.usage_snapshot() == traced.pool.usage_snapshot()
                 assert step_block_demand(plain) == step_block_demand(traced)
+                # The step moves the pool as the per-token path does, block
+                # for block; and every live last block has one owner, which
+                # is what lets the step skip append_slot's refcount check.
+                pool, ref = plain.pool, traced.pool
+                assert pool.refcount == ref.refcount
+                assert pool.allocations == ref.allocations
+                assert pool.peak_used == ref.peak_used
+                assert (plain.logical_slots, plain.logical_peak) == (
+                    traced.logical_slots, traced.logical_peak
+                )
+                assert list(plain.live) == list(traced.live)
+                for sid, seq in plain.live.items():
+                    table, ref_table = seq.block_table, traced.live[sid].block_table
+                    assert table.blocks == ref_table.blocks, (seed, steps, sid)
+                    assert table.slots_used_in_last_block == ref_table.slots_used_in_last_block
+                    assert pool.refcount[table.blocks[-1]] == 1, (seed, steps, sid)
                 steps += 1
             assert not plain.live
         assert steps > 1000
+
+    @pytest.mark.parametrize("block_size", [1, 3, 16])
+    def test_steps_on_a_shared_pool_keep_the_peak(self, block_size):
+        # Two groups step in turn on one pool, which nothing resets; a twin
+        # pool runs the same steps but is set back to its used blocks
+        # before each, as run_steps does, so its peak after a step is that
+        # step's own.  The shared pool's peak is the maximum over both
+        # groups' steps so far: a step never sets it back.
+        below = 0  # steps whose own peak is below the peak so far
+        for seed in range(0, 40, 2):
+            scripts = [
+                random_script(seed + k, max_nodes=15, max_node_len=6, prompt_len=1 + k)
+                for k in range(2)
+            ]
+            shared, twin = KvBlockPool(block_size), KvBlockPool(block_size)
+            runs = [
+                [(new_group(list(s.prompt), pool), ReplayModel(s)) for s in scripts]
+                for pool in (shared, twin)
+            ]
+            step_peaks = [twin.peak_used]
+            while any(group.live for group, _ in runs[0]):
+                for (group, model), (twin_group, twin_model) in zip(*runs):
+                    if not group.live:
+                        continue
+                    twin.peak_used = twin.usage_snapshot()[0]
+                    apar_step(group, model)
+                    apar_step(twin_group, twin_model)
+                    step_peaks.append(twin.peak_used)
+                    assert shared.peak_used == max(step_peaks), seed
+                    below += twin.peak_used < shared.peak_used
+            assert shared.usage_snapshot()[:2] == (0, 0)
+        assert below > 100
 
     def test_standalone_pool_has_no_cap(self):
         # Within the decode limits, but it needs more than 65,536 one-slot blocks.
