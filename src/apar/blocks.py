@@ -1,16 +1,19 @@
-"""Paged KV-cache accounting: uncapped refcounted blocks of a fixed size.
+"""Paged KV-cache accounting: uncapped blocks of a fixed size, one owner each.
 
-Blocks are bookkeeping entries only; no tensors are stored.  Forking a
-sequence shares every full block of the parent and copies the trailing
-partial block, so a fork allocates at most one fresh block, and a partial
-last block always has exactly one owner.
+Blocks are bookkeeping entries only; no tensors are stored.  Every block
+has one owner, the tree node its last slot falls in, and the pool keeps
+no per-block state.  A thread's table holds only the blocks it has written
+since its last fork.  Forking detaches the parent's full blocks, which
+the sequence group gives to the node the fork closes, and copies the
+trailing partial block into a fresh block for the child, so a fork
+allocates at most one block and no block is in two tables.  Releasing a
+table frees its blocks plus the node blocks the caller names.
 
-append_slot reserves one slot for one table, with the refcount check.
-A lockstep decode step (engine.apar_step) calls it only on the steps
-where every table's last block is full, so that each append takes a fresh
-block.  On every other step the step moves each table's fill itself and
-adds its slots to used_slots once: each append lands in a partial last
-block, which has one owner, so it needs neither a block nor the check.
+append_slot reserves one slot for one table.  A lockstep decode step
+(engine.apar_step) calls it only on the steps where every table's last
+block is full, so that each append takes a fresh block.  On every other
+step the step moves each table's fill itself and adds its slots to
+used_slots once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ __all__ = ["KvBlockPool", "BlockTable", "DEFAULT_BLOCK_SIZE"]
 
 @dataclass
 class BlockTable:
-    """Per-sequence logical to physical mapping."""
+    """The blocks one sequence has written since its last fork, in order;
+    every block but the last is full.  The blocks before them belong to
+    the tree nodes the sequence descends from."""
 
     owner: int
     blocks: list[int] = field(default_factory=list)
@@ -35,7 +40,7 @@ class BlockTable:
 
 
 class KvBlockPool:
-    """Uncapped pool of cache blocks with per-block refcounts.
+    """Uncapped pool of cache blocks, counted, not tracked one by one.
 
     Block ids are handed out in allocation order and never reused: a
     block's id is the number of blocks allocated before it (0, 1, 2, ...).
@@ -49,89 +54,66 @@ class KvBlockPool:
         if block_size <= 0:
             raise ValueError("block_size must be > 0")
         self.block_size = block_size
-        self.refcount: dict[int, int] = {}
-        # Filled slots over all used blocks.  Every block but a table's last
-        # is full, and a partial last block has exactly one owner.  Public
-        # for the decode step, which counts its in-place appends here.
+        # Used blocks, and the filled slots in them: every block but a
+        # table's last is full.  Public for the decode step, which counts
+        # its in-place appends in used_slots.
+        self.used_blocks = 0
         self.used_slots = 0
         self.peak_used: int = 0
         self.allocations = 0  # blocks handed out so far, freed or not; the next id
 
-    # -- internal helpers --
-
     def _alloc(self) -> int:
         block = self.allocations
         self.allocations += 1
-        self.refcount[block] = 1
-        used = len(self.refcount)
-        if used > self.peak_used:
-            self.peak_used = used
+        self.used_blocks += 1
+        if self.used_blocks > self.peak_used:
+            self.peak_used = self.used_blocks
         return block
-
-    def _decref(self, block: int, slots: int) -> bool:
-        """Drop one reference; a block freed here held ``slots`` filled slots."""
-        self.refcount[block] -= 1
-        if self.refcount[block] == 0:
-            del self.refcount[block]
-            self.used_slots -= slots
-            return True
-        return False
-
-    # -- public operations --
 
     def append_slot(self, table: BlockTable) -> None:
         """Reserve one more slot for the owning sequence."""
         if not table.blocks or table.slots_used_in_last_block == self.block_size:
-            block = self._alloc()
-            table.blocks.append(block)
+            table.blocks.append(self._alloc())
             table.slots_used_in_last_block = 1
-            self.used_slots += 1
         else:
-            last = table.blocks[-1]
-            if self.refcount[last] != 1:
-                raise ProtocolError(
-                    f"append into shared block {last} (refcount {self.refcount[last]})"
-                )
             table.slots_used_in_last_block += 1
-            self.used_slots += 1
+        self.used_slots += 1
 
-    def fork_table(self, parent: BlockTable, child_owner: int) -> BlockTable:
-        """Map a forked child onto the parent's cache.
+    def fork_table(self, parent: BlockTable, child_owner: int) -> tuple[BlockTable, int]:
+        """Map a forked child onto the parent's cache; return the child's
+        table and the number of full blocks detached from the parent's.
 
-        All full blocks are shared; the trailing partial block, if any, is
-        copied into a fresh block so either table can keep appending.
+        The detached blocks leave every table: the caller owns them and
+        names them when it releases a table.  The trailing partial block,
+        if any, stays with the parent and is copied into a fresh block,
+        the child's only one, so either table can keep appending.
         """
         if parent.released:
             raise ProtocolError("fork from a released table")
+        blocks, fill = parent.blocks, parent.slots_used_in_last_block
+        partial = bool(blocks) and fill < self.block_size
+        detached = len(blocks) - partial
+        del blocks[:detached]
         child = BlockTable(owner=child_owner)
-        if not parent.blocks:
-            return child
-        partial = parent.slots_used_in_last_block < self.block_size
-        shared = parent.blocks[:-1] if partial else parent.blocks
         if partial:
-            copy = self._alloc()
-            self.used_slots += parent.slots_used_in_last_block
-        for block in shared:
-            self.refcount[block] += 1
-        child.blocks = list(shared)
-        if partial:
-            child.blocks.append(copy)
-        child.slots_used_in_last_block = parent.slots_used_in_last_block
-        return child
+            child.blocks.append(self._alloc())
+            child.slots_used_in_last_block = fill
+            self.used_slots += fill
+        return child, detached
 
-    def release_sequence(self, table: BlockTable) -> int:
-        """Drop the finished sequence's references; return blocks freed."""
+    def release_sequence(self, table: BlockTable, detached: int = 0) -> int:
+        """Free the finished sequence's blocks and ``detached`` full blocks
+        the caller owned; return blocks freed."""
         if table.released:
             raise ProtocolError(f"table of sequence {table.owner} released twice")
-        freed = 0
-        last = len(table.blocks) - 1
-        for i, block in enumerate(table.blocks):
-            slots = table.slots_used_in_last_block if i == last else self.block_size
-            if self._decref(block, slots):
-                freed += 1
         table.released = True
-        return freed
+        own = len(table.blocks)
+        self.used_blocks -= own + detached
+        self.used_slots -= detached * self.block_size
+        if own:
+            self.used_slots -= (own - 1) * self.block_size + table.slots_used_in_last_block
+        return own + detached
 
     def usage_snapshot(self) -> tuple[int, int, int]:
         """(used blocks, used slots, peak used blocks); slots count exact fills."""
-        return len(self.refcount), self.used_slots, self.peak_used
+        return self.used_blocks, self.used_slots, self.peak_used

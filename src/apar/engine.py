@@ -38,16 +38,16 @@ when every last block is full, plus one per fork (the copy of a partial
 last block, or the child's first).  On such a step each thread appends
 through pool.append_slot in id order, so the pool's peak stays exact
 within the step; on any other step an append only moves its table's fill,
-in a last block that has one owner.  The pool's used slots and the group's
-logical slots are counted once per step, the logical ones also before
-each [EOS] release, the one event that lowers their running count, so
-their running peak is exact as well.  apar_step returns the step's row,
-ROW_WIDTH integers: its batch, attended and content tokens, then the pool
-and group counters after it; run_steps appends the rows and keeps
-nothing else.  A trace's per-step records, with the tokens each step
-sampled and the forks it ran, are derived from the rows and the finished
-threads when first read: by the lockstep rule, token k of a thread was
-sampled at step k - prompt_len + 1.
+in a last block that no other table holds (see apar.blocks).  The pool's
+used slots and the group's logical slots are counted once per step, the
+logical ones also before each [EOS] release, the one event that lowers
+their running count, so their running peak is exact as well.  apar_step
+returns the step's row, ROW_WIDTH integers: its batch, attended and
+content tokens, then the pool and group counters after it; run_steps
+appends the rows and keeps nothing else.  A trace's per-step records,
+with the tokens each step sampled and the forks it ran, are derived from
+the rows and the finished threads when first read: by the lockstep rule,
+token k of a thread was sampled at step k - prompt_len + 1.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
@@ -294,7 +294,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     if group.logical_slots > group.logical_peak:
         group.logical_peak = group.logical_slots
     return (
-        batch, batch * length, batch - controls, len(pool.refcount),
+        batch, batch * length, batch - controls, pool.used_blocks,
         pool.used_slots, pool.allocations, pool.peak_used,
         group.logical_slots, group.logical_peak,
     )
@@ -315,7 +315,7 @@ def run_steps(
     live = group.live
     rows: list[int] = []
     extend = rows.extend
-    used, top = len(pool.refcount), pool.peak_used
+    used, top = pool.used_blocks, pool.peak_used
     steps = 0
     while live and steps < limit:
         pool.peak_used = used

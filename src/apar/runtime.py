@@ -5,13 +5,17 @@ ends with [Fork], forking it clones the prefix into a child thread, injects
 [Child] there, and rewrites the tree: the old leaf gains a first_child (the
 child's content node) and a next_sibling (the parent's continuation node).
 
-The group owns its threads' blocks in the physical pool.  A thread's blocks
-are freed when it appends [EOS].  The pool has no cap, so a fork or an
-append cannot run out of blocks.
+The group tracks *logical* cache occupancy: distinct cached tokens with
+shared prefixes counted once, released per-thread as threads finish.
 
-The group also tracks *logical* cache occupancy: distinct cached tokens with
-shared prefixes counted once, released per-thread as threads finish.  This
-is the token-level counterpart of the physical block pool.
+It is also the only code that knows which physical blocks are shared.
+Every block belongs to the tree node its last slot falls in: a thread's
+table holds the blocks it wrote since its last fork, and a fork gives the
+parent's full blocks to the node it closes.  The threads sharing such a
+block are the live threads under that node, so a finishing thread frees
+its table plus the blocks of every node it was the last to hold; the
+root holds the prompt's blocks until the group ends.  The pool has no
+cap, so a fork or an append cannot run out of blocks.
 
 append_token is the one-thread operation: one token, with its block slot
 and its logical slot.  A lockstep decode step (engine.apar_step) appends to
@@ -69,6 +73,9 @@ class SequenceGroup:
         # plus its live first_child and next_sibling.  A node's tokens stay
         # cached while it has a holder.
         self._node_live_refs: dict[int, int] = {0: 1}
+        # Node id -> the full blocks its fork detached from the thread's
+        # table; an entry leaves with its node's last holder.
+        self._node_blocks: dict[int, int] = {}
         self.logical_slots = len(prompt)
         self.logical_peak = len(prompt)
 
@@ -94,7 +101,7 @@ class SequenceGroup:
             )
 
         child_id = len(self.sequences)
-        child_table = self.pool.fork_table(parent.block_table, child_owner=child_id)
+        child_table, detached = self.pool.fork_table(parent.block_table, child_owner=child_id)
         fork_len = len(parent.tokens)
         child = Sequence(
             id=child_id,
@@ -110,6 +117,7 @@ class SequenceGroup:
         cont = ParagraphNode(id=cont_id, seq=parent.id, start=fork_len)
         detail = ParagraphNode(id=cont_id + 1, seq=child_id, start=fork_len)
         old = self.tree.nodes[parent.current_node]
+        self._node_blocks[old.id] = detached
         old.end = fork_len
         old.next_sibling = cont.id
         old.first_child = detail.id
@@ -152,8 +160,7 @@ class SequenceGroup:
         """End live ``seq``, whose last token is [EOS] and already counted:
         drop its hold on the tree and its blocks; return blocks freed."""
         del self.live[seq.id]
-        self._release_logical(seq)
-        return self.pool.release_sequence(seq.block_table)
+        return self.pool.release_sequence(seq.block_table, self._release_logical(seq))
 
     # -- logical accounting --
 
@@ -163,8 +170,10 @@ class SequenceGroup:
         if self.logical_slots > self.logical_peak:
             self.logical_peak = self.logical_slots
 
-    def _release_logical(self, seq: Sequence) -> None:
-        """Drop the finished thread's hold on its node, freeing unheld ancestors."""
+    def _release_logical(self, seq: Sequence) -> int:
+        """Drop the finished thread's hold on its node, freeing unheld
+        ancestors; return the full blocks the freed nodes owned."""
+        blocks = 0
         nid: int | None = seq.current_node
         while nid is not None:
             self._node_live_refs[nid] -= 1
@@ -173,9 +182,11 @@ class SequenceGroup:
             node = self.tree.nodes[nid]
             start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
             self.logical_slots -= end - start
+            blocks += self._node_blocks.pop(nid, 0)
             nid = self._parents.get(nid)
         if not self.live:
             self.logical_slots -= len(self.prompt)
+        return blocks
 
     def _not_live(self, seq_id: int, action: str) -> ProtocolError:
         """The error for ``action`` on a sequence that is not live."""

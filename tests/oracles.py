@@ -14,7 +14,7 @@ from typing import Mapping, Sequence as Seq
 import numpy as np
 
 from apar.attention import LinearizedSample
-from apar.blocks import BlockTable, KvBlockPool
+from apar.blocks import DEFAULT_BLOCK_SIZE, BlockTable
 from apar.engine import DecodeTrace, LanguageModel, StepRecord, apar_step
 from apar.errors import ProtocolError, ScriptMismatch, SimulationError, SimulationInvariantError
 from apar.runtime import SequenceGroup, new_group
@@ -37,6 +37,83 @@ def linearize_group(
         tokens.extend(seq[start:end])
         node_of.extend([node.id] * (end - start))
     return LinearizedSample(tokens, node_of, tree.prompt_len)
+
+
+class RefcountPool:
+    """``blocks.KvBlockPool`` with per-block refcounts: the pool that shares.
+
+    A fork shares every full block of the parent by reference, so its
+    ``fork_table`` detaches none and returns ``(child, 0)``; a release drops
+    one reference per block of the table and frees a block at its last.  It
+    hands out the same ids in the same order as ``KvBlockPool``, so a decode
+    on either pool reads the same counters at every step.  An append into a
+    block that another table also holds raises ``ProtocolError``.
+    """
+
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
+        self.block_size = block_size
+        self.refcount: dict[int, int] = {}
+        self.used_slots = 0
+        self.peak_used = 0
+        self.allocations = 0
+
+    @property
+    def used_blocks(self) -> int:
+        return len(self.refcount)
+
+    def _alloc(self) -> int:
+        block = self.allocations
+        self.allocations += 1
+        self.refcount[block] = 1
+        self.peak_used = max(self.peak_used, len(self.refcount))
+        return block
+
+    def append_slot(self, table: BlockTable) -> None:
+        if not table.blocks or table.slots_used_in_last_block == self.block_size:
+            table.blocks.append(self._alloc())
+            table.slots_used_in_last_block = 0
+        else:
+            last = table.blocks[-1]
+            if self.refcount[last] != 1:
+                raise ProtocolError(
+                    f"append into shared block {last} (refcount {self.refcount[last]})"
+                )
+        table.slots_used_in_last_block += 1
+        self.used_slots += 1
+
+    def fork_table(self, parent: BlockTable, child_owner: int) -> tuple[BlockTable, int]:
+        if parent.released:
+            raise ProtocolError("fork from a released table")
+        child = BlockTable(owner=child_owner)
+        if not parent.blocks:
+            return child, 0
+        partial = parent.slots_used_in_last_block < self.block_size
+        child.blocks = list(parent.blocks[:-1] if partial else parent.blocks)
+        for block in child.blocks:
+            self.refcount[block] += 1
+        if partial:
+            child.blocks.append(self._alloc())
+            self.used_slots += parent.slots_used_in_last_block
+        child.slots_used_in_last_block = parent.slots_used_in_last_block
+        return child, 0
+
+    def release_sequence(self, table: BlockTable, detached: int = 0) -> int:
+        if table.released:
+            raise ProtocolError(f"table of sequence {table.owner} released twice")
+        assert detached == 0, "a refcount pool detaches no block"
+        freed = 0
+        last = len(table.blocks) - 1
+        for i, block in enumerate(table.blocks):
+            self.refcount[block] -= 1
+            if not self.refcount[block]:
+                del self.refcount[block]
+                self.used_slots -= table.slots_used_in_last_block if i == last else self.block_size
+                freed += 1
+        table.released = True
+        return freed
+
+    def usage_snapshot(self) -> tuple[int, int, int]:
+        return len(self.refcount), self.used_slots, self.peak_used
 
 
 _CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
@@ -118,11 +195,11 @@ def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -
     """The per-token reference step that ``engine.apar_step`` must match.
 
     It advances each thread through ``SequenceGroup.append_token``, so every
-    token reserves its block slot through ``KvBlockPool.append_slot``, with
-    the refcount check, and counts its logical slot one at a time.  It fills
-    ``rec`` as the step runs: the sampled tokens and the forks in the order
-    the step makes them, the blocks freed and the attended sum; its pool
-    figures are left as they are.
+    token reserves its block slot through ``append_slot`` (on a
+    ``RefcountPool``, with its shared-block check) and counts its logical
+    slot one at a time.  It fills ``rec`` as the step runs: the sampled
+    tokens and the forks in the order the step makes them, the blocks freed
+    and the attended sum; its pool figures are left as they are.
     """
     live = list(group.live.values())
     if not live:
@@ -174,8 +251,9 @@ def reference_decode(
     block_size: int,
 ) -> ReferenceTrace:
     """A decode that fills a ``StepRecord`` during every step: the reference
-    that ``DecodeTrace.records``, derived after the run, must match."""
-    pool = KvBlockPool(block_size=block_size)
+    that ``DecodeTrace.records``, derived after the run, must match.  It
+    runs on a ``RefcountPool``."""
+    pool = RefcountPool(block_size=block_size)
     group = new_group(prompt, pool)
     trace = ReferenceTrace(mode=mode, prompt_len=len(group.prompt))
     steps = 0
@@ -260,9 +338,11 @@ def reference_simulation(config: SimConfig) -> SimReport:
     Every admission, re-admissions after a preemption included, decodes its
     request again with ``apar_step`` on the one shared pool, and the samples
     and the summary read that pool.  The pool has no cap: the scheduler keeps
-    it within ``effective_blocks``, and every step checks that it did.
+    it within ``effective_blocks``, and every step checks that it did.  It
+    is a ``RefcountPool``, so a preemption frees a group by releasing its
+    live threads' tables.
     """
-    pool = KvBlockPool(block_size=config.block_size)
+    pool = RefcountPool(block_size=config.block_size)
     capacity = config.effective_blocks
     bs = config.block_size
     waiting: deque[int] = deque(range(len(config.workload)))

@@ -19,7 +19,7 @@ from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
 
 from apar.attention import build_loss_mask, build_training_mask, linearize_script
 from apar.blocks import BlockTable, KvBlockPool
-from apar.engine import apar_decode, ar_decode
+from apar.engine import apar_decode, ar_decode, run_steps
 from apar.extract import (
     Conversation,
     build_training_sample,
@@ -33,6 +33,7 @@ from apar.metrics import (
     mean_attended_tokens,
     saved_ratio,
 )
+from apar.runtime import new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import default_config, list_script, run_simulation
 from apar.tokens import CHILD, EOS, FORK
@@ -90,41 +91,35 @@ def test_criterion_03_fork_copies_at_most_one_block():
         parent = BlockTable(owner=0)
         for _ in range(parent_len):
             pool.append_slot(parent)
-        used_before = pool.usage_snapshot()[0]
-        child = pool.fork_table(parent, child_owner=1)
-        allocated = pool.usage_snapshot()[0] - used_before
-        partial = parent_len % 16 != 0 and parent_len > 0
-        assert allocated == (1 if partial else 0), parent_len
-        full_blocks = parent.blocks[:-1] if partial else parent.blocks
-        for block in full_blocks:
-            assert pool.refcount[block] == 2
-        if partial:
-            assert pool.refcount[parent.blocks[-1]] == 1
-            assert pool.refcount[child.blocks[-1]] == 1
+        blocks = list(parent.blocks)
+        used_before, slots_before, _ = pool.usage_snapshot()
+        child, detached = pool.fork_table(parent, child_owner=1)
+        partial = parent_len % 16 != 0
+        # One fresh block iff the last block is partial: the child's copy.
+        assert pool.allocations == len(blocks) + partial, parent_len
+        assert pool.usage_snapshot()[:2] == (
+            used_before + partial, slots_before + parent_len % 16
+        ), parent_len
+        # The full blocks leave the parent's table whole, copied nowhere.
+        assert detached == parent_len // 16, parent_len
+        assert parent.blocks == blocks[detached:], parent_len
+        assert child.blocks == ([len(blocks)] if partial else []), parent_len
+        assert child.slots_used_in_last_block == parent_len % 16, parent_len
 
+    # Every block returns to the pool, however a decode of a random script
+    # is cut: at its [EOS]s, or by the cut's own.
+    cuts = 0
     for seed in range(500):
         rng = random.Random(seed)
+        script = random_script(seed, max_nodes=17, max_node_len=12, prompt_len=rng.randint(1, 20))
         pool = KvBlockPool(block_size=16)
-        tables = []
-        first = BlockTable(owner=0)
-        for _ in range(rng.randint(0, 50)):
-            pool.append_slot(first)
-        tables.append(first)
-        owner = 1
-        for _ in range(rng.randint(1, 25)):
-            roll = rng.random()
-            if roll < 0.45 and tables:
-                tables.append(pool.fork_table(rng.choice(tables), child_owner=owner))
-                owner += 1
-            elif roll < 0.75 and tables:
-                table = rng.choice(tables)
-                for _ in range(rng.randint(1, 20)):
-                    pool.append_slot(table)
-            elif tables:
-                pool.release_sequence(tables.pop(rng.randrange(len(tables))))
-        for table in tables:
-            pool.release_sequence(table)
+        group = new_group(list(script.prompt), pool)
+        model = ReplayModel(script) if seed % 4 else as_linear(script)
+        _, cut = run_steps(group, model, rng.choice([rng.randint(0, 40), float("inf")]))
+        cuts += cut
+        assert not group.live, seed
         assert pool.usage_snapshot()[:2] == (0, 0), seed
+    assert 100 < cuts < 400
 
 
 def test_criterion_04a_fig3_toy_schedule(fig3_script):

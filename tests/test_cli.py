@@ -229,10 +229,10 @@ class TestSimulate:
     def test_leaked_block_is_internal_error(self, tmp_path, monkeypatch, capsys):
         release = KvBlockPool.release_sequence
 
-        def leaky_release(self, table):
+        def leaky_release(self, table, detached=0):
             if table.owner == 0 and table.blocks:
-                self.refcount[table.blocks[-1]] += 1  # a reference nobody drops
-            return release(self, table)
+                table.blocks.pop()  # a block nobody frees
+            return release(self, table, detached)
 
         monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
         config = tmp_path / "config.json"

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
+    RefcountPool,
+    cached_tokens,
     check_invariants,
     recorded_step,
     reference_decode,
@@ -21,6 +24,7 @@ from apar.engine import (
     apar_decode,
     apar_step,
     ar_decode,
+    run_steps,
 )
 from apar.metrics import max_cached_tokens
 from apar.errors import ProtocolError
@@ -199,23 +203,24 @@ class TestProperties:
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
     def test_step_block_demand_is_the_step_allocation(self, make_model, block_size):
         # The oracle reads the step's allocations off the live threads before
-        # it runs; the pool counts them as they happen.
+        # it runs; either pool counts them as they happen, and the owning
+        # pool's releases free node blocks too.
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
-            pool = KvBlockPool(block_size=block_size)
-            group = new_group(list(script.prompt), pool)
-            model = make_model(script)
-            while group.live:
-                demand = step_block_demand(group)
-                before, allocations = pool.usage_snapshot()[0], pool.allocations
-                rec = StepRecord(step=steps + 1)
-                recorded_step(group, model, rec)
-                used = pool.usage_snapshot()[0]
-                assert used - before + rec.blocks_freed == demand, (seed, steps)
-                assert pool.allocations - allocations == demand, (seed, steps)
-                steps += 1
-        assert steps > 1000
+            for pool in (RefcountPool(block_size), KvBlockPool(block_size)):
+                group = new_group(list(script.prompt), pool)
+                model = make_model(script)
+                while group.live:
+                    demand = step_block_demand(group)
+                    before, allocations = pool.usage_snapshot()[0], pool.allocations
+                    rec = StepRecord(step=steps + 1)
+                    recorded_step(group, model, rec)
+                    used = pool.usage_snapshot()[0]
+                    assert used - before + rec.blocks_freed == demand, (seed, steps)
+                    assert pool.allocations - allocations == demand, (seed, steps)
+                    steps += 1
+        assert steps > 2000
 
     @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
@@ -226,10 +231,8 @@ class TestProperties:
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
-            traced, plain = (
-                new_group(list(script.prompt), KvBlockPool(block_size=block_size))
-                for _ in range(2)
-            )
+            traced = new_group(list(script.prompt), RefcountPool(block_size))
+            plain = new_group(list(script.prompt), KvBlockPool(block_size))
             traced_model, plain_model = make_model(script), make_model(script)
             while traced.live:
                 rec = StepRecord(step=steps + 1)
@@ -240,11 +243,12 @@ class TestProperties:
                 assert plain.sequences_map() == traced.sequences_map()
                 assert plain.pool.usage_snapshot() == traced.pool.usage_snapshot()
                 assert step_block_demand(plain) == step_block_demand(traced)
-                # The step moves the pool as the per-token path does, block
-                # for block; and every live last block has one owner, which
-                # is what lets the step skip append_slot's refcount check.
+                # The step moves the pool as the per-token path moves the
+                # refcount pool, block for block: a table holds the tail of
+                # the shared table, its blocks since its last fork.  Every
+                # live last block has one reference, so the step's in-place
+                # appends never write into a block another thread reads.
                 pool, ref = plain.pool, traced.pool
-                assert pool.refcount == ref.refcount
                 assert pool.allocations == ref.allocations
                 assert pool.peak_used == ref.peak_used
                 assert (plain.logical_slots, plain.logical_peak) == (
@@ -253,9 +257,11 @@ class TestProperties:
                 assert list(plain.live) == list(traced.live)
                 for sid, seq in plain.live.items():
                     table, ref_table = seq.block_table, traced.live[sid].block_table
-                    assert table.blocks == ref_table.blocks, (seed, steps, sid)
+                    assert table.blocks, (seed, steps, sid)
+                    own = ref_table.blocks[len(ref_table.blocks) - len(table.blocks):]
+                    assert table.blocks == own, (seed, steps, sid)
                     assert table.slots_used_in_last_block == ref_table.slots_used_in_last_block
-                    assert pool.refcount[table.blocks[-1]] == 1, (seed, steps, sid)
+                    assert ref.refcount[own[-1]] == 1, (seed, steps, sid)
                 steps += 1
             assert not plain.live
         assert steps > 1000
@@ -426,3 +432,95 @@ def test_forked_child_checks_only_new_tokens(items):
     assert result.output == flatten_script(script)
     assert result.group.thread_count() == items + 1
     assert model.checked <= 2 * model.calls
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
+def test_owning_pool_matches_the_refcount_pool(block_size):
+    # The pool whose shared blocks belong to tree nodes and the pool that
+    # counts references per block free each block at the same step: the
+    # same rows, final usage and allocations, whole and cut.
+    scripts = [
+        random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
+        for seed in range(150)
+    ]
+    scripts += [
+        list_script(),
+        list_script(items=9, detail_len=5),
+        list_script(items=3, intro_len=0),
+        list_script(items=12, head_len=1, detail_len=17),
+    ]
+    for script in scripts:
+        for make_model in (ReplayModel, as_linear):
+            for limit in (math.inf, 7, 30):
+                runs = []
+                for pool in (RefcountPool(block_size), KvBlockPool(block_size)):
+                    group = new_group(list(script.prompt), pool)
+                    rows, cut = run_steps(group, make_model(script), limit)
+                    runs.append((rows, cut, pool.usage_snapshot(), pool.allocations))
+                assert runs[0] == runs[1], (script.prompt, make_model, limit)
+
+
+def test_fork_and_release_touch_few_blocks_per_token(monkeypatch):
+    # A fork and a release touch only the blocks a thread wrote since its
+    # last fork, so the entries they touch per generated token stay under
+    # one constant however many forks share the prefix.
+    fork, release = KvBlockPool.fork_table, KvBlockPool.release_sequence
+    touched = 0
+
+    def counting_fork(self, parent, child_owner):
+        nonlocal touched
+        touched += len(parent.blocks)
+        return fork(self, parent, child_owner)
+
+    def counting_release(self, table, *detached):
+        nonlocal touched
+        touched += len(table.blocks)
+        return release(self, table, *detached)
+
+    monkeypatch.setattr(KvBlockPool, "fork_table", counting_fork)
+    monkeypatch.setattr(KvBlockPool, "release_sequence", counting_release)
+    per_token = {}
+    for items in (50, 200, 2000):
+        touched = 0
+        script = list_script(items=items, detail_len=5)
+        result = apar_decode(
+            list(script.prompt), ReplayModel(script), max_steps=1 << 30, max_seq_len=1 << 30
+        )
+        assert result.output == flatten_script(script)
+        per_token[items] = touched / result.trace.content_tokens
+    assert max(per_token.values()) < 0.5, per_token
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 16])
+def test_no_block_is_in_two_tables(monkeypatch, block_size):
+    # What a thread appends into is its table's last block, so no thread
+    # writes a block another thread reads: no block id is in two live
+    # tables, or in a live table and a node.  The blocks outside the live
+    # tables are the nodes' full ones.
+    fork = KvBlockPool.fork_table
+    detached: set[int] = set()
+
+    def recording_fork(self, parent, child_owner):
+        before = list(parent.blocks)
+        result = fork(self, parent, child_owner)
+        detached.update(before[: len(before) - len(parent.blocks)])
+        return result
+
+    monkeypatch.setattr(KvBlockPool, "fork_table", recording_fork)
+    scripts = [random_script(seed, max_nodes=21, max_node_len=9) for seed in range(30)]
+    scripts += [list_script(), list_script(items=30, detail_len=5)]
+    for script in scripts:
+        pool = KvBlockPool(block_size)
+        group = new_group(list(script.prompt), pool)
+        model = ReplayModel(script)
+        detached.clear()  # block ids are the pool's own
+        while group.live:
+            apar_step(group, model)
+            tables = [seq.block_table for seq in group.live.values()]
+            ids = [block for table in tables for block in table.blocks]
+            assert len(set(ids)) == len(ids)
+            assert detached.isdisjoint(ids)
+            used_blocks, used_slots, _ = pool.usage_snapshot()
+            slots = sum(cached_tokens(table, block_size) for table in tables)
+            assert used_slots == slots + (used_blocks - len(ids)) * block_size
+        assert pool.usage_snapshot()[:2] == (0, 0)

@@ -181,11 +181,10 @@ class TestEndOfRunChecks:
         release = KvBlockPool.release_sequence
         leaked = []
 
-        def leaky_release(self, table):
+        def leaky_release(self, table, detached=0):
             if not leaked and table.blocks:
-                leaked.append(table.blocks[-1])
-                self.refcount[table.blocks[-1]] += 1  # a reference nobody drops
-            return release(self, table)
+                leaked.append(table.blocks.pop())  # a block nobody frees
+            return release(self, table, detached)
 
         monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
         config = SimConfig(
