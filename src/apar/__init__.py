@@ -1,6 +1,6 @@
 """Auto-parallel auto-regressive decoding: runtime, corpus tools, simulator."""
 
-from .blocks import DEFAULT_BLOCK_SIZE, BlockTable, KvBlockPool
+from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .engine import DecodeResult, DecodeTrace, apar_decode, apar_step, ar_decode
 from .errors import (
     ProtocolError,

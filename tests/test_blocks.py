@@ -1,128 +1,89 @@
-import sys
-from pathlib import Path
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-sys.path.insert(0, str(Path(__file__).parent))
-from oracles import cached_tokens  # noqa: E402
-
-from apar.blocks import BlockTable, KvBlockPool
-from apar.errors import ProtocolError
+from apar.blocks import KvBlockPool
 
 
-def filled_table(pool, n, owner=0):
-    table = BlockTable(owner=owner)
-    for _ in range(n):
-        pool.append_slot(table)
-    return table
+def filled_pool(n, block_size=16):
+    """A pool holding one thread of ``n`` tokens."""
+    pool = KvBlockPool(block_size=block_size)
+    for i in range(n):
+        pool.append_slot(i)
+    return pool
 
 
 class TestAppendSlot:
     def test_first_append(self):
-        pool = KvBlockPool(block_size=16)
-        table = filled_table(pool, 1)
-        assert len(table.blocks) == 1
-        assert table.slots_used_in_last_block == 1
+        assert filled_pool(1).usage_snapshot() == (1, 1, 1)
 
     def test_boundary(self):
-        pool = KvBlockPool(block_size=16)
-        table = filled_table(pool, 16)
-        assert len(table.blocks) == 1
-        pool.append_slot(table)
-        assert len(table.blocks) == 2
-        assert table.slots_used_in_last_block == 1
+        pool = filled_pool(16)
+        assert pool.usage_snapshot() == (1, 16, 1)
+        pool.append_slot(16)
+        assert pool.usage_snapshot() == (2, 17, 2)
 
     def test_33_appends(self):
-        pool = KvBlockPool(block_size=16)
-        table = filled_table(pool, 33)
-        assert len(table.blocks) == 3
-        assert table.slots_used_in_last_block == 1
-        assert cached_tokens(table, 16) == 33
+        pool = filled_pool(33)
+        assert pool.usage_snapshot() == (3, 33, 3)
+        assert pool.allocations == 3
 
     def test_no_cap(self):
-        # Ids go out in allocation order, as many as asked for.
-        pool = KvBlockPool(block_size=2)
-        table = filled_table(pool, 2 * 5000)
-        assert table.blocks == list(range(5000))
+        # As many blocks as asked for.
+        pool = filled_pool(2 * 5000, block_size=2)
+        assert pool.allocations == 5000
         assert pool.usage_snapshot() == (5000, 10000, 5000)
 
 
 class TestForkTable:
     def test_full_blocks_all_shared(self):
-        pool = KvBlockPool(block_size=16)
-        parent = filled_table(pool, 32)
-        child, detached = pool.fork_table(parent, child_owner=1)
-        assert detached == 2  # both leave the parent's table for its caller
-        assert parent.blocks == child.blocks == []
-        assert pool.usage_snapshot() == (2, 32, 2)
+        # The parent's full blocks stay where they are; the child's one
+        # block is fresh and holds only its [Child].
+        pool = filled_pool(32)
+        pool.fork_table(32)
+        assert pool.usage_snapshot() == (3, 33, 3)
 
     def test_partial_block_copied(self):
-        pool = KvBlockPool(block_size=16)
-        parent = filled_table(pool, 33)
-        child, detached = pool.fork_table(parent, child_owner=1)
-        assert detached == 2
-        assert parent.blocks == [2]  # the partial block stays with the parent
-        assert child.blocks == [3]  # and the child starts from a copy of it
-        assert child.slots_used_in_last_block == 1
-        assert pool.usage_snapshot() == (4, 34, 4)
+        pool = filled_pool(33)
+        pool.fork_table(33)  # the copy of the one-slot last block, plus [Child]
+        assert pool.usage_snapshot() == (4, 35, 4)
 
     def test_three_successive_forks(self):
-        pool = KvBlockPool(block_size=16)
-        parent = filled_table(pool, 33)
-        copies = set()
-        detached = []
-        for owner in (1, 2, 3):
-            child, count = pool.fork_table(parent, child_owner=owner)
-            copies.add(child.blocks[0])
-            detached.append(count)
-        assert detached == [2, 0, 0]
-        assert parent.blocks == [2]
-        assert len(copies) == 3
-
-    def test_empty_parent(self):
-        pool = KvBlockPool(block_size=16)
-        parent = BlockTable(owner=0)
-        child, detached = pool.fork_table(parent, child_owner=1)
-        assert child.blocks == []
-        assert detached == 0
+        pool = filled_pool(33)
+        for _ in range(3):
+            pool.fork_table(33)
+        assert pool.allocations == 6
+        assert pool.usage_snapshot() == (6, 39, 6)
 
     def test_copy_takes_the_next_unused_id(self):
-        pool = KvBlockPool(block_size=4)
-        parent = filled_table(pool, 3)
-        pool.release_sequence(filled_table(pool, 8, owner=1))  # frees 1 and 2
-        child, _ = pool.fork_table(parent, child_owner=2)
-        assert child.blocks == [3]  # freed ids are never handed out again
+        # Freed blocks still count as handed out: a fork after a release
+        # is the pool's next allocation.
+        pool = filled_pool(3, block_size=4)
+        for i in range(8):
+            pool.append_slot(i)
+        assert pool.release_sequence(0, 8) == 2
+        pool.fork_table(3)
         assert pool.allocations == 4
-        assert pool.usage_snapshot() == (2, 6, 3)
+        assert pool.usage_snapshot() == (2, 7, 3)
 
 
 class TestRelease:
     def test_shared_and_unique(self):
-        pool = KvBlockPool(block_size=16)
-        parent = filled_table(pool, 33)
-        child, detached = pool.fork_table(parent, child_owner=1)
-        for _ in range(16):  # grow the child into one more block
-            pool.append_slot(child)
-        assert len(child.blocks) == 2
-        freed = pool.release_sequence(child)
-        assert freed == 2  # the copy and the new block; B0, B1 stay detached
+        # Thread 0 forks thread 1 at 33 tokens; thread 1 grows 16 more and
+        # finishes first, freeing its copy block and its new one.  The
+        # parent's finish then frees its node's two full blocks too.
+        pool = filled_pool(33)
+        pool.fork_table(33)
+        for length in range(34, 50):
+            pool.append_slot(length)
+        assert pool.usage_snapshot()[:2] == (5, 51)
+        assert pool.release_sequence(33, 50) == 2
         assert pool.usage_snapshot()[:2] == (3, 33)
-        assert pool.release_sequence(parent, detached) == 3  # B2, then B0 and B1
+        assert pool.release_sequence(0, 33) == 3
         assert pool.usage_snapshot()[:2] == (0, 0)
 
     def test_sole_sequence_frees_all(self):
-        pool = KvBlockPool(block_size=16)
-        table = filled_table(pool, 33)
-        assert pool.release_sequence(table) == 3
-        assert pool.usage_snapshot()[0] == 0
-
-    def test_double_release(self):
-        pool = KvBlockPool(block_size=16)
-        table = filled_table(pool, 5)
-        pool.release_sequence(table)
-        with pytest.raises(ProtocolError):
-            pool.release_sequence(table)
+        pool = filled_pool(33)
+        assert pool.release_sequence(0, 33) == 3
+        assert pool.usage_snapshot() == (0, 0, 3)
 
 
 class TestUsageSnapshot:
@@ -130,26 +91,24 @@ class TestUsageSnapshot:
         assert KvBlockPool().usage_snapshot() == (0, 0, 0)
 
     def test_after_33(self):
-        pool = KvBlockPool(block_size=16)
-        filled_table(pool, 33)
-        assert pool.usage_snapshot() == (3, 33, 3)
+        assert filled_pool(33).usage_snapshot() == (3, 33, 3)
 
     def test_after_fork(self):
-        pool = KvBlockPool(block_size=16)
-        parent = filled_table(pool, 33)
-        pool.fork_table(parent, child_owner=1)
-        assert pool.usage_snapshot() == (4, 34, 4)
+        pool = filled_pool(33)
+        pool.fork_table(33)
+        assert pool.usage_snapshot() == (4, 35, 4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=160))
-def test_fork_allocates_at_most_one_block(parent_len):
-    pool = KvBlockPool(block_size=16)
-    parent = filled_table(pool, parent_len)
-    used_before = pool.usage_snapshot()[0]
-    child, detached = pool.fork_table(parent, child_owner=1)
-    new_blocks = pool.usage_snapshot()[0] - used_before
-    partial = parent_len % 16 != 0 and parent_len > 0
-    assert new_blocks == (1 if partial else 0)
-    assert detached * 16 + cached_tokens(parent, 16) == parent_len
-    assert cached_tokens(child, 16) == parent_len % 16
+@given(st.integers(min_value=0, max_value=160), st.integers(min_value=1, max_value=17))
+def test_fork_allocates_at_most_one_block(parent_len, block_size):
+    pool = filled_pool(parent_len, block_size)
+    used, slots, _ = pool.usage_snapshot()
+    pool.fork_table(parent_len)
+    # Exactly one block, never more, whatever the fill of the last one.
+    assert pool.usage_snapshot()[:2] == (used + 1, slots + parent_len % block_size + 1)
+    # Released by the bounds rule, the parent's and the child's spans give
+    # back every block and slot.
+    pool.release_sequence(parent_len, parent_len + 1)
+    pool.release_sequence(0, parent_len)
+    assert pool.usage_snapshot()[:2] == (0, 0)

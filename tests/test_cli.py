@@ -229,10 +229,10 @@ class TestSimulate:
     def test_leaked_block_is_internal_error(self, tmp_path, monkeypatch, capsys):
         release = KvBlockPool.release_sequence
 
-        def leaky_release(self, table, detached=0):
-            if table.owner == 0 and table.blocks:
-                table.blocks.pop()  # a block nobody frees
-            return release(self, table, detached)
+        def leaky_release(self, start, end):
+            if start == 0:  # a group's last release: its root's first block
+                start += self.block_size  # is a block nobody frees
+            return release(self, start, end)
 
         monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
         config = tmp_path / "config.json"

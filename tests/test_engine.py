@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
     RefcountPool,
+    bounds_usage,
     cached_tokens,
     check_invariants,
+    cut_events,
     recorded_step,
     reference_decode,
     reference_max_cached,
@@ -20,6 +22,9 @@ from apar.blocks import KvBlockPool
 from apar.engine import (
     DEFAULT_MAX_SEQ_LEN,
     DEFAULT_MAX_STEPS,
+    PEAK,
+    ROW_WIDTH,
+    USED_BLOCKS,
     StepRecord,
     apar_decode,
     apar_step,
@@ -28,7 +33,7 @@ from apar.engine import (
 )
 from apar.metrics import max_cached_tokens
 from apar.errors import ProtocolError
-from apar.runtime import new_group
+from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import list_script
 from apar.tokens import CONTROL_TOKENS, EOS, FORK
@@ -203,24 +208,26 @@ class TestProperties:
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
     def test_step_block_demand_is_the_step_allocation(self, make_model, block_size):
         # The oracle reads the step's allocations off the live threads before
-        # it runs; either pool counts them as they happen, and the owning
-        # pool's releases free node blocks too.
+        # it runs; the pool and its refcount shadow count them as they
+        # happen.
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
-            for pool in (RefcountPool(block_size), KvBlockPool(block_size)):
-                group = new_group(list(script.prompt), pool)
-                model = make_model(script)
-                while group.live:
-                    demand = step_block_demand(group)
-                    before, allocations = pool.usage_snapshot()[0], pool.allocations
-                    rec = StepRecord(step=steps + 1)
-                    recorded_step(group, model, rec)
-                    used = pool.usage_snapshot()[0]
-                    assert used - before + rec.blocks_freed == demand, (seed, steps)
+            group = new_group(list(script.prompt), KvBlockPool(block_size))
+            shadow = RefcountPool(block_size)
+            tables = shadow.start(len(script.prompt))
+            model = make_model(script)
+            while group.live:
+                demand = step_block_demand(group)
+                before = [(p.used_blocks, p.allocations) for p in (group.pool, shadow)]
+                rec = StepRecord(step=steps + 1)
+                recorded_step(group, model, rec)
+                freed = shadow.replay(tables, rec.sampled, rec.forks)
+                for pool, (used, allocations) in zip((group.pool, shadow), before):
+                    assert pool.used_blocks - used + freed == demand, (seed, steps)
                     assert pool.allocations - allocations == demand, (seed, steps)
-                    steps += 1
-        assert steps > 2000
+                steps += 1
+        assert steps > 1000
 
     @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
     @pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
@@ -231,37 +238,32 @@ class TestProperties:
         steps = 0
         for seed in range(60):
             script = random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
-            traced = new_group(list(script.prompt), RefcountPool(block_size))
+            traced = new_group(list(script.prompt), KvBlockPool(block_size))
             plain = new_group(list(script.prompt), KvBlockPool(block_size))
+            shadow = RefcountPool(block_size)
+            tables = shadow.start(len(script.prompt))
             traced_model, plain_model = make_model(script), make_model(script)
             while traced.live:
                 rec = StepRecord(step=steps + 1)
                 recorded_step(traced, traced_model, rec)
+                shadow.replay(tables, rec.sampled, rec.forks)
                 counts = apar_step(plain, plain_model)[:3]
                 content = sum(1 for _, tok in rec.sampled if tok not in CONTROL_TOKENS)
                 assert counts == (len(rec.sampled), rec.attended_sum, content), (seed, steps)
                 assert plain.sequences_map() == traced.sequences_map()
-                assert plain.pool.usage_snapshot() == traced.pool.usage_snapshot()
                 assert step_block_demand(plain) == step_block_demand(traced)
-                # The step moves the pool as the per-token path moves the
-                # refcount pool, block for block: a table holds the tail of
-                # the shared table, its blocks since its last fork.  Every
-                # live last block has one reference, so the step's in-place
-                # appends never write into a block another thread reads.
-                pool, ref = plain.pool, traced.pool
-                assert pool.allocations == ref.allocations
-                assert pool.peak_used == ref.peak_used
+                # The step moves the pool as the per-token path moves it,
+                # and as the refcount pool moves block for block.
+                pool = plain.pool
+                assert pool.usage_snapshot() == traced.pool.usage_snapshot()
+                assert pool.usage_snapshot() == shadow.usage_snapshot()
+                assert pool.allocations == traced.pool.allocations == shadow.allocations
                 assert (plain.logical_slots, plain.logical_peak) == (
                     traced.logical_slots, traced.logical_peak
                 )
-                assert list(plain.live) == list(traced.live)
+                assert list(plain.live) == list(traced.live) == list(tables)
                 for sid, seq in plain.live.items():
-                    table, ref_table = seq.block_table, traced.live[sid].block_table
-                    assert table.blocks, (seed, steps, sid)
-                    own = ref_table.blocks[len(ref_table.blocks) - len(table.blocks):]
-                    assert table.blocks == own, (seed, steps, sid)
-                    assert table.slots_used_in_last_block == ref_table.slots_used_in_last_block
-                    assert ref.refcount[own[-1]] == 1, (seed, steps, sid)
+                    assert cached_tokens(tables[sid], block_size) == len(seq.tokens)
                 steps += 1
             assert not plain.live
         assert steps > 1000
@@ -436,9 +438,10 @@ def test_forked_child_checks_only_new_tokens(items):
 
 @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, 16])
 def test_owning_pool_matches_the_refcount_pool(block_size):
-    # The pool whose shared blocks belong to tree nodes and the pool that
-    # counts references per block free each block at the same step: the
-    # same rows, final usage and allocations, whole and cut.
+    # The pool whose blocks belong to tree nodes and the pool that counts
+    # references per block, fed with the same decode's events, hold the
+    # same blocks and slots after every step, with the same allocations
+    # and the same peak within it, whole and cut.
     scripts = [
         random_script(seed, max_nodes=21, max_node_len=6, prompt_len=1 + seed % 5)
         for seed in range(150)
@@ -449,78 +452,106 @@ def test_owning_pool_matches_the_refcount_pool(block_size):
         list_script(items=3, intro_len=0),
         list_script(items=12, head_len=1, detail_len=17),
     ]
+    cuts = 0
     for script in scripts:
         for make_model in (ReplayModel, as_linear):
             for limit in (math.inf, 7, 30):
-                runs = []
-                for pool in (RefcountPool(block_size), KvBlockPool(block_size)):
-                    group = new_group(list(script.prompt), pool)
-                    rows, cut = run_steps(group, make_model(script), limit)
-                    runs.append((rows, cut, pool.usage_snapshot(), pool.allocations))
-                assert runs[0] == runs[1], (script.prompt, make_model, limit)
+                group = new_group(list(script.prompt), KvBlockPool(block_size))
+                rows, cut = run_steps(group, make_model(script), limit)
+                ref = new_group(list(script.prompt), KvBlockPool(block_size))
+                model = make_model(script)
+                shadow = RefcountPool(block_size)
+                tables = shadow.start(len(script.prompt))
+                peak = shadow.peak_used
+                for t in range(len(rows) // ROW_WIDTH):
+                    shadow.peak_used = shadow.used_blocks  # as run_steps does
+                    rec = StepRecord(step=t + 1)
+                    recorded_step(ref, model, rec)
+                    shadow.replay(tables, rec.sampled, rec.forks)
+                    peak = max(peak, shadow.peak_used)
+                    row = rows[t * ROW_WIDTH + USED_BLOCKS : t * ROW_WIDTH + PEAK + 1]
+                    assert row == [
+                        shadow.used_blocks, shadow.used_slots, shadow.allocations,
+                        shadow.peak_used,
+                    ], (script.prompt, make_model, limit, t)
+                assert bool(tables) == cut
+                cuts += cut
+                shadow.replay(tables, cut_events(tables))
+                shadow.peak_used = max(peak, shadow.peak_used)
+                assert group.pool.usage_snapshot() == shadow.usage_snapshot() == (
+                    0, 0, shadow.peak_used
+                )
+                assert group.pool.allocations == shadow.allocations
+    assert cuts > 300
 
 
 def test_fork_and_release_touch_few_blocks_per_token(monkeypatch):
-    # A fork and a release touch only the blocks a thread wrote since its
-    # last fork, so the entries they touch per generated token stay under
-    # one constant however many forks share the prefix.
-    fork, release = KvBlockPool.fork_table, KvBlockPool.release_sequence
-    touched = 0
+    # The pool's calls and the release walk's node visits per generated
+    # token stay under one constant however many forks share the prefix:
+    # no call or visit runs per block a thread shares.
+    calls = 0
 
-    def counting_fork(self, parent, child_owner):
-        nonlocal touched
-        touched += len(parent.blocks)
-        return fork(self, parent, child_owner)
+    def counting(method):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
 
-    def counting_release(self, table, *detached):
-        nonlocal touched
-        touched += len(table.blocks)
-        return release(self, table, *detached)
+        return counted
 
-    monkeypatch.setattr(KvBlockPool, "fork_table", counting_fork)
-    monkeypatch.setattr(KvBlockPool, "release_sequence", counting_release)
+    for name in ("take_block", "append_slot", "fork_table", "release_sequence"):
+        monkeypatch.setattr(KvBlockPool, name, counting(getattr(KvBlockPool, name)))
+    walk = SequenceGroup._release_logical
+
+    def counting_walk(self, seq):
+        # The walk visits each node it frees, and the one it stops at.
+        nonlocal calls
+        nid = seq.current_node
+        while nid is not None:
+            calls += 1
+            if self._node_live_refs[nid] > 1:
+                break
+            nid = self._parents.get(nid)
+        return walk(self, seq)
+
+    monkeypatch.setattr(SequenceGroup, "_release_logical", counting_walk)
     per_token = {}
     for items in (50, 200, 2000):
-        touched = 0
+        calls = 0
         script = list_script(items=items, detail_len=5)
         result = apar_decode(
             list(script.prompt), ReplayModel(script), max_steps=1 << 30, max_seq_len=1 << 30
         )
         assert result.output == flatten_script(script)
-        per_token[items] = touched / result.trace.content_tokens
-    assert max(per_token.values()) < 0.5, per_token
+        per_token[items] = calls / result.trace.content_tokens
+    assert max(per_token.values()) < 1, per_token
 
 
 @pytest.mark.parametrize("block_size", [1, 3, 16])
-def test_no_block_is_in_two_tables(monkeypatch, block_size):
-    # What a thread appends into is its table's last block, so no thread
-    # writes a block another thread reads: no block id is in two live
-    # tables, or in a live table and a node.  The blocks outside the live
-    # tables are the nodes' full ones.
-    fork = KvBlockPool.fork_table
-    detached: set[int] = set()
-
-    def recording_fork(self, parent, child_owner):
-        before = list(parent.blocks)
-        result = fork(self, parent, child_owner)
-        detached.update(before[: len(before) - len(parent.blocks)])
-        return result
-
-    monkeypatch.setattr(KvBlockPool, "fork_table", recording_fork)
+def test_no_block_is_in_two_tables(block_size):
+    # A thread appends into its shadow table's last block, and no other
+    # live shadow table holds that block, nor does it have a second
+    # reference: no thread writes a block another thread reads.  The
+    # shadow holds what the pool counts and what the bounds rule derives
+    # from the tree's nodes.
     scripts = [random_script(seed, max_nodes=21, max_node_len=9) for seed in range(30)]
     scripts += [list_script(), list_script(items=30, detail_len=5)]
     for script in scripts:
-        pool = KvBlockPool(block_size)
-        group = new_group(list(script.prompt), pool)
+        group = new_group(list(script.prompt), KvBlockPool(block_size))
+        shadow = RefcountPool(block_size)
+        tables = shadow.start(len(script.prompt))
         model = ReplayModel(script)
-        detached.clear()  # block ids are the pool's own
         while group.live:
-            apar_step(group, model)
-            tables = [seq.block_table for seq in group.live.values()]
-            ids = [block for table in tables for block in table.blocks]
-            assert len(set(ids)) == len(ids)
-            assert detached.isdisjoint(ids)
-            used_blocks, used_slots, _ = pool.usage_snapshot()
-            slots = sum(cached_tokens(table, block_size) for table in tables)
-            assert used_slots == slots + (used_blocks - len(ids)) * block_size
-        assert pool.usage_snapshot()[:2] == (0, 0)
+            rec = StepRecord(step=0)
+            recorded_step(group, model, rec)
+            shadow.replay(tables, rec.sampled, rec.forks)
+            for sid, table in tables.items():
+                last = table.blocks[-1]
+                assert shadow.refcount[last] == 1, (sid, last)
+                assert all(
+                    last not in other.blocks for oid, other in tables.items() if oid != sid
+                ), (sid, last)
+            used = shadow.usage_snapshot()[:2]
+            assert group.pool.usage_snapshot()[:2] == used
+            assert bounds_usage(group) == used
+        assert shadow.usage_snapshot()[:2] == (0, 0)

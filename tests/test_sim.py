@@ -181,10 +181,11 @@ class TestEndOfRunChecks:
         release = KvBlockPool.release_sequence
         leaked = []
 
-        def leaky_release(self, table, detached=0):
-            if not leaked and table.blocks:
-                leaked.append(table.blocks.pop())  # a block nobody frees
-            return release(self, table, detached)
+        def leaky_release(self, start, end):
+            if not leaked:
+                leaked.append(start)
+                start += self.block_size  # the run's first block: nobody frees it
+            return release(self, start, end)
 
         monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
         config = SimConfig(
