@@ -14,15 +14,22 @@ test_big_tree_constant_steps in tests/test_metrics.py.
 
 apar_decode and ar_decode run one loop, run_steps, which the simulator's
 step profiles run too; ar is that loop over a model that never emits
-[Fork].  The threads move in lockstep: before each
-step, every unfinished thread holds the prompt plus one token per step run,
-since a step appends one token to each and a child forked in it starts at
-its parent's length after it.  So one comparison decides a cut: once
-max_steps steps have run, or the prompt plus the steps run reach
-max_seq_len tokens, the loop ends every unfinished thread with an appended
-[EOS] and sets truncated.  Otherwise it stops once every thread has
-finished.  A prompt of max_seq_len tokens or more thus decodes in 0 steps
-with an empty output.
+[Fork].  Steps with one live thread that does not fork are common: every
+ar step is one, and so are many of an apar decode's.  So while one
+thread is live and its last token is not [Fork], run_steps steps it in a
+loop of its own, _run_alone, until it samples a control token or the limit
+is reached.  The pool's and the group's counters live in locals there and
+are written back at every exit, a raise included, and its rows are the
+ones apar_step would return.  apar_step runs every other step.
+
+The threads move in lockstep: before each step, every unfinished thread
+holds the prompt plus one token per step run, since a step appends one
+token to each and a child forked in it starts at its parent's length after
+it.  So one comparison decides a cut: once max_steps steps have run, or
+the prompt plus the steps run reach max_seq_len tokens, the loop ends every
+unfinished thread with an appended [EOS] and sets truncated.  Otherwise it
+stops once every thread has finished.  A prompt of max_seq_len tokens or
+more thus decodes in 0 steps with an empty output.
 
 A model answers next_token(context, state), where state is the thread's own
 model_state list: whatever the model keeps per thread lives and dies with
@@ -63,7 +70,7 @@ from typing import Protocol, Sequence as Seq
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from .errors import ProtocolError
-from .runtime import SequenceGroup, new_group
+from .runtime import Sequence, SequenceGroup, new_group
 from .tokens import CONTROL_TOKENS, EOS, FORK
 from .tree import ParagraphTree, restore
 
@@ -249,7 +256,8 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     Returns the step's row, ROW_WIDTH integers: the sequences stepped, the
     context tokens they attended and the sampled tokens that are not
     control tokens, then the pool's and the group's counters after the
-    step (see ROW_WIDTH).
+    step (see ROW_WIDTH).  This is the one-step API; run_steps runs a lone
+    thread's steps in _run_alone instead, which returns the same rows.
     """
     live = list(group.live.values())
     if not live:
@@ -295,6 +303,64 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     )
 
 
+def _run_alone(
+    group: SequenceGroup,
+    model: LanguageModel,
+    seq: Sequence,
+    rows: list[int],
+    steps: int,
+    limit: float,
+) -> int:
+    """Step ``seq``, the group's one live thread, whose last token is not
+    [Fork], from ``steps`` steps run until it samples a control token or
+    ``limit`` steps have run; append the rows apar_step would return and
+    return the steps run.
+
+    The pool's and the group's counters live in locals while the thread
+    runs alone, and go back on every exit, a raise included.  After a
+    [Fork] the next step forks, which apar_step runs; an [EOS] is counted
+    before the thread is released, and its row reads the counts after.
+    """
+    pool = group.pool
+    block_size = pool.block_size
+    tokens, state = seq.tokens, seq.model_state
+    next_token, append, extend = model.next_token, tokens.append, rows.extend
+    length = len(tokens)
+    used, slots, allocations = pool.used_blocks, pool.used_slots, pool.allocations
+    logical, logical_peak = group.logical_slots, group.logical_peak
+    try:
+        while steps < limit:
+            token = next_token(tokens, state)
+            if length % block_size == 0:
+                used += 1
+                allocations += 1
+            append(token)
+            slots += 1
+            logical += 1
+            if logical > logical_peak:
+                logical_peak = logical
+            steps += 1
+            if token in CONTROL_TOKENS:
+                break
+            # The step's peak is its used blocks: it frees none.
+            extend((1, length, 1, used, slots, allocations, used, logical, logical_peak))
+            length += 1
+        else:
+            return steps
+    finally:
+        pool.used_blocks, pool.used_slots, pool.allocations = used, slots, allocations
+        if used > pool.peak_used:
+            pool.peak_used = used
+        group.logical_slots, group.logical_peak = logical, logical_peak
+    if token == EOS:
+        group.finish(seq)
+    extend((
+        1, length, 0, pool.used_blocks, pool.used_slots, pool.allocations, used,
+        group.logical_slots, group.logical_peak,
+    ))
+    return steps
+
+
 def run_steps(
     group: SequenceGroup, model: LanguageModel, limit: float = math.inf
 ) -> tuple[list[int], bool]:
@@ -305,6 +371,12 @@ def run_steps(
     [EOS], which no row counts.  The pool's peak is set back to its used
     blocks before each step, so a row's PEAK is the step's own; after the
     run it is the run's again.
+
+    While one thread is live and its last token is not [Fork], the steps
+    run in _run_alone, a loop over that thread alone, until it samples a
+    control token; its rows are the ones apar_step would return, and it
+    writes the pool's and the group's counters back at every exit, a raise
+    included.  Every other step is apar_step's.
     """
     pool = group.pool
     live = group.live
@@ -314,6 +386,12 @@ def run_steps(
     steps = 0
     while live and steps < limit:
         pool.peak_used = used
+        if len(live) == 1:
+            (seq,) = live.values()
+            if seq.tokens[-1] != FORK:
+                steps = _run_alone(group, model, seq, rows, steps, limit)
+                used = pool.used_blocks
+                continue
         row = apar_step(group, model)
         extend(row)
         used = row[USED_BLOCKS]

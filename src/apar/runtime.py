@@ -17,11 +17,11 @@ the prompt's blocks until the group ends.  The pool has no cap, so a fork
 or an append cannot run out of blocks.
 
 append_token is the one-thread operation: one token, with its block slot
-and its logical slot.  A lockstep decode step (engine.apar_step) appends to
-each of its threads itself, and counts their logical slots at once: before
-each [EOS] release, the only event that lowers the running count, and at
-the step's end.  Both end a thread through finish, the one place that
-releases it.
+and its logical slot.  A decode step (engine.apar_step, or engine.run_steps'
+loop over a lone thread) appends to each of its threads itself, and counts
+their logical slots at once: before each [EOS] release, the only event that
+lowers the running count, and at the step's end.  All of them end a thread
+through finish, the one place that releases it.
 """
 
 from __future__ import annotations

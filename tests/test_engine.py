@@ -20,6 +20,8 @@ from oracles import (  # noqa: E402
 
 from apar.blocks import KvBlockPool
 from apar.engine import (
+    BATCH,
+    CONTENT,
     DEFAULT_MAX_SEQ_LEN,
     DEFAULT_MAX_STEPS,
     PEAK,
@@ -32,7 +34,7 @@ from apar.engine import (
     run_steps,
 )
 from apar.metrics import max_cached_tokens
-from apar.errors import ProtocolError
+from apar.errors import ProtocolError, ScriptMismatch
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import list_script
@@ -555,3 +557,116 @@ def test_no_block_is_in_two_tables(block_size):
             assert group.pool.usage_snapshot()[:2] == used
             assert bounds_usage(group) == used
         assert shadow.usage_snapshot()[:2] == (0, 0)
+
+
+def _step_by_step(group, model, limit=math.inf):
+    """run_steps as a loop of apar_step calls, the pool's peak set back to
+    its used blocks before each: the reference for a lone-thread stretch."""
+    pool = group.pool
+    rows, top, steps = [], pool.peak_used, 0
+    while group.live and steps < limit:
+        pool.peak_used = pool.used_blocks
+        rows.extend(apar_step(group, model))
+        steps += 1
+    cut = bool(group.live)
+    for seq_id in list(group.live):
+        group.append_token(seq_id, EOS)
+    pool.peak_used = max(top, pool.peak_used, max(rows[PEAK::ROW_WIDTH], default=0))
+    return rows, cut
+
+
+def _counters(group):
+    pool = group.pool
+    return (
+        pool.used_blocks, pool.used_slots, pool.allocations, pool.peak_used,
+        group.logical_slots, group.logical_peak,
+    )
+
+
+def _lone_steps(rows):
+    """Step numbers of the one-thread steps whose token ends a stretch, and
+    of those after which it runs on."""
+    ends, inside = [], []
+    for t in range(len(rows) // ROW_WIDTH):
+        if rows[t * ROW_WIDTH + BATCH] == 1:
+            (inside if rows[t * ROW_WIDTH + CONTENT] else ends).append(t + 1)
+    return ends, inside
+
+
+_STRETCH_SCRIPTS = [
+    random_script(seed, max_nodes=21, max_node_len=9, prompt_len=1 + seed % 5)
+    for seed in range(40)
+] + [list_script(), list_script(items=9, detail_len=5), list_script(items=3, intro_len=0)]
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 16])
+@pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+def test_lone_stretch_is_the_step_by_step_run(make_model, block_size):
+    # run_steps steps a lone thread in its own loop; a loop of apar_step
+    # calls must leave the same rows, threads, model states and counters,
+    # uncut, cut inside a stretch and cut on the step that ends one.
+    cuts = {"inside": 0, "end": 0}
+    for script in _STRETCH_SCRIPTS:
+        whole, _ = run_steps(new_group(list(script.prompt), KvBlockPool(block_size)), make_model(script))
+        ends, inside = _lone_steps(whole)
+        limits = {"whole": math.inf}
+        if inside:
+            limits["inside"] = inside[len(inside) // 2]
+        # The last step ends the run, not just a stretch, so it cuts nothing.
+        ends = ends[:-1] or ends
+        limits["end"] = ends[len(ends) // 2]
+        for kind, limit in limits.items():
+            runs = []
+            for run in (run_steps, _step_by_step):
+                group = new_group(list(script.prompt), KvBlockPool(block_size))
+                model = _ContextLengths(make_model(script))
+                rows, cut = run(group, model, limit)
+                assert len(model.lengths) == sum(rows[BATCH::ROW_WIDTH])
+                states = {sid: seq.model_state for sid, seq in group.sequences.items()}
+                runs.append((rows, cut, group.sequences_map(), states, _counters(group)))
+            assert runs[0] == runs[1], (script.prompt, block_size, kind)
+            if kind in cuts:
+                cuts[kind] += runs[0][1]
+    assert cuts["inside"] > 20, cuts
+    if make_model is ReplayModel:  # an ar run's one stretch ends the run
+        assert cuts["end"] > 20, cuts
+
+
+class _FailsAt:
+    """A model wrapper whose ``k``-th call raises ScriptMismatch."""
+
+    def __init__(self, model, k):
+        self.model, self.k = model, k
+
+    def next_token(self, context, state):
+        self.k -= 1
+        if not self.k:
+            raise ScriptMismatch("injected failure")
+        return self.model.next_token(context, state)
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 16])
+@pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+def test_a_raise_in_a_lone_stretch_leaves_the_counters_of_the_steps_run(make_model, block_size):
+    # The stretch keeps the counters in locals; when the model raises on
+    # its k-th call, the pool and the group hold what k - 1 steps by
+    # apar_step leave, the step that raised taking nothing.
+    raised = 0
+    for script in _STRETCH_SCRIPTS[::3]:
+        whole, _ = run_steps(new_group(list(script.prompt), KvBlockPool(block_size)), make_model(script))
+        calls = [0]  # model calls before each step
+        for t in range(len(whole) // ROW_WIDTH):
+            calls.append(calls[-1] + whole[t * ROW_WIDTH + BATCH])
+        ends, inside = _lone_steps(whole)
+        # A stretch's first step, one inside it and the step that ends it.
+        steps = [t + 1 for t in ends[:-1]] + inside[len(inside) // 2 : len(inside) // 2 + 1] + ends[:1]
+        for t in steps:
+            after = []
+            for run in (run_steps, _step_by_step):
+                group = new_group(list(script.prompt), KvBlockPool(block_size))
+                with pytest.raises(ScriptMismatch, match="injected"):
+                    run(group, _FailsAt(make_model(script), calls[t - 1] + 1))
+                after.append((group.sequences_map(), _counters(group)))
+            assert after[0] == after[1], (script.prompt, block_size, t)
+            raised += 1
+    assert raised > 20
