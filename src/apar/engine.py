@@ -312,15 +312,11 @@ def _run_alone(
     limit: float,
 ) -> int:
     """Step ``seq``, the group's one live thread, whose last token is not
-    [Fork], from ``steps`` steps run until it samples a control token or
-    ``limit`` steps have run; append the rows apar_step would return and
-    return the steps run.
-
-    The pool's and the group's counters live in locals while the thread
-    runs alone, and go back on every exit, a raise included.  After a
-    [Fork] the next step forks, which apar_step runs; an [EOS] is counted
-    before the thread is released, and its row reads the counts after.
-    """
+    [Fork], until it samples a control token or ``limit`` steps have run;
+    append the rows apar_step would return, and return the steps run in
+    all, ``steps`` of them before the call.  An [EOS] is counted before the
+    thread is released, and its row reads the counts after the release, as
+    apar_step's does."""
     pool = group.pool
     block_size = pool.block_size
     tokens, state = seq.tokens, seq.model_state
@@ -372,11 +368,11 @@ def run_steps(
     blocks before each step, so a row's PEAK is the step's own; after the
     run it is the run's again.
 
-    While one thread is live and its last token is not [Fork], the steps
-    run in _run_alone, a loop over that thread alone, until it samples a
-    control token; its rows are the ones apar_step would return, and it
-    writes the pool's and the group's counters back at every exit, a raise
-    included.  Every other step is apar_step's.
+    While one thread is live and its last token is not [Fork], _run_alone
+    steps it until it samples a control token: its rows are the ones
+    apar_step would return, and it writes the pool's and the group's
+    counters back at every exit, a raise included.  Every other step is
+    apar_step's.
     """
     pool = group.pool
     live = group.live

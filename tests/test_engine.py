@@ -21,7 +21,6 @@ from oracles import (  # noqa: E402
 from apar.blocks import KvBlockPool
 from apar.engine import (
     BATCH,
-    CONTENT,
     DEFAULT_MAX_SEQ_LEN,
     DEFAULT_MAX_STEPS,
     PEAK,
@@ -583,14 +582,28 @@ def _counters(group):
     )
 
 
-def _lone_steps(rows):
-    """Step numbers of the one-thread steps whose token ends a stretch, and
-    of those after which it runs on."""
-    ends, inside = [], []
-    for t in range(len(rows) // ROW_WIDTH):
-        if rows[t * ROW_WIDTH + BATCH] == 1:
-            (inside if rows[t * ROW_WIDTH + CONTENT] else ends).append(t + 1)
-    return ends, inside
+def _stretches(group, rows):
+    """The step numbers of each lone-thread stretch of an uncut run over
+    ``group``: the runs of steps with one live thread whose last token is
+    not [Fork].  A thread live at the last step holds every token a lone
+    thread sampled, at its lockstep position."""
+    prompt_len = len(group.prompt)
+    tokens = max((seq.tokens for seq in group.sequences.values()), key=len)
+    stretches, last = [], -1
+    for t in range(1, len(rows) // ROW_WIDTH + 1):
+        if rows[(t - 1) * ROW_WIDTH + BATCH] == 1 and tokens[prompt_len + t - 2] != FORK:
+            if last != t - 1:
+                stretches.append([])
+            stretches[-1].append(t)
+            last = t
+    return stretches
+
+
+def _uncut(script, make_model, block_size):
+    """An uncut run_steps run of ``script``: its rows and its stretches."""
+    group = new_group(list(script.prompt), KvBlockPool(block_size))
+    rows, _ = run_steps(group, make_model(script))
+    return rows, _stretches(group, rows)
 
 
 _STRETCH_SCRIPTS = [
@@ -607,14 +620,15 @@ def test_lone_stretch_is_the_step_by_step_run(make_model, block_size):
     # uncut, cut inside a stretch and cut on the step that ends one.
     cuts = {"inside": 0, "end": 0}
     for script in _STRETCH_SCRIPTS:
-        whole, _ = run_steps(new_group(list(script.prompt), KvBlockPool(block_size)), make_model(script))
-        ends, inside = _lone_steps(whole)
+        whole, stretches = _uncut(script, make_model, block_size)
+        inside = [t for stretch in stretches for t in stretch[:-1]]
+        # The run's last step ends the run, not just a stretch: no cut.
+        ends = [stretch[-1] for stretch in stretches if stretch[-1] < len(whole) // ROW_WIDTH]
         limits = {"whole": math.inf}
         if inside:
             limits["inside"] = inside[len(inside) // 2]
-        # The last step ends the run, not just a stretch, so it cuts nothing.
-        ends = ends[:-1] or ends
-        limits["end"] = ends[len(ends) // 2]
+        if ends:
+            limits["end"] = ends[len(ends) // 2]
         for kind, limit in limits.items():
             runs = []
             for run in (run_steps, _step_by_step):
@@ -653,14 +667,13 @@ def test_a_raise_in_a_lone_stretch_leaves_the_counters_of_the_steps_run(make_mod
     # apar_step leave, the step that raised taking nothing.
     raised = 0
     for script in _STRETCH_SCRIPTS[::3]:
-        whole, _ = run_steps(new_group(list(script.prompt), KvBlockPool(block_size)), make_model(script))
+        rows, stretches = _uncut(script, make_model, block_size)
         calls = [0]  # model calls before each step
-        for t in range(len(whole) // ROW_WIDTH):
-            calls.append(calls[-1] + whole[t * ROW_WIDTH + BATCH])
-        ends, inside = _lone_steps(whole)
-        # A stretch's first step, one inside it and the step that ends it.
-        steps = [t + 1 for t in ends[:-1]] + inside[len(inside) // 2 : len(inside) // 2 + 1] + ends[:1]
-        for t in steps:
+        for t in range(len(rows) // ROW_WIDTH):
+            calls.append(calls[-1] + rows[t * ROW_WIDTH + BATCH])
+        # Each stretch's first step, one inside it and its last.
+        steps = {t for s in stretches for t in (s[0], s[len(s) // 2], s[-1])}
+        for t in sorted(steps):
             after = []
             for run in (run_steps, _step_by_step):
                 group = new_group(list(script.prompt), KvBlockPool(block_size))
