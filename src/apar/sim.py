@@ -38,7 +38,9 @@ config.
 
 The run samples the system every ``sample_period`` simulated seconds, at
 most MAX_SAMPLES times: a period that would take more raises
-SimulationError.
+SimulationError.  A window's latency quartiles, and the summary's, are
+numpy's default (linear) percentiles, computed in plain floats over the
+sorted latencies; the means stay numpy's pairwise sums.
 Summary figures discard the leading warm-up fraction of samples and the
 trailing samples taken with no request waiting and none live.
 """
@@ -249,7 +251,7 @@ class _Profile:
         pool = KvBlockPool(block_size=block_size)
         group = new_group(script.prompt, pool)
         # Used blocks and slots and allocations before the first step.
-        start = [*pool.usage_snapshot()[:2], pool.allocations]
+        start = [pool.used_blocks, pool.used_slots, pool.allocations]
         flat, _ = run_steps(group, make_model(script))
         rows = np.array(flat, dtype=np.int64).reshape(-1, ROW_WIDTH)
         used = int(rows[-1, USED_BLOCKS])
@@ -293,6 +295,25 @@ def _content_key(script: ScriptTree) -> tuple:
             for nid, node in sorted(script.nodes.items())
         ),
     )
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """The 25th and 75th percentiles of a non-empty list, float for float
+    as ``np.percentile(values, (25, 75))`` gives them: Hyndman and Fan's
+    type 7, with numpy's two-sided interpolation between neighbours."""
+    s = sorted(values)
+    last = len(s) - 1
+    if not last:
+        return s[0], s[0]
+    out = []
+    for q in (0.25, 0.75):
+        idx = last * q
+        i = int(idx)
+        t = idx - i
+        a, b = s[i], s[i + 1]
+        d = b - a
+        out.append(a + d * t if t < 0.5 else b - d * (1 - t))
+    return out[0], out[1]
 
 
 @dataclass(slots=True)
@@ -350,15 +371,15 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f" {MAX_SAMPLES} samples"
             )
         while clock >= next_sample:
-            lat = np.array(window_latencies) if window_latencies else np.array([0.0])
-            p25, p75 = np.percentile(lat, (25, 75))
+            lat = window_latencies or [0.0]
+            p25, p75 = _quartiles(lat)
             samples.append(
                 SimSample(
                     time=next_sample,
                     throughput=window_content / config.sample_period,
-                    latency_mean=float(lat.mean()),
-                    latency_p25=float(p25),
-                    latency_p75=float(p75),
+                    latency_mean=float(np.mean(lat)),
+                    latency_p25=p25,
+                    latency_p75=p75,
                     used_slots=used_slots,
                     used_blocks=used,
                     live_groups=len(live),
@@ -398,7 +419,8 @@ def run_simulation(config: SimConfig) -> SimReport:
             live[admitted] = entry
             ends.setdefault(end, []).append(entry)
             admitted += 1
-            close_windows()
+            if clock >= next_sample:
+                close_windows()
 
         # Nothing live means admission is open and the pool empty: only a
         # preemption closes admission, and it leaves a group live; the
@@ -493,9 +515,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     kept_lats = [lat for t, lat in completions if t > warmup_time]
     if not kept_lats:
         kept_lats = [lat for _, lat in completions]
-    lats = np.array(kept_lats)
     kept_tputs = [s.throughput for s in trimmed]
-    p25, p75 = np.percentile(lats, (25, 75))
+    p25, p75 = _quartiles(kept_lats)
     summary = {
         "mode": config.mode,
         "cache_budget_fraction": config.cache_budget_fraction,
@@ -504,9 +525,9 @@ def run_simulation(config: SimConfig) -> SimReport:
         # Median kept-window rate: insensitive to the partial final wave an
         # identical-request workload leaves behind.
         "steady_throughput": float(np.median(kept_tputs)),
-        "latency_mean": float(lats.mean()),
-        "latency_p25": float(p25),
-        "latency_p75": float(p75),
+        "latency_mean": float(np.mean(kept_lats)),
+        "latency_p25": p25,
+        "latency_p75": p75,
         "completed": len(completions),
         "preemptions": preemptions,
         "content_tokens": total_content,
@@ -592,12 +613,15 @@ def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
 
 
 def config_from_json(text: str, default_seed: int = 0) -> SimConfig:
-    """Build a config from JSON; an unknown key or a value of the wrong JSON
-    type raises ValueError."""
+    """Build a config from JSON; an unknown key, a missing cost key or a value
+    of the wrong JSON type raises ValueError."""
     payload = json.loads(text)
     _reject_unknown_keys("config", payload, _CONFIG_KEYS)
     cost = payload.get("cost", DEFAULT_COST)
     _reject_unknown_keys("cost", cost, frozenset(DEFAULT_COST))
+    missing = sorted(set(DEFAULT_COST) - set(cost))
+    if missing:
+        raise ValueError(f"missing cost keys {missing}")
     return SimConfig(
         workload=_workload_from_spec(
             payload.get("workload", {"kind": "list"}), default_seed

@@ -1,9 +1,12 @@
 import copy
+import hashlib
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -388,6 +391,72 @@ class TestSharedProfiles:
         assert outcome == _outcome(reference_simulation, config)
 
 
+class TestQuartiles:
+    """The window and summary quartiles are numpy's default percentiles,
+    float for float, computed without numpy."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_numpy_percentile(self, seed):
+        rng = random.Random(seed)
+        for length in range(1, 201):
+            scale = 10 ** rng.uniform(-6, 3)
+            values = [rng.random() * scale for _ in range(length)]
+            # Ties: repeat some values, or draw from a few.
+            if length % 3 == 0:
+                values = [rng.choice(values[: max(1, length // 4)]) for _ in values]
+            expected = tuple(float(x) for x in np.percentile(values, (25, 75)))
+            assert sim._quartiles(values) == expected, (seed, length)
+
+    def test_empty_window_reports_zero(self):
+        # One 400-step request at 0.01 s a step completes after about 4 s:
+        # the half-second windows before it hold no completion.
+        config = SimConfig(
+            workload=[long_linear_script(400)],
+            mode="ar",
+            capacity_blocks=64,
+            cost=constant_cost(0.01),
+            sample_period=0.5,
+        )
+        samples = run_simulation(config).samples
+        empty = [s for s in samples if s.time < 4.0]
+        assert len(empty) == 7
+        for s in empty:
+            assert (s.latency_mean, s.latency_p25, s.latency_p75) == (0.0, 0.0, 0.0)
+        assert any(s.latency_mean > 0 for s in samples)
+
+
+# sha256 of to_json() and to_csv() of default_config(mode, copies=1000).
+PAPER_SCALE_DIGESTS = {
+    "apar": (
+        "aefe98faf42e0262eb4f3b4389446cc9cbe1e521dcd4ac2b41cbb7c95f906671",
+        "4a2379a3e8937154ff84b5daa4b1f8f599b1ccc0cbb9050590046d93f845b812",
+    ),
+    "ar": (
+        "9a2054ed6fae7c80dbf259299dc61c6dbf7df584ecdf54b1aebf35b29f2e81f5",
+        "df7819afbb0bfac6bd4592272a84d979bb81d8c3370f8b8000701d81389f306a",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["apar", "ar"])
+def test_paper_scale_run(mode):
+    """The paper's serving scale: 1000 queued, 350 concurrent, full budget."""
+    config = default_config(mode, copies=1000)
+    report = run_simulation(config)
+    summary = report.summary
+    assert summary["completed"] == 1000
+    assert summary["preemptions"] == 4950
+    assert summary["completed_content"] == sum(
+        len(flatten_script(s)) for s in config.workload
+    )
+    assert summary["peak_blocks"] <= config.effective_blocks == 600
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (report.to_json(), report.to_csv())
+    )
+    assert digests == PAPER_SCALE_DIGESTS[mode]
+
+
 class TestDeterminismAndSweep:
     def test_identical_runs(self):
         config = default_config(mode="apar", copies=12)
@@ -504,6 +573,8 @@ class TestConfigIO:
                 "t_fixed must be a number, not true",
             ),
             ({"cost": {"t_fix": 0.01}}, "unknown cost keys ['t_fix']"),
+            ({"cost": {"t_fixed": 1}}, "missing cost keys ['c_attn', 'c_token']"),
+            ({"cost": {}}, "missing cost keys ['c_attn', 'c_token', 't_fixed']"),
         ],
     )
     def test_bad_schema_rejected(self, payload, message):
