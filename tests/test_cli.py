@@ -348,11 +348,11 @@ class TestBadInput:
             ({"workload": {"kind": "random", "seed": 1.9}}, "seed"),
             ({"cache_budget_fraction": True}, "cache_budget_fraction"),
             ({"cost": {"t_fixed": True, "c_token": 0.0, "c_attn": 0.0}}, "t_fixed"),
-            ({"cost": {"t_fixed": 1}}, "missing cost keys ['c_attn', 'c_token']"),
             ({"sample_period": 10**400}, "sample_period"),
             ({"capacity_blocks": 10**400}, "capacity_blocks"),
             ({"workload": {"kind": "list", "count": 3, "head_len": -2}}, "head_len"),
             ({"workload": {"kind": "list", "count": 3, "intro_len": -9}}, "intro_len"),
+            ({"cost": {"t_fixed": 1}}, "missing cost keys ['c_attn', 'c_token']"),
         ],
     )
     def test_simulate_bad_config(self, payload, named, tmp_path, capsys):
