@@ -64,7 +64,9 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     A token sees the prompt, every token of its strict ancestors, and its
     own node causally.  Generated positions must follow ``preorder``, as
     ``linearize_script`` lays them out; a position whose node comes before
-    the previous position's node raises TreeError.
+    the previous position's node raises TreeError, and so does a negative
+    ``prompt_len`` (one above n makes every position prompt).  The checks
+    run on plain lists, and the kernel takes each node's bounds from them.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
@@ -80,16 +82,14 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
         p = parent_of[v]
         last[p] = max(last[p], last[v])
     dense[-1] = -1  # prompt positions; unknown ids map to -2
-    node_of = np.fromiter(
-        map(dense.get, sample.node_of, repeat(-2)), dtype=np.int64, count=n
-    )
-    plen = min(max(sample.prompt_len, 0), n)
+    node_of = list(map(dense.get, sample.node_of, repeat(-2)))
+    plen = min(_prompt_len(sample), n)
     gen = node_of[plen:]
-    if (plen and node_of[:plen].min() < -1) or (
-        gen.size and (gen[0] < 0 or (gen[1:] < gen[:-1]).any())
+    if (plen and min(node_of[:plen]) < -1) or (
+        gen and (gen[0] < 0 or gen != sorted(gen))
     ):
-        _raise_first_bad(sample, node_of.tolist(), plen)
-    return build_mask_array(node_of, last, sample.prompt_len)
+        _raise_first_bad(sample, node_of, plen)
+    return build_mask_array(node_of, last, plen)
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:
@@ -110,12 +110,20 @@ def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) ->
         prev = v
 
 
+def _prompt_len(sample: LinearizedSample) -> int:
+    """The sample's prompt length; a negative one raises TreeError."""
+    if sample.prompt_len < 0:
+        raise TreeError(f"prompt_len {sample.prompt_len} is negative")
+    return sample.prompt_len
+
+
 def build_loss_mask(sample: LinearizedSample) -> np.ndarray:
     """True where a position contributes training loss.
 
     Prompt positions and injected [Child] positions carry no loss; [Fork]
-    and [EOS] are trained like content.
+    and [EOS] are trained like content.  A negative ``prompt_len`` raises
+    TreeError.
     """
     mask = np.asarray(sample.tokens, dtype=object) != CHILD
-    mask[: sample.prompt_len] = False
+    mask[: _prompt_len(sample)] = False
     return mask

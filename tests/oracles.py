@@ -9,19 +9,26 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence as Seq
 
 import numpy as np
 
-from apar.attention import LinearizedSample
+from apar.attention import LinearizedSample, _raise_first_bad
 from apar.blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from apar.engine import DecodeTrace, LanguageModel, StepRecord
-from apar.errors import ProtocolError, ScriptMismatch, SimulationError, SimulationInvariantError
+from apar.errors import (
+    ProtocolError,
+    ScriptMismatch,
+    SimulationError,
+    SimulationInvariantError,
+    TreeError,
+)
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
 from apar.tokens import CHILD, CONTROL_TOKENS, EOS, FORK
-from apar.tree import ParagraphTree, path_to_root, preorder, restore
+from apar.tree import ParagraphTree, preorder, restore
 
 
 def linearize_group(
@@ -37,6 +44,44 @@ def linearize_group(
         tokens.extend(seq[start:end])
         node_of.extend([node.id] * (end - start))
     return LinearizedSample(tokens, node_of, tree.prompt_len)
+
+
+def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:
+    """``build_training_mask`` with its set-up and checks in numpy arrays.
+
+    Node ids map to preorder indices through ``np.fromiter``, the checks run
+    as vector compares, and the fill takes every node's token bounds from
+    one ``np.bincount(...).cumsum()`` and writes one slice per node.  A
+    rejected sample goes through the same ``_raise_first_bad``; a negative
+    ``prompt_len`` reads as 0.
+    """
+    n = len(sample.tokens)
+    if len(sample.node_of) != n:
+        raise TreeError("sample token and node_of lengths differ")
+    dense: dict[int, int] = {}
+    parent_of: list[int] = []
+    for node, parent in preorder(tree.root, tree.nodes):
+        parent_of.append(dense[parent] if parent is not None else -1)
+        dense[node.id] = len(dense)
+    last = list(range(len(parent_of)))
+    for v in range(len(parent_of) - 1, 0, -1):
+        p = parent_of[v]
+        last[p] = max(last[p], last[v])
+    dense[-1] = -1
+    node_of = np.fromiter(
+        map(dense.get, sample.node_of, repeat(-2)), dtype=np.int64, count=n
+    )
+    plen = min(max(sample.prompt_len, 0), n)
+    gen = node_of[plen:]
+    if (plen and node_of[:plen].min() < -1) or (
+        gen.size and (gen[0] < 0 or (gen[1:] < gen[:-1]).any())
+    ):
+        _raise_first_bad(sample, node_of.tolist(), plen)
+    mask = np.tri(n, dtype=np.bool_)
+    ends = (plen + np.bincount(gen, minlength=len(last)).cumsum()).tolist()
+    for v, (start, end) in enumerate(zip([plen, *ends], ends)):
+        mask[ends[last[v]] :, start:end] = False
+    return mask
 
 
 @dataclass
@@ -347,10 +392,22 @@ def bounds_usage(group: SequenceGroup) -> tuple[int, int]:
     starting at slot ``start`` (the root at 0) owns its blocks from
     ``start // bs``, a closed one up to ``end // bs`` and a live one up to
     ``ceil(L / bs)``.  A forked child's first block, its own copy, is the
-    first block of its first node."""
+    first block of its first node.  The paths come from one parent map per
+    call, the pointer that reaches each node."""
     bs = group.pool.block_size
     tree = group.tree
-    held = {nid for seq in group.live.values() for nid in path_to_root(tree, seq.current_node)}
+    parents = {
+        target: node.id
+        for node in tree.nodes.values()
+        for target in (node.first_child, node.next_sibling)
+        if target is not None
+    }
+    held: set[int] = set()
+    for seq in group.live.values():
+        nid = seq.current_node
+        while nid is not None and nid not in held:
+            held.add(nid)
+            nid = parents.get(nid)
     blocks = slots = 0
     for nid in held:
         node = tree.nodes[nid]

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -7,16 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import linearize_group  # noqa: E402
+from corpus_data import conversations  # noqa: E402
+from oracles import linearize_group, reference_training_mask  # noqa: E402
 
 from apar._kernels import build_mask_array
 from apar.attention import (
+    LinearizedSample,
     build_loss_mask,
     build_training_mask,
     linearize_script,
 )
 from apar.engine import apar_decode
 from apar.errors import TreeError
+from apar.extract import Conversation, extract_conversation
 from apar.script import ReplayModel, ScriptNode, ScriptTree, random_script
 from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
@@ -103,11 +107,90 @@ def kernel_inputs(draw):
 @example((np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=bool), [0], 0))
 @example((np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=bool), [0], 0))
 @example((np.array([0, 0, 1, 1]), np.array([[False, False], [True, False]]), [1, 1], 6))
+# node_of as a Python list, the form build_training_mask passes: node 0 forks
+# child 1 and continues as sibling 2, so only node 1's subtree ends early.
+@example(
+    (
+        [-1, 0, 0, 1, 1, 2],
+        np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=bool),
+        [2, 1, 2],
+        1,
+    )
+)
+# A chain 0 -> 1 -> 2: every subtree runs to the end, so nothing is cleared.
+@example(
+    (
+        np.array([0, 0, 1, 2, 2]),
+        np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=bool),
+        [2, 2, 2],
+        0,
+    )
+)
 def test_subtree_kernel_matches_dense_reference(args):
     node_of, ancestor, last, prompt_len = args
     mask = build_mask_array(node_of, last, prompt_len)
     assert mask.dtype == np.bool_
     assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, prompt_len))
+
+
+_EXTRACTED = [
+    sample
+    for payload in conversations()
+    for _, sample in extract_conversation(Conversation.from_dict(payload))
+]
+
+
+@st.composite
+def corrupted_samples(draw):
+    """A laid-out sample and its tree, from ``random_script``, ``list_script``
+    or the extraction corpus, with at most one corruption: an unknown node
+    id, -1 at a generated position, two node runs swapped, or ``prompt_len``
+    set to 0, n or n + 2."""
+    source = draw(st.sampled_from(["random", "list", "extracted"]))
+    if source == "random":
+        seed = draw(st.integers(min_value=0, max_value=10_000))
+        sample, tree = linearize_script(random_script(seed, max_nodes=9, max_node_len=5))
+    elif source == "list":
+        items = draw(st.integers(min_value=1, max_value=6))
+        detail_len = draw(st.integers(min_value=0, max_value=5))
+        sample, tree = linearize_script(list_script(items=items, detail_len=detail_len))
+    else:
+        extracted = draw(st.sampled_from(_EXTRACTED))
+        sample, tree = extracted.sample, extracted.tree
+    node_of, plen = list(sample.node_of), sample.prompt_len
+    n = len(node_of)
+    corruption = draw(st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len"]))
+    if corruption == "unknown":
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        node_of[i] = draw(st.sampled_from([max(tree.nodes) + 1, 777, -3]))
+    elif corruption == "no_node" and plen < n:
+        node_of[draw(st.integers(min_value=plen, max_value=n - 1))] = -1
+    elif corruption == "swap":
+        runs = [list(run) for _, run in groupby(node_of[plen:])]
+        if len(runs) > 1:
+            i = draw(st.integers(min_value=0, max_value=len(runs) - 2))
+            j = draw(st.integers(min_value=i + 1, max_value=len(runs) - 1))
+            runs[i], runs[j] = runs[j], runs[i]
+            node_of[plen:] = [nid for run in runs for nid in run]
+    elif corruption == "prompt_len":
+        plen = draw(st.sampled_from([0, n, n + 2]))
+    return LinearizedSample(sample.tokens, node_of, plen), tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_samples())
+def test_training_mask_matches_numpy_reference(args):
+    sample, tree = args
+    try:
+        expected = reference_training_mask(sample, tree)
+    except TreeError as err:
+        with pytest.raises(TreeError) as raised:
+            build_training_mask(sample, tree)
+        assert str(raised.value) == str(err)
+    else:
+        mask = build_training_mask(sample, tree)
+        assert mask.dtype == expected.dtype and mask.shape == expected.shape
+        assert mask.tobytes() == expected.tobytes()
 
 
 class TestLinearize:
@@ -194,6 +277,12 @@ class TestTrainingMask:
         ):
             build_training_mask(sample, tree)
 
+    def test_negative_prompt_len_rejected(self, fig3_script):
+        sample, tree = linearize_script(fig3_script)
+        sample.prompt_len = -2
+        with pytest.raises(TreeError, match="prompt_len -2 is negative"):
+            build_training_mask(sample, tree)
+
     def test_peak_memory_is_one_mask(self):
         sample, tree = linearize_script(list_script(items=5, detail_len=400))
         n = len(sample.tokens)
@@ -222,6 +311,11 @@ class TestLossMask:
         sample, _ = linearize_script(script)
         loss = build_loss_mask(sample)
         assert not loss[0] and loss[1:].all()
+
+    def test_negative_prompt_len_rejected(self):
+        sample = LinearizedSample(["p", "x", "y", "z"], [-1, 0, 0, 0], -2)
+        with pytest.raises(TreeError, match="prompt_len -2 is negative"):
+            build_loss_mask(sample)
 
     def test_three_forks_mask_three_child_positions(self):
         for seed in range(200):
