@@ -124,6 +124,11 @@ def build_loss_mask(sample: LinearizedSample) -> np.ndarray:
     and [EOS] are trained like content.  A negative ``prompt_len`` raises
     TreeError.
     """
-    mask = np.asarray(sample.tokens, dtype=object) != CHILD
+    tokens = sample.tokens
+    mask = np.ones(len(tokens), dtype=np.bool_)
     mask[: _prompt_len(sample)] = False
+    i = -1
+    for _ in range(tokens.count(CHILD)):
+        i = tokens.index(CHILD, i + 1)
+        mask[i] = False
     return mask

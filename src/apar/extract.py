@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import LinearizedSample, build_loss_mask, linearize_script
 from .script import ScriptNode, ScriptTree, chain_nodes
-from .tokens import CONTROL_TOKENS
+from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
 from .tree import ParagraphTree, tree_to_dict
 
 __all__ = [
@@ -95,10 +95,21 @@ class TrainingSample:
         }
 
 
+def _has_surface(text: str) -> bool:
+    """Whether a control surface occurs in the text, as a word or inside one.
+
+    A whole-word surface is also a substring, so False proves the text's
+    words and ``CONTROL_TOKENS`` disjoint without hashing a word.  One scan
+    per surface, written out: a generator over the set costs more than the
+    scans on short texts.
+    """
+    return FORK in text or CHILD in text or EOS in text
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace word split; reserved control surfaces get escaped."""
     tokens = text.split()
-    if CONTROL_TOKENS.isdisjoint(tokens):
+    if not _has_surface(text) or CONTROL_TOKENS.isdisjoint(tokens):
         return tokens
     return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
 
@@ -194,7 +205,7 @@ def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
     """The response's kind and, for a list or paragraphs, its parsed tree."""
     if _AMBIGUOUS_RE.search(text):
         return "unstructured", None
-    if not CONTROL_TOKENS.isdisjoint(text.split()):
+    if _has_surface(text) and not CONTROL_TOKENS.isdisjoint(text.split()):
         return "unstructured", None
     content = extract_ordered_list(text)
     if content is not None:

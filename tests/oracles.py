@@ -14,7 +14,7 @@ from typing import Mapping, Sequence as Seq
 
 import numpy as np
 
-from apar.attention import LinearizedSample, _raise_first_bad
+from apar.attention import LinearizedSample, _prompt_len, _raise_first_bad
 from apar.blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
 from apar.engine import DecodeTrace, LanguageModel, StepRecord
 from apar.errors import (
@@ -24,6 +24,7 @@ from apar.errors import (
     SimulationInvariantError,
     TreeError,
 )
+from apar.extract import _AMBIGUOUS_RE, extract_ordered_list, extract_paragraphs
 from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
@@ -82,6 +83,36 @@ def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np
     for v, (start, end) in enumerate(zip([plen, *ends], ends)):
         mask[ends[last[v]] :, start:end] = False
     return mask
+
+
+def reference_loss_mask(sample: LinearizedSample) -> np.ndarray:
+    """``build_loss_mask`` as one object-array compare against [Child]."""
+    mask = np.asarray(sample.tokens, dtype=object) != CHILD
+    mask[: _prompt_len(sample)] = False
+    return mask
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """``tokenize`` that always hashes every word to look for a surface."""
+    tokens = text.split()
+    if CONTROL_TOKENS.isdisjoint(tokens):
+        return tokens
+    return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
+
+
+def reference_parse_response(text: str) -> tuple[str, ScriptTree | None]:
+    """``_parse_response`` that always splits the text to look for a surface."""
+    if _AMBIGUOUS_RE.search(text):
+        return "unstructured", None
+    if not CONTROL_TOKENS.isdisjoint(text.split()):
+        return "unstructured", None
+    content = extract_ordered_list(text)
+    if content is not None:
+        return "ordered_list", content
+    content = extract_paragraphs(text)
+    if content is not None:
+        return "paragraph", content
+    return "unstructured", None
 
 
 @dataclass

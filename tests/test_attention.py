@@ -9,8 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
-from oracles import linearize_group, reference_training_mask  # noqa: E402
+from oracles import (  # noqa: E402
+    linearize_group,
+    reference_loss_mask,
+    reference_training_mask,
+)
 
+from apar import _kernels
 from apar._kernels import build_mask_array
 from apar.attention import (
     LinearizedSample,
@@ -133,6 +138,85 @@ def test_subtree_kernel_matches_dense_reference(args):
     assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, prompt_len))
 
 
+def tree_kernel_inputs(parent, sizes, prompt_len):
+    """Kernel inputs for a tree given in dense preorder as each node's parent
+    (-1 for the root) and token count: (node_of, ancestor, last), with the
+    prompt's positions read -1."""
+    m = len(parent)
+    ancestor = np.zeros((m, m), dtype=bool)
+    for v in range(m):
+        p = parent[v]
+        while p >= 0:
+            ancestor[v, p] = True
+            p = parent[p]
+    last = [max(b for b in range(m) if b == a or ancestor[b, a]) for a in range(m)]
+    node_of = [-1] * prompt_len + [v for v, k in enumerate(sizes) for _ in range(k)]
+    return node_of, ancestor, last
+
+
+def test_kernel_cuts_several_nodes_at_one_row():
+    # Nodes 1, 2 and 3 are a chain under the root, so all three subtrees end
+    # where node 3's tokens do; nodes 4 and 5 (a node and its last
+    # descendant) both end where node 5's do; the root runs to the end.
+    parent = [-1, 0, 1, 2, 0, 4, 0]
+    node_of, ancestor, last = tree_kernel_inputs(parent, [2, 3, 1, 2, 2, 3, 2], 2)
+    assert last == [6, 3, 3, 3, 5, 5, 6]
+    mask = build_mask_array(node_of, last, 2)
+    assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, 2))
+
+
+def test_kernel_template_regrown_then_sliced(monkeypatch):
+    monkeypatch.setattr(_kernels, "_causal", np.ones((0, 0), dtype=bool))
+    assert _kernels._causal_template(30).shape == (30, 30)
+    parent = [-1, 0, 1, 0, 3, 0]
+    grown = 31
+    for n in (grown, grown - 3, 7):
+        sizes = [n // 6] * 5 + [n - 5 * (n // 6)]
+        node_of, ancestor, last = tree_kernel_inputs(parent, sizes, 0)
+        mask = build_mask_array(node_of, last, 0)
+        assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, 0))
+        # The template grows to the largest n seen: 2 * n bytes, no more.
+        assert _kernels._causal.shape == (grown, grown)
+
+
+def test_kernel_returns_an_owned_writable_mask():
+    node_of, ancestor, last = tree_kernel_inputs([-1, 0, 0], [3, 4, 2], 1)
+    expected = dense_reference_mask(node_of, ancestor, 1)
+    mask = build_mask_array(node_of, last, 1)
+    assert mask.flags.c_contiguous and mask.flags.owndata and mask.base is None
+    mask[:] = ~mask
+    assert np.array_equal(build_mask_array(node_of, last, 1), expected)
+
+
+def test_kernel_prompt_past_n_and_empty():
+    node_of, ancestor, last = tree_kernel_inputs([-1, 0, 0], [3, 4, 2], 0)
+    n = len(node_of)
+    mask = build_mask_array(node_of, last, n + 3)
+    assert np.array_equal(mask, dense_reference_mask(node_of, ancestor, n + 3))
+    assert np.array_equal(mask, np.tri(n, dtype=bool))
+    empty = build_mask_array([], [0], 0)
+    assert empty.dtype == np.bool_
+    assert np.array_equal(empty, dense_reference_mask([], np.zeros((1, 1), dtype=bool), 0))
+    sample, tree = linearize_script(list_script(items=3, detail_len=2))
+    sample.prompt_len = len(sample.tokens) + 3
+    assert build_training_mask(sample, tree).tobytes() == (
+        reference_training_mask(sample, tree).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "script",
+    [list_script(items=30, detail_len=65), random_script(3, max_nodes=41, max_node_len=30)],
+    ids=["list_n2229", "random_nested"],
+)
+def test_kernel_long_samples_match_numpy_reference(script):
+    sample, tree = linearize_script(script)
+    assert len(sample.tokens) in (2229, 701)
+    assert max(len(path_to_root(tree, v)) for v in tree.nodes) >= 3
+    mask = build_training_mask(sample, tree)
+    assert mask.tobytes() == reference_training_mask(sample, tree).tobytes()
+
+
 _EXTRACTED = [
     sample
     for payload in conversations()
@@ -191,6 +275,38 @@ def test_training_mask_matches_numpy_reference(args):
         mask = build_training_mask(sample, tree)
         assert mask.dtype == expected.dtype and mask.shape == expected.shape
         assert mask.tobytes() == expected.tobytes()
+
+
+@st.composite
+def loss_mask_samples(draw):
+    """A laid-out sample from ``random_script``, ``list_script`` or the
+    extraction corpus, or a free token list where [Child] may sit anywhere,
+    prompt included; ``prompt_len`` from 0 to past n."""
+    source = draw(st.sampled_from(["random", "list", "extracted", "free"]))
+    if source == "random":
+        seed = draw(st.integers(min_value=0, max_value=10_000))
+        sample, _ = linearize_script(random_script(seed, max_nodes=9, max_node_len=5))
+    elif source == "list":
+        items = draw(st.integers(min_value=1, max_value=6))
+        sample, _ = linearize_script(list_script(items=items, detail_len=3))
+    elif source == "extracted":
+        sample = draw(st.sampled_from(_EXTRACTED)).sample
+    else:
+        words = st.sampled_from([CHILD, FORK, EOS, "x", "\\[Child]", "[Child]x"])
+        tokens = draw(st.lists(words, max_size=30))
+        sample = LinearizedSample(tokens, [0] * len(tokens), 0)
+    n = len(sample.tokens)
+    plen = draw(st.sampled_from([sample.prompt_len, 0, n, n + 2]))
+    return LinearizedSample(sample.tokens, sample.node_of, plen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loss_mask_samples())
+def test_loss_mask_matches_object_array_reference(sample):
+    loss = build_loss_mask(sample)
+    expected = reference_loss_mask(sample)
+    assert loss.dtype == expected.dtype and loss.shape == expected.shape
+    assert loss.tobytes() == expected.tobytes()
 
 
 class TestLinearize:

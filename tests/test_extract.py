@@ -5,10 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
+from oracles import reference_parse_response, reference_tokenize  # noqa: E402
 
 from apar import extract as extract_module
 from apar.extract import (
     Conversation,
+    _parse_response,
     assemble_with_ratio,
     build_training_sample,
     classify_response,
@@ -20,7 +22,7 @@ from apar.extract import (
 )
 from apar.script import ScriptTree
 from apar.sim import list_script
-from apar.tokens import CHILD, FORK
+from apar.tokens import CHILD, CONTROL_TOKENS, FORK
 from apar.tree import restore, validate
 
 
@@ -259,3 +261,39 @@ def test_tokenize_escapes_reserved():
 def test_tokenize_without_control_surfaces_is_split():
     text = " 1. Fork:  [fork] [Fork]x\tEOS [EOS.\n"
     assert tokenize(text) == text.split()
+
+
+PARAGRAPH_TEXT = (
+    "Cycling is cheap. It costs little to run.\n\n"
+    "It is healthy too. You move every day."
+)
+
+
+def _surface_texts():
+    """Each control surface as a whole word, embedded in a word or escaped,
+    spliced into a list, into paragraphs and into plain text; each surface
+    alone and at the text's very ends; and the three texts with no surface
+    at all."""
+    bases = [LIST_TEXT, PARAGRAPH_TEXT, "plain words only"]
+    yield from bases
+    for surface in sorted(CONTROL_TOKENS):
+        yield surface
+        for base in bases:
+            yield f"{surface} {base}"
+            yield f"{base} {surface}"
+        forms = [
+            f" {surface} ", f"x{surface}y", f"{surface}:", f"\\{surface}", f"\n{surface}\n"
+        ]
+        for base in bases:
+            for form in forms:
+                yield form + base
+                yield base.replace("money", f"money{form}").replace("cheap", f"cheap{form}")
+                yield base + form
+
+
+@pytest.mark.parametrize("source", ["surfaces", "corpus"])
+def test_control_precheck_matches_full_split(source):
+    texts = _surface_texts() if source == "surfaces" else (e["assistant"] for e in CORPUS)
+    for text in texts:
+        assert tokenize(text) == reference_tokenize(text), text
+        assert _parse_response(text) == reference_parse_response(text), text
