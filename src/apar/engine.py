@@ -43,11 +43,12 @@ call.  A step attends batch * L tokens.  It allocates one block per
 stepped thread iff L % block_size == 0, when every thread's last block is
 full, plus one per fork (the copy of a partial last block, or the child's
 first; see apar.blocks).  On such a step each thread takes its fresh block
-through the pool in id order, so the pool's peak stays exact within the
-step.  The pool's used slots and the group's logical slots are counted
-once per step, the logical ones also before each [EOS] release, the one
-event that lowers their running count, so their running peak is exact as
-well.  apar_step returns the step's row, ROW_WIDTH integers: its batch,
+through the pool in id order, so the pool's peak, the run's, stays exact;
+the step's own is read before each [EOS] release and at the step's end,
+as blocks fall only at a release.  Used and logical slots are counted once
+per step, and at a raise, the logical ones also before each [EOS] release,
+the one event that lowers them, so their running peak is exact as well.
+apar_step returns the step's row, ROW_WIDTH integers: its batch,
 attended and content tokens, then the pool and group counters after it;
 run_steps appends the rows and keeps nothing else.  A trace's per-step
 records, with the tokens each step sampled and the forks it ran, are
@@ -256,8 +257,9 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     Returns the step's row, ROW_WIDTH integers: the sequences stepped, the
     context tokens they attended and the sampled tokens that are not
     control tokens, then the pool's and the group's counters after the
-    step (see ROW_WIDTH).  This is the one-step API; run_steps runs a lone
-    thread's steps in _run_alone instead, which returns the same rows.
+    step (see ROW_WIDTH); its PEAK is the step's own on any pool.  This is
+    the one-step API; run_steps runs a lone thread's steps in _run_alone
+    instead, which returns the same rows.
     """
     live = list(group.live.values())
     if not live:
@@ -265,41 +267,49 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     pool = group.pool
     length = len(live[0].tokens)
     fresh = length % pool.block_size == 0  # every thread's last block is full
-    counted = controls = 0  # appends counted as logical slots; control tokens
-    for seq in live:
-        tokens = seq.tokens
-        if len(tokens) != length:
-            raise ProtocolError(
-                f"sequence {seq.id} holds {len(tokens)} tokens but sequence"
-                f" {live[0].id} holds {length}: the threads are out of lockstep"
-            )
-        token = model.next_token(tokens, seq.model_state)
-        if tokens[-1] == FORK:
-            group.fork_sequence(seq.id)
-        if fresh:
-            pool.take_block()
-        tokens.append(token)
-        if token in CONTROL_TOKENS:
-            controls += 1
-            if token == EOS:
-                # Count every append so far, this [EOS] included, before
-                # the release can lower the count.  (A fork's own count
-                # lacks them, so it can only read low.)  Each search starts
-                # past the last one, so a step scans ``live`` at most once.
-                appended = live.index(seq, counted) + 1
-                group.count_appends(appended - counted)
-                counted = appended
-                group.finish(seq)
+    counted = controls = peak = 0  # logical appends counted; controls; block peak
+    try:
+        for seq in live:
+            tokens = seq.tokens
+            if len(tokens) != length:
+                raise ProtocolError(
+                    f"sequence {seq.id} holds {len(tokens)} tokens but sequence"
+                    f" {live[0].id} holds {length}: the threads are out of lockstep"
+                )
+            token = model.next_token(tokens, seq.model_state)
+            if tokens[-1] == FORK:
+                group.fork_sequence(seq.id)
+            if fresh:
+                pool.take_block()
+            tokens.append(token)
+            if token in CONTROL_TOKENS:
+                controls += 1
+                if token == EOS:
+                    # Count every append so far, this [EOS] included, before
+                    # the release can lower the count.  (A fork's own count
+                    # lacks them, so it can only read low.)  Each search starts
+                    # past the last one, so a step scans ``live`` at most once.
+                    appended = live.index(seq, counted) + 1
+                    group.count_appends(appended - counted)
+                    counted = appended
+                    peak = max(peak, pool.used_blocks)
+                    group.finish(seq)
+    except BaseException:
+        # ``seq`` appended nothing: count the threads before it.
+        done = live.index(seq, counted)
+        pool.used_slots += done
+        group.count_appends(done - counted)
+        raise
     batch = len(live)
+    used = pool.used_blocks
     pool.used_slots += batch
     # group.count_appends, written out: it runs once per step.
     group.logical_slots += batch - counted
     if group.logical_slots > group.logical_peak:
         group.logical_peak = group.logical_slots
     return (
-        batch, batch * length, batch - controls, pool.used_blocks,
-        pool.used_slots, pool.allocations, pool.peak_used,
-        group.logical_slots, group.logical_peak,
+        batch, batch * length, batch - controls, used, pool.used_slots,
+        pool.allocations, max(peak, used), group.logical_slots, group.logical_peak,
     )
 
 
@@ -364,9 +374,7 @@ def run_steps(
 
     Returns the step rows end to end, ROW_WIDTH integers per step, and
     whether the run was cut: a cut ends every live thread with an appended
-    [EOS], which no row counts.  The pool's peak is set back to its used
-    blocks before each step, so a row's PEAK is the step's own; after the
-    run it is the run's again.
+    [EOS], which no row counts.
 
     While one thread is live and its last token is not [Fork], _run_alone
     steps it until it samples a control token: its rows are the ones
@@ -374,28 +382,21 @@ def run_steps(
     counters back at every exit, a raise included.  Every other step is
     apar_step's.
     """
-    pool = group.pool
     live = group.live
     rows: list[int] = []
     extend = rows.extend
-    used, top = pool.used_blocks, pool.peak_used
     steps = 0
     while live and steps < limit:
-        pool.peak_used = used
         if len(live) == 1:
             (seq,) = live.values()
             if seq.tokens[-1] != FORK:
                 steps = _run_alone(group, model, seq, rows, steps, limit)
-                used = pool.used_blocks
                 continue
-        row = apar_step(group, model)
-        extend(row)
-        used = row[USED_BLOCKS]
+        extend(apar_step(group, model))
         steps += 1
     cut = bool(live)
     for seq_id in list(live):
         group.append_token(seq_id, EOS)
-    pool.peak_used = max(top, pool.peak_used, max(rows[PEAK::ROW_WIDTH], default=0))
     return rows, cut
 
 

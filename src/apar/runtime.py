@@ -11,10 +11,11 @@ shared prefixes counted once, released per-thread as threads finish.
 Its physical blocks follow from the same tree: every block belongs to the
 tree node its last slot falls in, by the rule apar.blocks states.  The
 threads sharing a closed node's blocks are the live threads under it, so
-a finishing thread frees the blocks of every node it was the last to
-hold, the nodes whose logical slots the same walk frees; the root holds
-the prompt's blocks until the group ends.  The pool has no cap, so a fork
-or an append cannot run out of blocks.
+a finishing thread frees the nodes it was the last to hold.  A child node
+starts where its parent ends, so these hold one run, from the topmost
+one's start (0 for the root, which holds the prompt) to the thread's end:
+a release drops that run from both counts, the logical slots and the pool's.
+The pool has no cap, so a fork or an append cannot run out of blocks.
 
 append_token is the one-thread operation: one token, with its block slot
 and its logical slot.  A decode step (engine.apar_step, or engine.run_steps'
@@ -162,20 +163,18 @@ class SequenceGroup:
             self.logical_peak = self.logical_slots
 
     def _release_logical(self, seq: Sequence) -> int:
-        """Drop the finished thread's hold on its node, freeing unheld
-        ancestors; return the slot the topmost freed node starts at."""
+        """Drop the finished thread's hold on its node and free unheld
+        ancestors, one run of logical slots; return the run's start."""
         nid: int | None = seq.current_node
         while nid is not None:
             self._node_live_refs[nid] -= 1
             if self._node_live_refs[nid]:
                 break
-            node = self.tree.nodes[nid]
-            start, end = node.slice_bounds(len(self.sequences[node.seq].tokens))
-            self.logical_slots -= end - start
+            start = self.tree.nodes[nid].start
             nid = self._parents.get(nid)
-        if not self.live:  # the walk freed the root, which holds the prompt
-            self.logical_slots -= len(self.prompt)
-            return 0
+        else:  # the walk freed the root
+            start = 0
+        self.logical_slots -= len(seq.tokens) - start
         return start
 
     def _not_live(self, seq_id: int, action: str) -> ProtocolError:

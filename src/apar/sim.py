@@ -318,7 +318,6 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 
 @dataclass(slots=True)
 class _LiveGroup:
-    serial: int  # admission count: its key in ``live``
     request_id: int
     profile: _Profile
     first: int  # the global step that runs its first profile row
@@ -329,11 +328,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     """Deterministic event loop over the configured workload."""
     capacity = config.effective_blocks
     waiting: deque[int] = deque(range(len(config.workload)))
-    # Live groups in admission order, and the groups that finish after each
-    # global step, in admission order too.
+    # Live groups by request id, as a request is live at most once, in
+    # admission order; the groups that finish after each global step, too.
     live: dict[int, _LiveGroup] = {}
     ends: dict[int, list[_LiveGroup]] = {}
-    admitted = 0
     # The shared pool as counters, and the global steps already run.
     used = used_slots = peak = 0
     step = 0
@@ -415,10 +413,9 @@ def run_simulation(config: SimConfig) -> SimReport:
             used_slots += slots
             peak = max(peak, used)
             clock += config.cost.t_fixed + config.cost.c_token * slots
-            entry = _LiveGroup(admitted, req_id, profile, step, admit_time=clock)
-            live[admitted] = entry
+            entry = _LiveGroup(req_id, profile, step, admit_time=clock)
+            live[req_id] = entry
             ends.setdefault(end, []).append(entry)
-            admitted += 1
             if clock >= next_sample:
                 close_windows()
 
@@ -476,7 +473,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         finished = ends.pop(step, None)
         if finished:
             for entry in finished:
-                del live[entry.serial]
+                del live[entry.request_id]
                 content = entry.profile.content
                 completed_content += content
                 per_token = (clock - entry.admit_time) / max(content, 1)
@@ -560,9 +557,14 @@ def default_config(mode: str = "apar", copies: int = 100) -> SimConfig:
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig))
+# Shape keys in their builder's parameter order; its signature holds the defaults.
+_SHAPE_KEYS = {
+    "list": ("items", "intro_len", "head_len", "detail_len"),
+    "random": ("max_nodes", "max_node_len"),
+}
 _WORKLOAD_KEYS = {
-    "list": frozenset({"kind", "count", "items", "intro_len", "head_len", "detail_len"}),
-    "random": frozenset({"kind", "count", "seed", "max_nodes", "max_node_len"}),
+    "list": frozenset({"kind", "count", *_SHAPE_KEYS["list"]}),
+    "random": frozenset({"kind", "count", "seed", *_SHAPE_KEYS["random"]}),
 }
 
 
@@ -593,23 +595,13 @@ def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
         raise ValueError(f"unknown workload kind {kind!r}")
     _reject_unknown_keys(f"{kind} workload", spec, _WORKLOAD_KEYS[kind])
     count = _number(spec, "count", 100, int)
+    if kind == "random":
+        seed = _number(spec, "seed", default_seed, int)
+    shape = {key: _number(spec, key, None, int) for key in _SHAPE_KEYS[kind] if key in spec}
     if kind == "list":
-        script = list_script(
-            items=_number(spec, "items", 5, int),
-            intro_len=_number(spec, "intro_len", 4, int),
-            head_len=_number(spec, "head_len", 6, int),
-            detail_len=_number(spec, "detail_len", 30, int),
-        )
+        script = list_script(**shape)
         return [script for _ in range(count)]
-    seed = _number(spec, "seed", default_seed, int)
-    return [
-        random_script(
-            seed + i,
-            max_nodes=_number(spec, "max_nodes", 16, int),
-            max_node_len=_number(spec, "max_node_len", 8, int),
-        )
-        for i in range(count)
-    ]
+    return [random_script(seed + i, **shape) for i in range(count)]
 
 
 def config_from_json(text: str, default_seed: int = 0) -> SimConfig:

@@ -273,9 +273,9 @@ class TestProperties:
     def test_steps_on_a_shared_pool_keep_the_peak(self, block_size):
         # Two groups step in turn on one pool, which nothing resets; a twin
         # pool runs the same steps but is set back to its used blocks
-        # before each, as run_steps does, so its peak after a step is that
-        # step's own.  The shared pool's peak is the maximum over both
-        # groups' steps so far: a step never sets it back.
+        # before each, so its peak after a step is that step's own.  The
+        # shared pool's peak is the maximum over both groups' steps so far:
+        # a step never sets it back.
         below = 0  # steps whose own peak is below the peak so far
         for seed in range(0, 40, 2):
             scripts = [
@@ -293,10 +293,12 @@ class TestProperties:
                     if not group.live:
                         continue
                     twin.peak_used = twin.usage_snapshot()[0]
-                    apar_step(group, model)
+                    row = apar_step(group, model)
                     apar_step(twin_group, twin_model)
                     step_peaks.append(twin.peak_used)
                     assert shared.peak_used == max(step_peaks), seed
+                    # The step on the pool never reset returns its own peak.
+                    assert row[PEAK] == twin.peak_used, seed
                     below += twin.peak_used < shared.peak_used
             assert shared.usage_snapshot()[:2] == (0, 0)
         assert below > 100
@@ -465,7 +467,8 @@ def test_owning_pool_matches_the_refcount_pool(block_size):
                 tables = shadow.start(len(script.prompt))
                 peak = shadow.peak_used
                 for t in range(len(rows) // ROW_WIDTH):
-                    shadow.peak_used = shadow.used_blocks  # as run_steps does
+                    # Set back before each step, so its peak is the row's PEAK.
+                    shadow.peak_used = shadow.used_blocks
                     rec = StepRecord(step=t + 1)
                     recorded_step(ref, model, rec)
                     shadow.replay(tables, rec.sampled, rec.forks)
@@ -559,18 +562,15 @@ def test_no_block_is_in_two_tables(block_size):
 
 
 def _step_by_step(group, model, limit=math.inf):
-    """run_steps as a loop of apar_step calls, the pool's peak set back to
-    its used blocks before each: the reference for a lone-thread stretch."""
-    pool = group.pool
-    rows, top, steps = [], pool.peak_used, 0
+    """run_steps as a loop of apar_step calls: the reference for a
+    lone-thread stretch."""
+    rows, steps = [], 0
     while group.live and steps < limit:
-        pool.peak_used = pool.used_blocks
         rows.extend(apar_step(group, model))
         steps += 1
     cut = bool(group.live)
     for seq_id in list(group.live):
         group.append_token(seq_id, EOS)
-    pool.peak_used = max(top, pool.peak_used, max(rows[PEAK::ROW_WIDTH], default=0))
     return rows, cut
 
 
@@ -683,3 +683,60 @@ def test_a_raise_in_a_lone_stretch_leaves_the_counters_of_the_steps_run(make_mod
             assert after[0] == after[1], (script.prompt, block_size, t)
             raised += 1
     assert raised > 20
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 16])
+@pytest.mark.parametrize("make_model", [ReplayModel, as_linear], ids=["apar", "ar"])
+def test_a_raise_leaves_the_pool_peak_of_the_run(make_model, block_size):
+    # The pool's peak is the run's at every exit: when the model raises on a
+    # step's first call, it is the larger of the prompt's blocks and the
+    # PEAK rows of the steps before, not the blocks held when the step began.
+    below = 0  # raises where those blocks are below the run's peak
+    for script in _STRETCH_SCRIPTS[::2]:
+        rows, _ = _uncut(script, make_model, block_size)
+        used = peak = -(-len(script.prompt) // block_size)
+        calls = 0  # model calls before the step
+        for t in range(len(rows) // ROW_WIDTH):
+            group = new_group(list(script.prompt), KvBlockPool(block_size))
+            with pytest.raises(ScriptMismatch, match="injected"):
+                run_steps(group, _FailsAt(make_model(script), calls + 1))
+            assert group.pool.peak_used == peak, (script.prompt, block_size, t)
+            below += used < peak
+            row = rows[t * ROW_WIDTH : (t + 1) * ROW_WIDTH]
+            used, peak, calls = row[USED_BLOCKS], max(peak, row[PEAK]), calls + row[BATCH]
+    if make_model is ReplayModel:  # an ar run frees no block before its end
+        assert below > 20, below
+
+
+def _recorded_steps(group, model):
+    """Step ``group`` with the per-token reference step until it finishes."""
+    while group.live:
+        recorded_step(group, model, StepRecord(step=0))
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 16])
+def test_a_raise_mid_step_counts_the_threads_that_appended(block_size):
+    # When the model raises on a thread of a step, the threads before it
+    # have appended: the pool holds the blocks and slots the bounds rule
+    # derives from the tree, and the group the logical slots the per-token
+    # reference step counts, which counts each token as it appends it.
+    script = list_script(items=4, detail_len=6)
+    rows, _ = _uncut(script, ReplayModel, block_size)
+    mid = 0  # raises after another thread of the step appended
+    k = 0
+    for t in range(len(rows) // ROW_WIDTH):
+        for i in range(rows[t * ROW_WIDTH + BATCH]):
+            k += 1
+            runs = []
+            for step in (run_steps, _recorded_steps):
+                group = new_group(list(script.prompt), KvBlockPool(block_size))
+                with pytest.raises(ScriptMismatch, match="injected"):
+                    step(group, _FailsAt(ReplayModel(script), k))
+                runs.append(group)
+            group, ref = runs
+            assert group.sequences_map() == ref.sequences_map()
+            assert group.pool.usage_snapshot()[:2] == bounds_usage(group), (t, i)
+            assert _counters(group) == _counters(ref), (t, i)
+            mid += i > 0
+    assert mid > 20, mid
+

@@ -22,6 +22,7 @@ from apar.script import (
     as_linear,
     flatten_script,
     random_script,
+    script_to_json,
 )
 from apar.sim import (
     SimConfig,
@@ -580,6 +581,60 @@ class TestConfigIO:
     def test_bad_schema_rejected(self, payload, message):
         with pytest.raises(ValueError) as info:
             config_from_json(json.dumps(payload))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "spec, scripts",
+        [
+            ({}, lambda: [list_script()] * 100),
+            (
+                {"count": 2, "detail_len": 3, "items": 7},
+                lambda: [list_script(7, detail_len=3)] * 2,
+            ),
+            ({"kind": "random"}, lambda: [random_script(9 + i) for i in range(100)]),
+            (
+                {"kind": "random", "count": 3, "seed": 4, "max_node_len": 2},
+                lambda: [random_script(4 + i, max_node_len=2) for i in range(3)],
+            ),
+        ],
+    )
+    def test_workload_shapes_default_to_the_builders(self, spec, scripts):
+        # A shape key the spec leaves out takes its builder's default.
+        config = config_from_json(json.dumps({"workload": spec}), default_seed=9)
+        assert [script_to_json(s) for s in config.workload] == [
+            script_to_json(s) for s in scripts()
+        ]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"detail_len": "x", "items": 2.5, "count": "3"},
+                'count must be an integer, not "3"',
+            ),
+            (
+                {"detail_len": "x", "head_len": 1.5, "items": 2.5},
+                "items must be an integer, not 2.5",
+            ),
+            ({"detail_len": "x", "head_len": 1.5}, "head_len must be an integer, not 1.5"),
+            (
+                {"kind": "random", "max_node_len": 1.5, "max_nodes": True, "seed": "s"},
+                'seed must be an integer, not "s"',
+            ),
+            (
+                {"kind": "random", "max_node_len": 1.5, "max_nodes": True},
+                "max_nodes must be an integer, not true",
+            ),
+            # Shape keys are read once, not per script: a count of 0 names
+            # them too, as a list spec's does.
+            ({"kind": "random", "count": 0, "max_nodes": "x"}, 'max_nodes must be an integer, not "x"'),
+        ],
+    )
+    def test_workload_names_its_first_bad_key(self, spec, message):
+        # Keys are read as count, a random spec's seed, then the shape keys
+        # in their builder's parameter order, whatever the spec's own order.
+        with pytest.raises(ValueError) as info:
+            config_from_json(json.dumps({"workload": spec}))
         assert str(info.value) == message
 
     def test_list_without_items_rejected(self):
