@@ -20,12 +20,6 @@ from .script import (
 )
 from .sim import SimConfig, SimReport, StepCostModel, list_script, run_simulation
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
-from .tree import (
-    ParagraphNode,
-    ParagraphTree,
-    path_to_root,
-    restore,
-    validate,
-)
+from .tree import ParagraphNode, ParagraphTree, restore, validate
 
 __version__ = "0.1.0"

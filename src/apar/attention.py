@@ -1,12 +1,9 @@
 """Linearized training samples, their attention masks and loss masks.
 
-Linearization layout: ``script.lay_out``, the one statement of where
-[Child], [Fork] and [EOS] go, which the replay model reads too.  Under that
-layout the training mask of a token equals exactly what the token could see
-at decode time.
-
-Nodes are laid out in ``preorder``, so a node's subtree is one stretch of
-positions: a mask needs each subtree's last node, not an ancestor relation.
+A sample is its script's training layout (``script.lay_out``), so the
+training mask of a token equals exactly what the token could see at decode
+time, and a node's subtree is one stretch of positions: a mask needs each
+subtree's last node, not an ancestor relation.
 """
 
 from __future__ import annotations

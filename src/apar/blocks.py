@@ -43,7 +43,7 @@ class KvBlockPool:
             raise ValueError("block_size must be > 0")
         self.block_size = block_size
         # Used blocks, and the filled slots in them.  Public for the decode
-        # step, which counts its appends in used_slots once per step.
+        # step, which counts its own appends.
         self.used_blocks = 0
         self.used_slots = 0
         self.peak_used: int = 0

@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .blocks import DEFAULT_BLOCK_SIZE
 from .engine import apar_decode, ar_decode
 from .errors import (
     ProtocolError,
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--script", required=True, help="script JSON file")
     p.add_argument("--mode", choices=("apar", "ar"), default="apar")
     p.add_argument("--trace", help="write the step trace as JSONL")
-    p.add_argument("--block-size", type=_positive_int, default=16)
+    p.add_argument("--block-size", type=_positive_int, default=DEFAULT_BLOCK_SIZE)
 
     p = sub.add_parser("bench", help="compare forked decoding against the flatten baseline")
     p.add_argument("--scripts", required=True, help="directory of script JSON files")

@@ -1,64 +1,50 @@
 """Decode loops: the forking parallel step and the sequential baseline.
 
-One step advances every unfinished sequence of a group by exactly one token.
-If a sequence's context ends with [Fork], the step first forks it; the child
-receives the injected [Child] immediately but samples its first token on the
-following step (sequences created during a step are not visited in it).
-That makes the step count equal the longest thread's generated length.
-A thread's generated length counts its injected [Child], so each fork
-costs its child one step: the Fig. 3 toy takes 7 steps and the 5-item list
-script 71. Pinned by test_criterion_04a_fig3_toy_schedule and
+Fork timing.  One step advances every unfinished sequence of a group by
+exactly one token.  If a sequence's context ends with [Fork], the step first
+forks it; the child receives the injected [Child] immediately but samples
+its first token on the following step (sequences created during a step are
+not visited in it).  That makes the step count equal the longest thread's
+generated length.  A thread's generated length counts its injected [Child],
+so each fork costs its child one step: the Fig. 3 toy takes 7 steps and the
+5-item list script 71.  Pinned by test_criterion_04a_fig3_toy_schedule and
 test_criterion_04b_big_tree_step_speedup (tests/test_acceptance.py),
-TestBigTree in tests/test_engine.py and
-test_big_tree_constant_steps in tests/test_metrics.py.
+TestBigTree in tests/test_engine.py and test_big_tree_constant_steps in
+tests/test_metrics.py.
 
-apar_decode and ar_decode run one loop, run_steps, which the simulator's
-step profiles run too; ar is that loop over a model that never emits
-[Fork].  Steps with one live thread that does not fork are common: every
-ar step is one, and so are many of an apar decode's.  So while one
-thread is live and its last token is not [Fork], run_steps steps it in a
-loop of its own, _run_alone, until it samples a control token or the limit
-is reached.  The pool's and the group's counters live in locals there and
-are written back at every exit, a raise included, and its rows are the
-ones apar_step would return.  apar_step runs every other step.
+Lockstep.  Before each step, every unfinished thread holds the prompt plus
+one token per step run, L tokens in all, since a step appends one token to
+each and a child forked in it starts at its parent's length after it;
+apar_step raises ProtocolError, before its model call, on a thread that
+does not.  So a step attends batch * L tokens, and token k of a thread was
+sampled at step k - prompt_len + 1, in ascending id order among that step's
+tokens.  A step allocates one block per stepped thread iff
+L % block_size == 0, when every thread's last block is full, plus one per
+fork (apar.blocks); each thread takes its fresh block through the pool in
+id order, so the pool's peak, the run's, stays exact.
 
-The threads move in lockstep: before each step, every unfinished thread
-holds the prompt plus one token per step run, since a step appends one
-token to each and a child forked in it starts at its parent's length after
-it.  So one comparison decides a cut: once max_steps steps have run, or
-the prompt plus the steps run reach max_seq_len tokens, the loop ends every
-unfinished thread with an appended [EOS] and sets truncated.  Otherwise it
-stops once every thread has finished.  A prompt of max_seq_len tokens or
-more thus decodes in 0 steps with an empty output.
+The cut.  One comparison on the step count decides it: once max_steps
+steps have run, or the prompt plus the steps run reach max_seq_len tokens,
+run_steps ends every unfinished thread with an appended [EOS], which no row
+counts, and the decode is truncated.  Otherwise it stops once every thread
+has finished.  A prompt of max_seq_len tokens or more thus decodes in 0
+steps with an empty output.
 
-A model answers next_token(context, state), where state is the thread's own
-model_state list: whatever the model keeps per thread lives and dies with
-the thread, so a cut does not have to tell the model.  A forked child
-starts with a copy of its parent's state as the parent's call at the
-[Fork] left it.
-
-apar_step relies on the lockstep rule: every live thread holds the same
-L tokens, and a thread that does not raises ProtocolError before its model
-call.  A step attends batch * L tokens.  It allocates one block per
-stepped thread iff L % block_size == 0, when every thread's last block is
-full, plus one per fork (the copy of a partial last block, or the child's
-first; see apar.blocks).  On such a step each thread takes its fresh block
-through the pool in id order, so the pool's peak, the run's, stays exact;
-the step's own is read before each [EOS] release and at the step's end,
-as blocks fall only at a release.  Used and logical slots are counted once
-per step, and at a raise, the logical ones also before each [EOS] release,
-the one event that lowers them, so their running peak is exact as well.
-apar_step returns the step's row, ROW_WIDTH integers: its batch,
-attended and content tokens, then the pool and group counters after it;
-run_steps appends the rows and keeps nothing else.  A trace's per-step
-records, with the tokens each step sampled and the forks it ran, are
-derived from the rows and the finished threads when first read: by the
-lockstep rule, token k of a thread was sampled at step k - prompt_len + 1.
+The lone-thread loop.  apar_decode and ar_decode run one loop, run_steps,
+which the simulator's step profiles run too; ar is that loop over a model
+that never emits [Fork].  Steps with one live thread that does not fork are
+common: every ar step is one, and so are many of an apar decode's.  So while
+one thread is live and its last token is not [Fork], run_steps steps it in
+_run_alone until it samples a control token or the limit is reached.  That
+loop keeps the pool's and the group's counters in locals, writes them back
+at every exit, a raise included, and appends the rows apar_step would
+return.  apar_step runs every other step.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
 out of blocks; the simulator bounds its shared pool by reserving each
-step's blocks before the step runs.
+step's blocks before the step runs.  When a step counts its slots is
+apar.runtime's rule, and what its row holds is listed above ROW_WIDTH.
 """
 
 from __future__ import annotations
@@ -78,11 +64,13 @@ from .tree import ParagraphTree, restore
 DEFAULT_MAX_STEPS = 4096
 DEFAULT_MAX_SEQ_LEN = 2048
 
-# Columns of a step row: the step's batch, attended and content tokens;
-# then, read after the step, the pool's used blocks and slots, the blocks
-# it has allocated so far and the step's own block peak, and the group's
-# logical slots and their running peak, in which an [EOS] slot counts
-# before its thread releases.
+# Columns of a step row: the threads stepped, the context tokens they
+# attended and the sampled tokens that are not control tokens; then, read
+# after the step, the pool's used blocks and slots, the blocks it has
+# allocated so far and the step's own block peak, and the group's logical
+# slots and their running peak, in which an [EOS] slot counts before its
+# thread releases.  Blocks fall only at a release, so the step's peak, read
+# before each [EOS] release and at the step's end, is exact on any pool.
 (
     BATCH, ATTENDED, CONTENT, USED_BLOCKS, USED_SLOTS,
     ALLOCATIONS, PEAK, LOGICAL_SLOTS, LOGICAL_PEAK,
@@ -106,7 +94,8 @@ class LanguageModel(Protocol):
         """The token after ``context``; ``state`` is the thread's, empty until
         the model first answers that thread, or, for a forked child, a
         shallow copy of its parent's state as the parent's call at the
-        [Fork] left it."""
+        [Fork] left it.  It lives and dies with the thread, so a cut does
+        not have to tell the model."""
 
 
 @dataclass
@@ -173,12 +162,10 @@ class DecodeTrace:
 
     @cached_property
     def records(self) -> list[StepRecord]:
-        """One record per step.
+        """One record per step, each token placed by the lockstep rule (see
+        the module docstring).
 
-        Threads move in lockstep and each step visits its threads in
-        ascending id order, so token k of a thread was sampled at step
-        k - prompt_len + 1, in id order among that step's tokens.  Two
-        tokens have no step: a forked child's injected [Child], which
+        Two tokens have no step: a forked child's injected [Child], which
         follows its first node's start, and the [EOS] a cut appends at
         prompt_len + steps.  A fork runs in the step that samples its
         parent's token at the [Child]'s position; its parent owns the node
@@ -252,15 +239,9 @@ class DecodeResult:
 
 
 def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
-    """Advance every unfinished sequence by one token; fork where due.
-
-    Returns the step's row, ROW_WIDTH integers: the sequences stepped, the
-    context tokens they attended and the sampled tokens that are not
-    control tokens, then the pool's and the group's counters after the
-    step (see ROW_WIDTH); its PEAK is the step's own on any pool.  This is
-    the one-step API; run_steps runs a lone thread's steps in _run_alone
-    instead, which returns the same rows.
-    """
+    """Advance every unfinished sequence by one token, forking where due;
+    return the step's row (see ROW_WIDTH).  Raises ProtocolError when no
+    thread is live or one is out of lockstep."""
     live = list(group.live.values())
     if not live:
         raise ProtocolError("all sequences of the group have finished")
@@ -321,12 +302,10 @@ def _run_alone(
     steps: int,
     limit: float,
 ) -> int:
-    """Step ``seq``, the group's one live thread, whose last token is not
-    [Fork], until it samples a control token or ``limit`` steps have run;
-    append the rows apar_step would return, and return the steps run in
-    all, ``steps`` of them before the call.  An [EOS] is counted before the
-    thread is released, and its row reads the counts after the release, as
-    apar_step's does."""
+    """The lone-thread loop (see the module docstring) over ``seq``, the
+    group's one live thread, whose last token is not [Fork]: append its
+    rows to ``rows`` and return the steps run in all, ``steps`` of them
+    before the call."""
     pool = group.pool
     block_size = pool.block_size
     tokens, state = seq.tokens, seq.model_state
@@ -373,14 +352,7 @@ def run_steps(
     """Step ``group`` until every thread has finished or ``limit`` steps ran.
 
     Returns the step rows end to end, ROW_WIDTH integers per step, and
-    whether the run was cut: a cut ends every live thread with an appended
-    [EOS], which no row counts.
-
-    While one thread is live and its last token is not [Fork], _run_alone
-    steps it until it samples a control token: its rows are the ones
-    apar_step would return, and it writes the pool's and the group's
-    counters back at every exit, a raise included.  Every other step is
-    apar_step's.
+    whether the run was cut (see the module docstring).
     """
     live = group.live
     rows: list[int] = []

@@ -5,24 +5,20 @@ ends with [Fork], forking it clones the prefix into a child thread, injects
 [Child] there, and rewrites the tree: the old leaf gains a first_child (the
 child's content node) and a next_sibling (the parent's continuation node).
 
-The group tracks *logical* cache occupancy: distinct cached tokens with
-shared prefixes counted once, released per-thread as threads finish.
-
-Its physical blocks follow from the same tree: every block belongs to the
-tree node its last slot falls in, by the rule apar.blocks states.  The
-threads sharing a closed node's blocks are the live threads under it, so
-a finishing thread frees the nodes it was the last to hold.  A child node
-starts where its parent ends, so these hold one run, from the topmost
-one's start (0 for the root, which holds the prompt) to the thread's end:
-a release drops that run from both counts, the logical slots and the pool's.
-The pool has no cap, so a fork or an append cannot run out of blocks.
+The group counts *logical* cache slots: distinct cached tokens, shared
+prefixes counted once.  A finishing thread releases the nodes it was the
+last live thread under, one run by the block rule of apar.blocks, from the
+logical count and the pool alike.  The pool has no cap, so a fork or an
+append cannot run out of blocks.
 
 append_token is the one-thread operation: one token, with its block slot
-and its logical slot.  A decode step (engine.apar_step, or engine.run_steps'
-loop over a lone thread) appends to each of its threads itself, and counts
-their logical slots at once: before each [EOS] release, the only event that
-lowers the running count, and at the step's end.  All of them end a thread
-through finish, the one place that releases it.
+and its logical slot.  A decode step (engine.apar_step, or the lone-thread
+loop, engine._run_alone) appends to its threads itself and counts their
+slots at once: the pool's used slots at the step's end, and the logical
+slots at the step's end and before each [EOS] release, the only event that
+lowers the running count, so their running peak is exact.  A model raise
+mid-step counts the threads that appended before it.  All of them end a
+thread through finish, the one place that releases it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,8 @@
 """Deterministic language models that replay a paragraph-tree script.
 
-A script node carries literal content tokens only.  ``lay_out`` is the one
-rule that places the control tokens around them: the training sample of a
-script (``attention.linearize_script``) is its layout, and the replay model
-answers a thread by reading the same layout with a cursor, so the model
-decodes exactly what training shows.  Divergence from the script raises,
-because a silent fallback would mask engine bugs.
+A script node carries literal content tokens only; ``lay_out`` places the
+control tokens around them.  Divergence from the script raises, because a
+silent fallback would mask engine bugs.
 """
 
 from __future__ import annotations
@@ -89,6 +86,10 @@ def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
     node is its parent's first child, its content, then [Fork] if it has
     children or [EOS] if not.  The starts keep ``preorder`` order, so a
     node ends where the next one starts, and the last at the layout's end.
+    This is the one layout rule: a script's training sample
+    (``attention.linearize_script``) is its layout, and the replay model
+    answers a thread by reading the same layout with a cursor, so the model
+    decodes exactly what training shows.
     """
     tokens = list(script.prompt)
     starts: dict[int, int] = {}

@@ -38,9 +38,8 @@ config.
 
 The run samples the system every ``sample_period`` simulated seconds, at
 most MAX_SAMPLES times: a period that would take more raises
-SimulationError.  A window's latency quartiles, and the summary's, are
-numpy's default (linear) percentiles, computed in plain floats over the
-sorted latencies; the means stay numpy's pairwise sums.
+SimulationError.  A window's latency quartiles, and the summary's, come
+from _quartiles; the means stay numpy's pairwise sums.
 Summary figures discard the leading warm-up fraction of samples and the
 trailing samples taken with no request waiting and none live.
 """
@@ -93,10 +92,6 @@ __all__ = [
 ]
 
 DEFAULT_COST = dict(t_fixed=0.03, c_token=2e-4, c_attn=2.5e-5)
-DEFAULT_CAPACITY_BLOCKS = 600
-DEFAULT_CONCURRENCY = 350
-DEFAULT_SAMPLE_PERIOD = 3.0
-DEFAULT_WARMUP_FRACTION = 1.0 / 3.0
 MAX_SAMPLES = 100_000
 
 
@@ -150,11 +145,11 @@ class SimConfig:
     workload: list[ScriptTree]
     mode: str = "apar"
     cache_budget_fraction: float = 1.0
-    capacity_blocks: int = DEFAULT_CAPACITY_BLOCKS
+    capacity_blocks: int = 600
     block_size: int = DEFAULT_BLOCK_SIZE
-    concurrency_limit: int = DEFAULT_CONCURRENCY
-    sample_period: float = DEFAULT_SAMPLE_PERIOD
-    warmup_discard_fraction: float = DEFAULT_WARMUP_FRACTION
+    concurrency_limit: int = 350
+    sample_period: float = 3.0
+    warmup_discard_fraction: float = 1.0 / 3.0
     cost: StepCostModel = field(default_factory=lambda: StepCostModel(**DEFAULT_COST))
 
     def __post_init__(self) -> None:
@@ -228,16 +223,13 @@ BLOCKS, SLOTS = LOGICAL_SLOTS, LOGICAL_PEAK
 
 
 class _Profile:
-    """One request decoded alone: what the scheduler needs of each step.
+    """One request's step profile (see the module docstring): ``rows``, one
+    row per step in the columns above, and ``content``, its content tokens.
 
-    ``rows[k]`` holds step k's batch, attended tokens and content tokens,
-    the change in the group's used blocks and slots, and the blocks the
-    step allocates, which is the block demand the scheduler reserves
-    before it; then the peak rise (how far the group's blocks rose above
-    the step's start) and the used blocks and slots before the step.  A
-    step's allocations are counted on the private pool.  A group shares no
-    block with another, so on the shared pool its counts move just as they
-    do here.
+    A group shares no block with another, so on the shared pool its counts
+    move just as they do on the private one.  A private pool left holding
+    blocks, or a tree that is invalid or does not restore to the script's
+    content, raises SimulationInvariantError.
     """
 
     __slots__ = ("rows", "content")
@@ -353,11 +345,8 @@ def run_simulation(config: SimConfig) -> SimReport:
         if key not in by_content:
             by_content[key] = _Profile(script, make_model, config.block_size)
         profiles.append(by_content[key])
-    # Row t sums every live group's profile row for global step t: the
-    # step's batch, attended and content tokens, its change in used blocks
-    # and slots, its block demand, a bound on how far its blocks peak above
-    # their start, and the blocks and slots held before it.  The timeline
-    # grows as admissions reach past its end.
+    # The step timeline (see the module docstring); it grows as admissions
+    # reach past its end.
     timeline = np.zeros((0, ROW_WIDTH), dtype=np.int64)
 
     def close_windows() -> None:
@@ -576,10 +565,9 @@ def _reject_unknown_keys(what: str, payload: object, known: frozenset[str]) -> N
         raise ValueError(f"unknown {what} keys {unknown}")
 
 
-def _number(spec: dict, key: str, default: object, kind: type = float) -> int | float:
-    """``spec[key]`` (or ``default``) as ``kind``: an int field takes a JSON
+def _number(key: str, value: object, kind: type = float) -> int | float:
+    """``value``, read for ``key``, as ``kind``: an int field takes a JSON
     integer, a float field any JSON number, and neither takes a bool."""
-    value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"{key} must be {what}, not {json.dumps(value)}")
@@ -594,10 +582,10 @@ def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
     if kind not in _WORKLOAD_KEYS:
         raise ValueError(f"unknown workload kind {kind!r}")
     _reject_unknown_keys(f"{kind} workload", spec, _WORKLOAD_KEYS[kind])
-    count = _number(spec, "count", 100, int)
+    count = _number("count", spec.get("count", 100), int)
     if kind == "random":
-        seed = _number(spec, "seed", default_seed, int)
-    shape = {key: _number(spec, key, None, int) for key in _SHAPE_KEYS[kind] if key in spec}
+        seed = _number("seed", spec.get("seed", default_seed), int)
+    shape = {key: _number(key, spec[key], int) for key in _SHAPE_KEYS[kind] if key in spec}
     if kind == "list":
         script = list_script(**shape)
         return [script for _ in range(count)]
@@ -605,27 +593,27 @@ def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
 
 
 def config_from_json(text: str, default_seed: int = 0) -> SimConfig:
-    """Build a config from JSON; an unknown key, a missing cost key or a value
-    of the wrong JSON type raises ValueError."""
+    """Build a config from JSON; a key it leaves out keeps its SimConfig
+    default, and each number is read with its field's type.  An unknown key,
+    a missing cost key or a value of the wrong JSON type raises ValueError."""
     payload = json.loads(text)
     _reject_unknown_keys("config", payload, _CONFIG_KEYS)
-    cost = payload.get("cost", DEFAULT_COST)
-    _reject_unknown_keys("cost", cost, frozenset(DEFAULT_COST))
-    missing = sorted(set(DEFAULT_COST) - set(cost))
-    if missing:
-        raise ValueError(f"missing cost keys {missing}")
-    return SimConfig(
-        workload=_workload_from_spec(
-            payload.get("workload", {"kind": "list"}), default_seed
-        ),
-        mode=payload.get("mode", "apar"),
-        cache_budget_fraction=_number(payload, "cache_budget_fraction", 1.0),
-        capacity_blocks=_number(payload, "capacity_blocks", DEFAULT_CAPACITY_BLOCKS, int),
-        block_size=_number(payload, "block_size", DEFAULT_BLOCK_SIZE, int),
-        concurrency_limit=_number(payload, "concurrency_limit", DEFAULT_CONCURRENCY, int),
-        sample_period=_number(payload, "sample_period", DEFAULT_SAMPLE_PERIOD),
-        warmup_discard_fraction=_number(
-            payload, "warmup_discard_fraction", DEFAULT_WARMUP_FRACTION
-        ),
-        cost=StepCostModel(**{key: _number(cost, key, None) for key in cost}),
-    )
+    cost = payload.get("cost")
+    if "cost" in payload:
+        _reject_unknown_keys("cost", cost, frozenset(DEFAULT_COST))
+        missing = sorted(set(DEFAULT_COST) - set(cost))
+        if missing:
+            raise ValueError(f"missing cost keys {missing}")
+    given: dict = {
+        "workload": _workload_from_spec(payload.get("workload", {"kind": "list"}), default_seed)
+    }
+    for f in fields(SimConfig)[1:]:  # after workload, in field order
+        if f.name not in payload:
+            continue
+        if f.name == "mode":
+            given["mode"] = payload["mode"]
+        elif f.name == "cost":
+            given["cost"] = StepCostModel(**{key: _number(key, cost[key]) for key in cost})
+        else:
+            given[f.name] = _number(f.name, payload[f.name], type(f.default))
+    return SimConfig(**given)

@@ -203,3 +203,47 @@ class TestGroupMetricsAndReports:
         loaded = json.loads(path.read_text())
         assert loaded[0]["name"] == "x"
         assert list(loaded[0]) == REPORT_COLUMNS
+
+
+def _row_identity_scripts():
+    from apar.sim import list_script
+
+    for seed in range(40):
+        yield f"random-{seed}", random_script(seed)
+        yield f"random-small-{seed}", random_script(seed, max_nodes=40, max_node_len=3)
+    for items, intro_len, head_len, detail_len in [
+        (1, 0, 1, 0),
+        (3, 4, 6, 0),
+        (5, 0, 2, 0),
+        (5, 4, 6, 30),
+        (8, 2, 3, 17),
+    ]:
+        yield f"list-{items}-{intro_len}-{head_len}-{detail_len}", list_script(
+            items, intro_len, head_len, detail_len
+        )
+
+
+class TestFiguresFromRows:
+    """On an untruncated decode the three tree-walk figures equal forms read
+    off the step rows and the output: the pins a row-based bench needs."""
+
+    @pytest.mark.parametrize("block_size", [1, 3, 16])
+    @pytest.mark.parametrize("mode", ["apar", "ar"])
+    def test_walks_match_rows_and_output(self, mode, block_size):
+        from apar.engine import ATTENDED, BATCH, ROW_WIDTH
+
+        decode, make_model = (
+            (apar_decode, ReplayModel) if mode == "apar" else (ar_decode, as_linear)
+        )
+        for name, script in _row_identity_scripts():
+            result = decode(list(script.prompt), make_model(script), block_size=block_size)
+            trace = result.trace
+            assert not trace.truncated, name
+            seqs = result.sequences_map()
+            rows = trace.rows
+            assert mean_attended_tokens(result.tree, seqs) == sum(
+                rows[ATTENDED::ROW_WIDTH]
+            ) / sum(rows[BATCH::ROW_WIDTH]), name
+            out = len(result.output)
+            assert flatten_max_cached(result.tree, seqs) == trace.prompt_len + out + 1, name
+            assert flatten_mean_attended(result.tree, seqs) == trace.prompt_len + out / 2, name

@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +519,35 @@ class TestConfigIO:
         assert config.mode == "ar"
         assert config.effective_blocks == 64
         assert len(config.workload) == 3
+
+    def test_defaults_come_from_simconfig(self):
+        # A key the config leaves out keeps SimConfig's own default.
+        config = config_from_json("{}")
+        expected = SimConfig(workload=[list_script()] * 100)
+        for f in fields(SimConfig)[1:]:
+            assert getattr(config, f.name) == getattr(expected, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cache_budget_fraction", 1),
+            ("capacity_blocks", 700),
+            ("block_size", 8),
+            ("concurrency_limit", 20),
+            ("sample_period", 2),
+            ("warmup_discard_fraction", 0),
+        ],
+    )
+    def test_numbers_take_their_field_type(self, key, value):
+        config = config_from_json(json.dumps({key: value}))
+        default = getattr(SimConfig(workload=[list_script()]), key)
+        assert getattr(config, key) == value
+        assert type(getattr(config, key)) is type(default)
+
+    def test_cost_numbers_are_floats(self):
+        config = config_from_json('{"cost": {"t_fixed": 1, "c_token": 0, "c_attn": 2}}')
+        assert config.cost == StepCostModel(1.0, 0.0, 2.0)
+        assert all(type(getattr(config.cost, f.name)) is float for f in fields(StepCostModel))
 
     def test_random_workload(self):
         config = config_from_json(
