@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from .blocks import DEFAULT_BLOCK_SIZE
-from .engine import apar_decode, ar_decode
+from .engine import apar_decode, ar_decode, check_decode
 from .errors import (
+    DecodeInvariantError,
     ProtocolError,
     ScriptMismatch,
     SimulationError,
@@ -37,7 +38,7 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
-from .script import ReplayModel, ScriptTree, as_linear, script_from_json
+from .script import ReplayModel, ScriptTree, as_linear, flatten_script, script_from_json
 from .sim import config_from_json, default_config, run_simulation
 
 
@@ -166,15 +167,26 @@ def cmd_decode(args: argparse.Namespace) -> int:
         (apar_decode, ReplayModel) if args.mode == "apar" else (ar_decode, as_linear)
     )
     result = decode(list(script.prompt), make_model(script), block_size=args.block_size)
+    expected = flatten_script(script)
+    check_decode(result, expected, f"the {args.mode} decode of {args.script}")
     print(" ".join(result.output))
     if args.trace:
         Path(args.trace).write_text(result.trace.to_jsonl())
+    if result.trace.truncated:
+        print(
+            f"warning: the decode was cut after {result.trace.steps} steps; it printed"
+            f" {len(result.output)} of the script's {len(expected)} content tokens",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _bench_one(path: Path, script: ScriptTree) -> dict:
+    expected = flatten_script(script)
     apar = apar_decode(list(script.prompt), ReplayModel(script))
+    check_decode(apar, expected, f"the apar decode of {path}")
     ar = ar_decode(list(script.prompt), as_linear(script))
+    check_decode(ar, expected, f"the ar decode of {path}")
     if apar.trace.truncated or ar.trace.truncated:
         raise CliInputError(f"{path}: decoding was truncated; no speedup to report")
     seqs = apar.sequences_map()
@@ -282,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
+        DecodeInvariantError,
         ProtocolError,
         TreeError,
         ScriptMismatch,

@@ -30,21 +30,29 @@ counts, and the decode is truncated.  Otherwise it stops once every thread
 has finished.  A prompt of max_seq_len tokens or more thus decodes in 0
 steps with an empty output.
 
-The lone-thread loop.  apar_decode and ar_decode run one loop, run_steps,
-which the simulator's step profiles run too; ar is that loop over a model
-that never emits [Fork].  Steps with one live thread that does not fork are
-common: every ar step is one, and so are many of an apar decode's.  So while
-one thread is live and its last token is not [Fork], run_steps steps it in
-_run_alone until it samples a control token or the limit is reached.  That
-loop keeps the pool's and the group's counters in locals, writes them back
-at every exit, a raise included, and appends the rows apar_step would
-return.  apar_step runs every other step.
+The lone-thread loop.  apar_decode, ar_decode and the simulator's step
+profiles decode through one driver, _decode, which runs one loop,
+run_steps; ar is that loop over a model that never emits [Fork].  Steps
+with one live thread that does not fork are common: every ar step is one,
+and so are many of an apar decode's.  So while one thread is live and its
+last token is not [Fork], run_steps steps it in _run_alone until it samples
+a control token or the limit is reached.  That loop keeps the pool's and
+the group's counters in locals, writes them back at every exit, a raise
+included, and appends the rows apar_step would return.  apar_step runs
+every other step.
 
 Every pool a step runs on has no cap: a standalone decode's, and the
 private one the simulator profiles a request on.  So a fork cannot run
 out of blocks; the simulator bounds its shared pool by reserving each
 step's blocks before the step runs.  When a step counts its slots is
 apar.runtime's rule, and what its row holds is listed above ROW_WIDTH.
+
+The end check.  A finished decode, cut or not, holds no block of its pool
+and has a valid tree; one that was not cut also restores exactly the
+content its model was to produce.  check_decode checks all three, and
+every caller that keeps a decode's result calls it: the simulator's step
+profiles, `apar decode` and `apar bench`.  apar_decode and ar_decode do
+not, so that timing a decode does not time its check.
 """
 
 from __future__ import annotations
@@ -56,10 +64,10 @@ from functools import cached_property
 from typing import Protocol, Sequence as Seq
 
 from .blocks import DEFAULT_BLOCK_SIZE, KvBlockPool
-from .errors import ProtocolError
+from .errors import DecodeInvariantError, ProtocolError
 from .runtime import Sequence, SequenceGroup, new_group
 from .tokens import CONTROL_TOKENS, EOS, FORK
-from .tree import ParagraphTree, restore
+from .tree import ParagraphTree, restore, validate
 
 DEFAULT_MAX_STEPS = 4096
 DEFAULT_MAX_SEQ_LEN = 2048
@@ -86,6 +94,7 @@ __all__ = [
     "run_steps",
     "apar_decode",
     "ar_decode",
+    "check_decode",
 ]
 
 
@@ -374,13 +383,13 @@ def run_steps(
 
 def _decode(
     mode: str,
-    prompt: Seq[str],
+    group: SequenceGroup,
     model: LanguageModel,
-    max_steps: int,
-    max_seq_len: int,
-    block_size: int,
+    max_steps: float = math.inf,
+    max_seq_len: float = math.inf,
 ) -> DecodeResult:
-    group = new_group(prompt, KvBlockPool(block_size=block_size))
+    """Decode ``group``, fresh from new_group, with ``model``: the one driver
+    of apar_decode, ar_decode and the simulator's step profiles."""
     prompt_len = len(group.prompt)
     rows, truncated = run_steps(group, model, min(max_steps, max_seq_len - prompt_len))
     output = restore(group.tree, group.sequences_map(), strip_control=True)
@@ -396,7 +405,8 @@ def apar_decode(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
     """Run the forking decode loop until every thread has finished."""
-    return _decode("apar", prompt, model, max_steps, max_seq_len, block_size)
+    group = new_group(prompt, KvBlockPool(block_size=block_size))
+    return _decode("apar", group, model, max_steps, max_seq_len)
 
 
 def ar_decode(
@@ -407,4 +417,22 @@ def ar_decode(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> DecodeResult:
     """Sequential baseline: the same loop over a model that never forks."""
-    return _decode("ar", prompt, model, max_steps, max_seq_len, block_size)
+    group = new_group(prompt, KvBlockPool(block_size=block_size))
+    return _decode("ar", group, model, max_steps, max_seq_len)
+
+
+def check_decode(result: DecodeResult, expected: list[str], subject: str) -> None:
+    """The end check (see the module docstring) of ``result``, which was to
+    restore ``expected``; a failure raises DecodeInvariantError, whose
+    message names the decode by ``subject``."""
+    held = result.group.pool.used_blocks
+    if held:
+        raise DecodeInvariantError(f"{subject} ended with {held} blocks still held")
+    violations = validate(result.tree, result.sequences_map())
+    if violations:
+        raise DecodeInvariantError(f"{subject} gave an invalid tree: {violations}")
+    if not result.trace.truncated and result.output != expected:
+        raise DecodeInvariantError(
+            f"{subject} restored {len(result.output)} content tokens"
+            " that differ from its script's"
+        )

@@ -13,6 +13,10 @@ class ScriptMismatch(RuntimeError):
     """A decode context diverged from the script that should have produced it."""
 
 
+class DecodeInvariantError(RuntimeError):
+    """A finished decode broke an end-of-decode invariant (engine.check_decode)."""
+
+
 class SimulationError(RuntimeError):
     """A simulation config admits no valid schedule.
 

@@ -11,8 +11,9 @@ blocks return to the pool at its [EOS].
 A request's steps depend on its script alone: the engine is deterministic,
 and the reservation means no step waits on another group.  So each run
 works in two parts.  Before scheduling, each distinct script content is
-decoded once, alone, by engine.run_steps with the mode's replay model on a
-private uncapped pool, and its step rows become a step profile in place:
+decoded once, alone, by the engine's decode driver with the mode's replay
+model on a private uncapped pool, and its step rows become a step profile
+in place:
 per step, the batch, the attended and content tokens, the change in the
 blocks and slots the group holds, the blocks it allocates, which is the
 block demand the scheduler reserves before the step, how far its blocks
@@ -29,12 +30,11 @@ Completions are kept by the step each group ends at.  No profile outlives
 the run.
 
 A config that admits no schedule raises SimulationError.  A profile whose
-private pool is not drained, whose tree is invalid or does not restore to
-its script's content, or a run that ends with blocks still held, with
-requests not completed, or with completed requests whose content tokens
-differ from the workload's flattened content raises its subclass
-SimulationInvariantError, since that is a fault of the program, not of the
-config.
+decode fails the engine's end check (engine.check_decode), or a run that
+ends with blocks still held, with requests not completed, or with
+completed requests whose content tokens differ from the workload's
+flattened content raises its subclass SimulationInvariantError, since
+that is a fault of the program, not of the config.
 
 The run samples the system every ``sample_period`` simulated seconds, at
 most MAX_SAMPLES times: a period that would take more raises
@@ -46,6 +46,7 @@ trailing samples taken with no request waiting and none live.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -66,9 +67,10 @@ from .engine import (
     USED_BLOCKS,
     USED_SLOTS,
     LanguageModel,
-    run_steps,
+    _decode,
+    check_decode,
 )
-from .errors import SimulationError, SimulationInvariantError
+from .errors import DecodeInvariantError, SimulationError, SimulationInvariantError
 from .runtime import new_group
 from .script import (
     ReplayModel,
@@ -78,7 +80,6 @@ from .script import (
     flatten_script,
     random_script,
 )
-from .tree import restore, validate
 
 __all__ = [
     "StepCostModel",
@@ -93,6 +94,9 @@ __all__ = [
 
 DEFAULT_COST = dict(t_fixed=0.03, c_token=2e-4, c_attn=2.5e-5)
 MAX_SAMPLES = 100_000
+# Nodes plus content tokens a JSON config's workload may hold, over all its
+# scripts: about 25 times paper scale, default_config(copies=1000).
+MAX_WORKLOAD_SIZE = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -227,9 +231,8 @@ class _Profile:
     row per step in the columns above, and ``content``, its content tokens.
 
     A group shares no block with another, so on the shared pool its counts
-    move just as they do on the private one.  A private pool left holding
-    blocks, or a tree that is invalid or does not restore to the script's
-    content, raises SimulationInvariantError.
+    move just as they do on the private one.  A decode that fails the
+    engine's end check raises SimulationInvariantError.
     """
 
     __slots__ = ("rows", "content")
@@ -240,29 +243,16 @@ class _Profile:
         make_model: Callable[[ScriptTree], LanguageModel],
         block_size: int,
     ):
-        pool = KvBlockPool(block_size=block_size)
-        group = new_group(script.prompt, pool)
+        group = new_group(script.prompt, KvBlockPool(block_size=block_size))
+        pool = group.pool
         # Used blocks and slots and allocations before the first step.
         start = [pool.used_blocks, pool.used_slots, pool.allocations]
-        flat, _ = run_steps(group, make_model(script))
-        rows = np.array(flat, dtype=np.int64).reshape(-1, ROW_WIDTH)
-        used = int(rows[-1, USED_BLOCKS])
-        if used:
-            raise SimulationInvariantError(
-                f"decoding a request alone ended with {used} blocks still held"
-            )
-        sequences = group.sequences_map()
-        violations = validate(group.tree, sequences)
-        if violations:
-            raise SimulationInvariantError(
-                f"decoding a request alone gave an invalid tree: {violations}"
-            )
-        restored = restore(group.tree, sequences, strip_control=True)
-        if restored != flatten_script(script):
-            raise SimulationInvariantError(
-                f"decoding a request alone restored {len(restored)} content tokens"
-                " that differ from its script's"
-            )
+        result = _decode("profile", group, make_model(script))
+        try:
+            check_decode(result, flatten_script(script), "decoding a request alone")
+        except DecodeInvariantError as exc:
+            raise SimulationInvariantError(str(exc)) from None
+        rows = np.array(result.trace.rows, dtype=np.int64).reshape(-1, ROW_WIDTH)
         # The step rows become the profile rows in place: the counts after
         # each step turn into its changes, its peak into its rise above the
         # blocks before it, and the logical columns into the blocks and
@@ -546,14 +536,17 @@ def default_config(mode: str = "apar", copies: int = 100) -> SimConfig:
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig))
-# Shape keys in their builder's parameter order; its signature holds the defaults.
-_SHAPE_KEYS = {
-    "list": ("items", "intro_len", "head_len", "detail_len"),
-    "random": ("max_nodes", "max_node_len"),
+# Shape keys in their builder's parameter order, with its defaults.
+_SHAPES = {
+    kind: {key: inspect.signature(builder).parameters[key].default for key in keys}
+    for kind, builder, keys in (
+        ("list", list_script, ("items", "intro_len", "head_len", "detail_len")),
+        ("random", random_script, ("max_nodes", "max_node_len")),
+    )
 }
 _WORKLOAD_KEYS = {
-    "list": frozenset({"kind", "count", *_SHAPE_KEYS["list"]}),
-    "random": frozenset({"kind", "count", "seed", *_SHAPE_KEYS["random"]}),
+    "list": frozenset({"kind", "count", *_SHAPES["list"]}),
+    "random": frozenset({"kind", "count", "seed", *_SHAPES["random"]}),
 }
 
 
@@ -577,6 +570,19 @@ def _number(key: str, value: object, kind: type = float) -> int | float:
         raise ValueError(f"{key} is too large for a float") from None
 
 
+def _workload_size(kind: str, count: int, shape: dict[str, int]) -> int:
+    """Nodes plus content tokens of the workload a spec builds, at most: a
+    list script's exactly, a random script's bound, times ``count``, and a
+    count below 1 still builds a list script."""
+    n = {**_SHAPES[kind], **shape}
+    if kind == "list":
+        items = n["items"]
+        size = 2 * items + 1 + n["intro_len"] + items * (n["head_len"] + n["detail_len"])
+    else:
+        size = n["max_nodes"] * (1 + n["max_node_len"])
+    return max(count, 1) * size
+
+
 def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
     kind = spec.get("kind", "list") if isinstance(spec, dict) else "list"
     if kind not in _WORKLOAD_KEYS:
@@ -585,7 +591,13 @@ def _workload_from_spec(spec: object, default_seed: int) -> list[ScriptTree]:
     count = _number("count", spec.get("count", 100), int)
     if kind == "random":
         seed = _number("seed", spec.get("seed", default_seed), int)
-    shape = {key: _number(key, spec[key], int) for key in _SHAPE_KEYS[kind] if key in spec}
+    shape = {key: _number(key, spec[key], int) for key in _SHAPES[kind] if key in spec}
+    size = _workload_size(kind, count, shape)
+    if size > MAX_WORKLOAD_SIZE:
+        raise ValueError(
+            f"the workload holds up to {size} nodes and content tokens,"
+            f" more than the cap of {MAX_WORKLOAD_SIZE}"
+        )
     if kind == "list":
         script = list_script(**shape)
         return [script for _ in range(count)]

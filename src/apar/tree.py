@@ -112,9 +112,7 @@ def validate(
             violations.append(f"cycle detected at node {nid}")
             continue
         visited.add(nid)
-        node = tree.nodes.get(nid)
-        if node is None:
-            continue
+        node = tree.nodes[nid]
         for target in (node.next_sibling, node.first_child):
             if target is not None and target in tree.nodes:
                 stack.append(target)
@@ -126,9 +124,8 @@ def validate(
     # Slices of one sequence must not overlap.
     by_seq: dict[int, list[ParagraphNode]] = {}
     for nid in visited:
-        node = tree.nodes.get(nid)
-        if node is not None:
-            by_seq.setdefault(node.seq, []).append(node)
+        node = tree.nodes[nid]
+        by_seq.setdefault(node.seq, []).append(node)
     for seq_id in sorted(by_seq):
         nodes = sorted(by_seq[seq_id], key=lambda n: (n.start, n.id))
         for prev, cur in zip(nodes, nodes[1:]):

@@ -363,6 +363,12 @@ class TestTrainingMask:
         with pytest.raises(TreeError):
             build_training_mask(sample, tree)
 
+    def test_node_of_length_must_match_tokens(self, fig3_script):
+        sample, tree = linearize_script(fig3_script)
+        sample.node_of.pop()
+        with pytest.raises(TreeError, match="sample token and node_of lengths differ"):
+            build_training_mask(sample, tree)
+
     def test_generated_position_without_node_rejected(self, fig3_script):
         sample, tree = linearize_script(fig3_script)
         sample.node_of[6] = -1

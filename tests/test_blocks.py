@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from apar.blocks import KvBlockPool
@@ -9,6 +10,12 @@ def filled_pool(n, block_size=16):
     for i in range(n):
         pool.append_slot(i)
     return pool
+
+
+@pytest.mark.parametrize("block_size", [0, -16])
+def test_block_size_must_be_positive(block_size):
+    with pytest.raises(ValueError, match="block_size must be > 0"):
+        KvBlockPool(block_size=block_size)
 
 
 class TestAppendSlot:

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 
-from apar import engine
+from apar import cli, engine, sim
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
 from apar.runtime import SequenceGroup
-from apar.script import ScriptNode, ScriptTree, script_to_json
-from apar.sim import MAX_SAMPLES, list_script
+from apar.script import ReplayModel, ScriptNode, ScriptTree, script_to_json
+from apar.sim import MAX_SAMPLES, MAX_WORKLOAD_SIZE, list_script
 from apar.tokens import CONTROL_TOKENS
 
 
@@ -57,6 +58,92 @@ class TestDecode:
 
     def test_unknown_flag_rejected(self, fig3_path):
         assert main(["decode", "--script", fig3_path, "--bogus"]) == 1
+
+    @pytest.mark.parametrize("mode, printed", [("apar", 6097), ("ar", 2044)])
+    def test_cut_decode_says_so_on_stderr(self, mode, printed, tmp_path, capsys):
+        # Flattens to 9,022 content tokens: both modes stop after 2,044 steps,
+        # at the default max_seq_len of 2,048 less the 4-token prompt.
+        path = tmp_path / "long.json"
+        path.write_text(script_to_json(list_script(items=3, detail_len=3000)))
+        assert main(["decode", "--script", str(path), "--mode", mode]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.split()) == printed
+        assert err == (
+            "warning: the decode was cut after 2044 steps; it printed"
+            f" {printed} of the script's 9022 content tokens\n"
+        )
+
+    def test_uncut_decode_writes_nothing_to_stderr(self, fig3_path, capsys):
+        assert main(["decode", "--script", fig3_path]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _leak_a_block(monkeypatch) -> str:
+    release = KvBlockPool.release_sequence
+
+    def leaky_release(self, start, end):
+        if start == 0:  # a group's last release: its root's first block
+            start += self.block_size  # is a block nobody frees
+        return release(self, start, end)
+
+    monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
+    return "ended with 1 blocks still held"
+
+
+def _unlink_forks(monkeypatch) -> str:
+    fork = SequenceGroup.fork_sequence
+
+    def unlinking_fork(group, parent_id):
+        # Fork, then drop the forked node's pointer to its continuation.
+        child_id = fork(group, parent_id)
+        forked = group._parents[group.live[parent_id].current_node]
+        group.tree.nodes[forked].next_sibling = None
+        return child_id
+
+    monkeypatch.setattr(SequenceGroup, "fork_sequence", unlinking_fork)
+    return "gave an invalid tree: ['node 0 has exactly 1 pointer'"
+
+
+def _replay_other_content(monkeypatch) -> str:
+    # A script of the same shape with other tokens: a valid tree of the
+    # right length.
+    def renamed(script):
+        nodes = {
+            nid: replace(node, tokens=tuple(t.upper() for t in node.tokens))
+            for nid, node in script.nodes.items()
+        }
+        return ReplayModel(replace(script, nodes=nodes))
+
+    monkeypatch.setattr(cli, "ReplayModel", renamed)
+    return "restored 5 content tokens that differ from its script's"
+
+
+class TestEndOfDecodeCheck:
+    """A decode that leaks a block, links its tree wrongly or restores other
+    content is a fault of the program: exit 2, with no text or report."""
+
+    @pytest.mark.parametrize(
+        "fault", [_leak_a_block, _unlink_forks, _replay_other_content],
+        ids=["leaked-block", "unlinked-tree", "other-content"],
+    )
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    def test_fault_is_internal_error(
+        self, fault, command, fig3_script, tmp_path, monkeypatch, capsys
+    ):
+        message = fault(monkeypatch)
+        path = tmp_path / "fig3.json"
+        path.write_text(script_to_json(fig3_script))
+        report = tmp_path / "r.csv"
+        if command == "decode":
+            argv = ["decode", "--script", str(path)]
+        else:
+            argv = ["bench", "--scripts", str(tmp_path), "--report", str(report)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"internal error: the apar decode of {path} {message}")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not report.exists()
 
 
 class TestExtract:
@@ -110,6 +197,14 @@ class TestExtract:
         rc = main(["extract", "--input", str(path), "--output", str(tmp_path / "o")])
         assert rc == 1
         assert f"{path}:2: malformed conversation" in capsys.readouterr().err
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        path = tmp_path / "gaps.jsonl"
+        lines = [json.dumps(conv) for conv in conversations()[:3]]
+        path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        rc = main(["extract", "--input", str(path), "--output", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().out == "wrote 3 samples from 3 conversations\n"
 
     def test_empty_input(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -196,6 +291,17 @@ class TestBenchAndReport:
         assert rc == 0
         assert len(merged.read_text().strip().split("\n")) == 7
 
+    def test_report_json_output(self, script_dir, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        main(["bench", "--scripts", str(script_dir), "--report", str(a), "--format", "json"])
+        merged = tmp_path / "merged.json"
+        rc = main([
+            "report", "--inputs", str(a), "--output", str(merged), "--format", "json",
+        ])
+        assert rc == 0
+        rows = json.loads(a.read_text())
+        assert json.loads(merged.read_text()) == sorted(rows, key=lambda r: r["name"])
+
     def test_report_no_inputs(self, tmp_path):
         assert main(["report", "--output", str(tmp_path / "x.csv")]) == 1
 
@@ -227,14 +333,7 @@ class TestSimulate:
         assert rc == 1
 
     def test_leaked_block_is_internal_error(self, tmp_path, monkeypatch, capsys):
-        release = KvBlockPool.release_sequence
-
-        def leaky_release(self, start, end):
-            if start == 0:  # a group's last release: its root's first block
-                start += self.block_size  # is a block nobody frees
-            return release(self, start, end)
-
-        monkeypatch.setattr(KvBlockPool, "release_sequence", leaky_release)
+        _leak_a_block(monkeypatch)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "capacity_blocks": 120,
@@ -261,16 +360,7 @@ class TestSimulate:
         assert not (tmp_path / "r").exists()
 
     def test_invalid_profile_tree_is_internal_error(self, tmp_path, monkeypatch, capsys):
-        fork = SequenceGroup.fork_sequence
-
-        def unlinking_fork(group, parent_id):
-            # Fork, then drop the forked node's pointer to its continuation.
-            child_id = fork(group, parent_id)
-            forked = group._parents[group.live[parent_id].current_node]
-            group.tree.nodes[forked].next_sibling = None
-            return child_id
-
-        monkeypatch.setattr(SequenceGroup, "fork_sequence", unlinking_fork)
+        _unlink_forks(monkeypatch)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "capacity_blocks": 120,
@@ -353,6 +443,9 @@ class TestBadInput:
             ({"workload": {"kind": "list", "count": 3, "head_len": -2}}, "head_len"),
             ({"workload": {"kind": "list", "count": 3, "intro_len": -9}}, "intro_len"),
             ({"cost": {"t_fixed": 1}}, "missing cost keys ['c_attn', 'c_token']"),
+            ({"warmup_discard_fraction": 1.0}, "warmup_discard_fraction"),
+            ({"workload": {"kind": "list", "count": 0}}, "workload must be non-empty"),
+            ({"workload": {"kind": "zipf"}}, "unknown workload kind 'zipf'"),
         ],
     )
     def test_simulate_bad_config(self, payload, named, tmp_path, capsys):
@@ -390,6 +483,65 @@ class TestBadInput:
         assert "finite" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "spec, size",
+        [
+            ({"kind": "list", "count": 10**9}, 195 * 10**9),
+            ({"kind": "list", "count": 1, "items": 10**9}, 38 * 10**9 + 5),
+            ({"kind": "list", "count": -3, "items": 10**9}, 38 * 10**9 + 5),
+            ({"kind": "list", "count": 2, "detail_len": MAX_WORKLOAD_SIZE}, None),
+            ({"kind": "random", "count": 1, "max_nodes": 10**9}, 9 * 10**9),
+            ({"kind": "random", "count": 10**6, "max_node_len": 40}, 656 * 10**6),
+        ],
+        ids=["list-count", "list-items", "list-negative-count", "list-detail",
+             "random-nodes", "random-count"],
+    )
+    def test_simulate_workload_over_cap(self, spec, size, tmp_path, capsys, monkeypatch):
+        # The reader refuses the spec before it builds a script.
+        def no_build(*args, **kwargs):
+            raise AssertionError("an oversized workload was built")
+
+        monkeypatch.setattr(sim, "list_script", no_build)
+        monkeypatch.setattr(sim, "random_script", no_build)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workload": spec}))
+        err = self.assert_input_error(
+            ["simulate", "--config", str(config), "--report", str(tmp_path / "r")], capsys
+        )
+        assert f"more than the cap of {MAX_WORKLOAD_SIZE}" in err
+        if size is not None:
+            assert f"up to {size} nodes and content tokens" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_bench_scripts_not_a_directory(self, fig3_path, tmp_path, capsys):
+        err = self.assert_input_error(
+            ["bench", "--scripts", fig3_path, "--report", str(tmp_path / "r")], capsys
+        )
+        assert f"{fig3_path} is not a directory" in err
+
+    def test_bench_every_script_excluded(self, fig3_script, tmp_path, capsys):
+        d = tmp_path / "scripts"
+        d.mkdir()
+        (d / "math.json").write_text(script_to_json(replace(fig3_script, category="math")))
+        err = self.assert_input_error(
+            ["bench", "--scripts", str(d), "--report", str(tmp_path / "r"),
+             "--exclude-category", "math"],
+            capsys,
+        )
+        assert "every script was excluded" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_report_input_unreadable(self, text, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        if text is not None:
+            path.write_text(text)
+        err = self.assert_input_error(
+            ["report", "--inputs", str(path), "--output", str(tmp_path / "m.csv")], capsys
+        )
+        assert f"cannot read {path}" in err
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("payload", [{"name": "x"}, [1, 2]], ids=["object", "list-of-ints"])
     def test_report_input_not_rows(self, payload, tmp_path, capsys):
         path = tmp_path / "rows.json"
@@ -415,6 +567,7 @@ class TestBadInput:
             pytest.param(lambda s: s.update(prompt="Qx"), id="string-prompt"),
             pytest.param(lambda s: s["nodes"][0].update(tokens=[1, 2]), id="int-tokens"),
             pytest.param(lambda s: s.update(category=5), id="non-string-category"),
+            pytest.param(lambda s: s["nodes"][0].update(first_child=None), id="one-pointer"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "bench"])

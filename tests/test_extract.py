@@ -241,6 +241,11 @@ class TestCorpusLevel:
         again = assemble_with_ratio(labeled, (1, 1), seed=0)
         assert [cid for cid, _ in again] == [cid for cid, _ in kept]
 
+    @pytest.mark.parametrize("ratio", [(0, 1), (1, 0), (-2, 3)])
+    def test_ratio_parts_must_be_positive(self, ratio):
+        with pytest.raises(ValueError, match="ratio parts must be positive"):
+            assemble_with_ratio([], ratio)
+
     def test_roles_must_alternate(self):
         with pytest.raises(ValueError):
             Conversation("bad", [("assistant", "hi")])

@@ -81,6 +81,27 @@ class TestValidate:
         tree.nodes[0].end = None
         assert any("overlap" in v for v in validate(tree, seqs))
 
+    @pytest.mark.parametrize(
+        "edit, violations",
+        [
+            (lambda tree: setattr(tree, "root", 7), ["root 7 is not a known node"]),
+            (
+                lambda tree: setattr(tree.nodes[0], "next_sibling", 9),
+                ["node 0 points at unknown node 9", "node 1 unreachable from root"],
+            ),
+            (lambda tree: setattr(tree.nodes[2], "end", 3), ["node 2 has end 3 < start 4"]),
+            (
+                lambda tree: setattr(tree.nodes[2], "end", 99),
+                ["node 2 slice [4,99) exceeds sequence 1 length 8"],
+            ),
+        ],
+        ids=["unknown-root", "unknown-target", "end-before-start", "slice-past-end"],
+    )
+    def test_violation_named(self, edit, violations):
+        tree, seqs = fig3_tree()
+        edit(tree)
+        assert validate(tree, seqs) == violations
+
 
 class TestPreorder:
     def test_order_and_pointing_ids(self):
@@ -183,6 +204,12 @@ class TestRestore:
         with pytest.raises(TreeError, match="node 2"):
             restore(tree, seqs)
 
+    def test_unknown_sequence_names_node(self):
+        tree, seqs = fig3_tree()
+        tree.nodes[2].seq = 5
+        with pytest.raises(TreeError, match="node 2 references unknown sequence 5"):
+            restore(tree, seqs)
+
     def test_visits_each_node_once(self):
         for seed in range(20):
             script = random_script(seed, max_nodes=17, max_node_len=3)
@@ -225,6 +252,19 @@ class TestPathToRoot:
         tree, _ = fig3_tree()
         with pytest.raises(TreeError):
             path_to_root(tree, 99)
+
+    def test_unreachable_node(self):
+        tree, _ = fig3_tree()
+        tree.nodes[3] = ParagraphNode(id=3, seq=0, start=6)
+        with pytest.raises(TreeError, match="node 3 is not reachable from root 0"):
+            path_to_root(tree, 3)
+
+    def test_cycle_off_the_root(self):
+        tree, _ = fig3_tree()
+        tree.nodes[3] = ParagraphNode(id=3, seq=2, start=0, first_child=4, next_sibling=4)
+        tree.nodes[4] = ParagraphNode(id=4, seq=3, start=0, first_child=3, next_sibling=3)
+        with pytest.raises(TreeError, match="cycle detected at node 3"):
+            path_to_root(tree, 3)
 
 
 def test_json_round_trip():
