@@ -3,13 +3,19 @@
 A sample is its script's training layout (``script.lay_out``), so the
 training mask of a token equals exactly what the token could see at decode
 time, and a node's subtree is one stretch of positions: a mask needs each
-subtree's last node, not an ancestor relation.
+subtree's last node, not an ancestor relation.  The layout's one walk
+records the node order, each node's run of positions and the subtree ends;
+``linearize_script`` hands that record on with the sample as its ``Walk``,
+and the training mask reads it, once node_of is checked against it,
+instead of walking the tree and mapping node_of token by token.  A
+hand-built sample has no walk, so its tree is walked
+(``tree.preorder_subtrees``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import pairwise, repeat
+from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 
@@ -17,10 +23,11 @@ from ._kernels import build_mask_array
 from .errors import TreeError
 from .script import ScriptTree, lay_out
 from .tokens import CHILD
-from .tree import ParagraphNode, ParagraphTree, preorder
+from .tree import ParagraphNode, ParagraphTree, preorder_subtrees
 
 __all__ = [
     "LinearizedSample",
+    "Walk",
     "linearize_script",
     "build_training_mask",
     "build_loss_mask",
@@ -28,31 +35,46 @@ __all__ = [
 
 
 @dataclass
+class Walk:
+    """What the layout walk recorded about the tree ``linearize_script`` built.
+
+    ``tree.nodes`` holds the nodes in preorder.  Node v starts at
+    ``starts[v]`` and ends where node v + 1 starts, the last one at the
+    sample's end, and its subtree is nodes v to ``last[v]``.
+    """
+
+    tree: ParagraphTree
+    starts: list[int]
+    last: list[int]
+
+
+@dataclass
 class LinearizedSample:
     tokens: list[str]
     node_of: list[int]  # node id per token; -1 for prompt positions
     prompt_len: int
+    walk: Walk | None = field(default=None, compare=False, repr=False)  # None if hand-built
 
 
 def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTree]:
     """Linearize a content script into a training sample plus an aligned tree.
 
-    The sample is the script's ``lay_out``.  The returned tree's nodes slice
-    into that stream itself (sequence id 0), which keeps mask construction
-    and restore checks on a single coordinate system.
+    The sample is the script's ``lay_out`` and carries its ``Walk``.  The
+    returned tree's nodes slice into that stream itself (sequence id 0),
+    which keeps mask construction and restore checks on a single coordinate
+    system.
     """
-    tokens, starts = lay_out(script)
+    layout = lay_out(script)
+    tokens, starts = layout.tokens, layout.starts
     plen = len(script.prompt)
     node_of: list[int] = [-1] * plen
     tree = ParagraphTree(root=script.root, prompt_len=plen)
-    for nid, (start, end) in zip(starts, pairwise([*starts.values(), len(tokens)])):
-        node = script.nodes[nid]
-        node_of.extend([nid] * (end - start))
+    for node, start, end in zip(layout.nodes, starts, [*starts[1:], len(tokens)]):
+        nid = node.id
+        node_of += [nid] * (end - start)
         # Positional fields: with keywords this call takes twice as long.
-        tree.nodes[nid] = ParagraphNode(
-            nid, 0, start, end, node.first_child, node.next_sibling
-        )
-    return LinearizedSample(tokens, node_of, plen), tree
+        tree.nodes[nid] = ParagraphNode(nid, 0, start, end, node.first_child, node.next_sibling)
+    return LinearizedSample(tokens, node_of, plen, Walk(tree, starts, layout.last)), tree
 
 
 def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:
@@ -62,31 +84,52 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     own node causally.  Generated positions must follow ``preorder``, as
     ``linearize_script`` lays them out; a position whose node comes before
     the previous position's node raises TreeError, and so does a negative
-    ``prompt_len`` (one above n makes every position prompt).  The checks
-    run on plain lists, and the kernel takes each node's bounds from them.
+    ``prompt_len`` (one above n makes every position prompt).
+
+    The kernel takes each position's preorder index and each node's subtree
+    end.  A sample passed with the tree object ``linearize_script`` built
+    for it has both in its ``Walk`` once node_of still equals the recorded
+    runs, and then the only position that can break a rule is the first
+    one past a shortened ``prompt_len``; that tree's pointers are taken as
+    the walk found them.  Any other sample, or a copy of the tree, has
+    ``tree`` walked, and node_of mapped and checked token by token.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
-    dense: dict[int, int] = {}
-    parent_of: list[int] = []
-    for node, parent in preorder(tree.root, tree.nodes):
-        parent_of.append(dense[parent] if parent is not None else -1)
-        dense[node.id] = len(dense)
-    # A child follows its parent in preorder: one reverse pass carries last up.
-    last = list(range(len(parent_of)))
-    for v in range(len(parent_of) - 1, 0, -1):
-        p = parent_of[v]
-        last[p] = max(last[p], last[v])
-    dense[-1] = -1  # prompt positions; unknown ids map to -2
-    node_of = list(map(dense.get, sample.node_of, repeat(-2)))
     plen = min(_prompt_len(sample), n)
-    gen = node_of[plen:]
-    if (plen and min(node_of[:plen]) < -1) or (
-        gen and (gen[0] < 0 or gen != sorted(gen))
-    ):
-        _raise_first_bad(sample, node_of, plen)
+    walk = sample.walk
+    node_of = None
+    if walk is not None and walk.tree is tree:
+        node_of = _recorded_node_of(sample, walk, n)
+    if node_of is not None:
+        last = walk.last
+        if plen < walk.starts[0]:
+            _raise_first_bad(sample, node_of, plen)
+    else:
+        nodes, last = preorder_subtrees(tree.root, tree.nodes)
+        dense = {node.id: v for v, node in enumerate(nodes)}
+        dense[-1] = -1  # prompt positions; unknown ids map to -2
+        node_of = list(map(dense.get, sample.node_of, repeat(-2)))
+        gen = node_of[plen:]
+        if (plen and min(node_of[:plen]) < -1) or (
+            gen and (gen[0] < 0 or gen != sorted(gen))
+        ):
+            _raise_first_bad(sample, node_of, plen)
     return build_mask_array(node_of, last, plen)
+
+
+def _recorded_node_of(sample: LinearizedSample, walk: Walk, n: int) -> list[int] | None:
+    """Each position's preorder index, from the walk's runs, if node_of
+    still equals them; None if not.  Each run is one list repeat and the
+    check one list compare."""
+    starts = walk.starts
+    runs = [-1] * starts[0]
+    node_of = runs.copy()
+    for v, nid, start, end in zip(count(), walk.tree.nodes, starts, [*starts[1:], n]):
+        runs += [nid] * (end - start)
+        node_of += [v] * (end - start)
+    return node_of if sample.node_of == runs else None
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:
@@ -119,7 +162,8 @@ def build_loss_mask(sample: LinearizedSample) -> np.ndarray:
 
     Prompt positions and injected [Child] positions carry no loss; [Fork]
     and [EOS] are trained like content.  A negative ``prompt_len`` raises
-    TreeError.
+    TreeError.  The [Child]s are searched for in the tokens, so the mask
+    follows tokens edited after ``linearize_script``.
     """
     tokens = sample.tokens
     mask = np.ones(len(tokens), dtype=np.bool_)

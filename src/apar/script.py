@@ -10,15 +10,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence as Seq
+from itertools import chain
+from operator import attrgetter
+from typing import NoReturn, Sequence as Seq
 
 from .errors import ScriptMismatch
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
-from .tree import preorder
+from .tree import preorder, subtree_last
+
+_tokens = attrgetter("tokens")
 
 __all__ = [
     "ScriptNode",
     "ScriptTree",
+    "Layout",
     "ReplayModel",
     "as_linear",
     "chain_nodes",
@@ -46,8 +51,11 @@ class ScriptTree:
     category: str | None = None
 
     def __post_init__(self) -> None:
-        for node in self.nodes.values():
-            if not CONTROL_TOKENS.isdisjoint(node.tokens):
+        nodes = self.nodes.values()
+        # One check over every node's tokens; a node's own only on failure.
+        clean = CONTROL_TOKENS.isdisjoint(chain.from_iterable(map(_tokens, nodes)))
+        for node in nodes:
+            if not (clean or CONTROL_TOKENS.isdisjoint(node.tokens)):
                 bad = [t for t in node.tokens if t in CONTROL_TOKENS]
                 raise ValueError(f"script node {node.id} contains control tokens {bad}")
             if (node.first_child is None) != (node.next_sibling is None):
@@ -74,32 +82,78 @@ def chain_nodes(
 def flatten_script(script: ScriptTree) -> list[str]:
     """Content tokens of the nodes in ``preorder``."""
     out: list[str] = []
-    for node, _ in preorder(script.root, script.nodes):
+    reached = 0
+    for reached, (node, _) in enumerate(preorder(script.root, script.nodes), 1):
         out.extend(node.tokens)
+    if reached < len(script.nodes):
+        _refuse_unreached(script)
     return out
 
 
-def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
-    """The training layout of a script, and where each node starts in it.
+def _refuse_unreached(script: ScriptTree) -> NoReturn:
+    """Raise ValueError naming the nodes the root does not reach.
+
+    For a walk from the root that yielded fewer nodes than the script
+    holds: the walk refuses a node reached twice, so the rest were dropped.
+    """
+    seen = {node.id for node, _ in preorder(script.root, script.nodes)}
+    unreached = [nid for nid in script.nodes if nid not in seen]
+    raise ValueError(f"script nodes {unreached} are not reached from the root")
+
+
+@dataclass(slots=True)
+class Layout:
+    """A script's training layout and what its one ``preorder`` walk recorded.
+
+    ``nodes`` are the script's nodes in preorder.  Node v starts at
+    ``starts[v]`` and ends where node v + 1 starts, the last one at the end
+    of ``tokens``, and its subtree is nodes v to ``last[v]``.  ``forks``
+    lists the forking nodes, ascending; fork v's first child is node v + 1,
+    which starts with its [Child].
+    """
+
+    tokens: list[str]
+    nodes: list[ScriptNode]
+    starts: list[int]
+    last: list[int]
+    forks: list[int]
+
+
+def lay_out(script: ScriptTree) -> Layout:
+    """The training layout of a script, from one walk over its nodes.
 
     The prompt comes first, then each node in ``preorder``: [Child] if the
     node is its parent's first child, its content, then [Fork] if it has
-    children or [EOS] if not.  The starts keep ``preorder`` order, so a
-    node ends where the next one starts, and the last at the layout's end.
-    This is the one layout rule: a script's training sample
+    children or [EOS] if not.  A first child directly follows its parent in
+    preorder, so the walk tells a [Child] from the node before it.  The walk
+    refuses a script with a node the root does not reach.  It records each
+    node's start and the forks, and the subtree ends follow from the forks
+    (``subtree_last``), so no later stage walks the script again.  This is
+    the one layout rule: a script's training sample
     (``attention.linearize_script``) is its layout, and the replay model
     answers a thread by reading the same layout with a cursor, so the model
     decodes exactly what training shows.
     """
     tokens = list(script.prompt)
-    starts: dict[int, int] = {}
-    for node, parent in preorder(script.root, script.nodes):
-        starts[node.id] = len(tokens)
-        if parent is not None and script.nodes[parent].first_child == node.id:
+    nodes: list[ScriptNode] = []
+    starts: list[int] = []
+    forks: list[int] = []
+    child = None  # the first child due next, if the node before forked
+    for node, _ in preorder(script.root, script.nodes):
+        starts.append(len(tokens))
+        if node.id == child:
             tokens.append(CHILD)
         tokens += node.tokens
-        tokens.append(EOS if node.first_child is None else FORK)
-    return tokens, starts
+        child = node.first_child
+        if child is None:
+            tokens.append(EOS)
+        else:
+            forks.append(len(nodes))
+            tokens.append(FORK)
+        nodes.append(node)
+    if len(nodes) < len(script.nodes):
+        _refuse_unreached(script)
+    return Layout(tokens, nodes, starts, subtree_last(nodes, forks), forks)
 
 
 class ReplayModel:
@@ -121,14 +175,13 @@ class ReplayModel:
 
     def __init__(self, script: ScriptTree):
         self.script = script
-        self.layout, starts = lay_out(script)
+        layout = lay_out(script)
+        self.layout = layout.tokens
         self.layout.append(None)  # the sentinel
-        # A node's [Fork] sits just before its first child's [Child].
-        self.sibling_after = {
-            starts[node.first_child] - 1: starts[node.next_sibling]
-            for node in (script.nodes[nid] for nid in starts)
-            if node.first_child is not None
-        }
+        # Fork v's [Fork] sits just before its first child, node v + 1, and
+        # its next sibling starts where that child's subtree ends.
+        starts, last = layout.starts, layout.last
+        self.sibling_after = {starts[v + 1] - 1: starts[last[v + 1] + 1] for v in layout.forks}
 
     def next_token(self, context: Seq[str], state: list) -> str:
         layout = self.layout
@@ -288,8 +341,5 @@ def script_from_json(text: str) -> ScriptTree:
     bad = [t for t in script.prompt if t in CONTROL_TOKENS]
     if bad:
         raise ValueError(f"script prompt contains control tokens {bad}")
-    seen = {node.id for node, _ in preorder(script.root, nodes)}
-    unreached = [nid for nid in nodes if nid not in seen]
-    if unreached:
-        raise ValueError(f"script nodes {unreached} are not reached from the root")
+    flatten_script(script)  # the walk refuses a cycle and a node it does not reach
     return script

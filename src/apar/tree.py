@@ -6,8 +6,12 @@ the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the one walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline,
-the script layout (``script.lay_out``) and the training mask's subtree
-bounds call it, so a training mask describes the order decoding produced.
+the script layout (``script.lay_out``) and, for a hand-built sample only,
+the training mask (through ``preorder_subtrees``) call it.  A sample that
+``attention.linearize_script`` laid out carries its layout walk's record,
+so its training mask walks nothing again.  ``subtree_last`` gives each
+subtree's bounds in that order, so a training mask describes the order
+decoding produced.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
     "ParagraphTree",
     "validate",
     "preorder",
+    "preorder_subtrees",
+    "subtree_last",
     "restore",
     "path_to_root",
     "tree_to_dict",
@@ -137,6 +143,7 @@ def validate(
 
 
 class _Linked(Protocol):
+    id: int
     first_child: int | None
     next_sibling: int | None
 
@@ -168,6 +175,40 @@ def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[tuple[_Node, int
             stack.append((node.next_sibling, nid))
         if node.first_child is not None:
             stack.append((node.first_child, nid))
+
+
+def preorder_subtrees(
+    root: int, nodes: Mapping[int, _Node]
+) -> tuple[list[_Node], list[int]]:
+    """The nodes in ``preorder`` and, per node, its subtree's last index."""
+    order = [node for node, _ in preorder(root, nodes)]
+    linked = [
+        v
+        for v, node in enumerate(order)
+        if node.first_child is not None or node.next_sibling is not None
+    ]
+    return order, subtree_last(order, linked)
+
+
+def subtree_last(order: Sequence[_Node], linked: Sequence[int]) -> list[int]:
+    """Per node of a preorder, the index of the last node of its subtree.
+
+    ``linked`` lists, ascending, the nodes with a pointer; every other node
+    is a subtree of its own.  A node's first_child follows it, and its
+    next_sibling follows the first_child's subtree, so a subtree ends where
+    its node's last pointee's does.  Pointees come after their node, so one
+    right-to-left pass over the linked nodes carries the ends up.
+    """
+    last = list(range(len(order)))
+    for v in reversed(linked):
+        node = order[v]
+        end = v
+        if node.first_child is not None:
+            end = last[end + 1]
+        if node.next_sibling is not None:
+            end = last[end + 1]
+        last[v] = end
+    return last
 
 
 def restore(

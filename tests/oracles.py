@@ -59,15 +59,8 @@ def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
-    dense: dict[int, int] = {}
-    parent_of: list[int] = []
-    for node, parent in preorder(tree.root, tree.nodes):
-        parent_of.append(dense[parent] if parent is not None else -1)
-        dense[node.id] = len(dense)
-    last = list(range(len(parent_of)))
-    for v in range(len(parent_of) - 1, 0, -1):
-        p = parent_of[v]
-        last[p] = max(last[p], last[v])
+    ids, last = reference_subtree_last(tree.root, tree.nodes)
+    dense = {nid: v for v, nid in enumerate(ids)}
     dense[-1] = -1
     node_of = np.fromiter(
         map(dense.get, sample.node_of, repeat(-2)), dtype=np.int64, count=n
@@ -83,6 +76,30 @@ def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np
     for v, (start, end) in enumerate(zip([plen, *ends], ends)):
         mask[ends[last[v]] :, start:end] = False
     return mask
+
+
+def reference_subtree_last(root: int, nodes: Mapping) -> tuple[list[int], list[int]]:
+    """Node ids in preorder and, per node, its subtree's last preorder index.
+
+    The walk builds each node's parent index; a child follows its parent in
+    preorder, so one reverse pass then carries every subtree's last index
+    up to its parent.
+    """
+    dense: dict[int, int] = {}
+    parent_of: list[int] = []
+    for node, parent in preorder(root, nodes):
+        parent_of.append(dense[parent] if parent is not None else -1)
+        dense[node.id] = len(dense)
+    last = list(range(len(parent_of)))
+    for v in range(len(parent_of) - 1, 0, -1):
+        p = parent_of[v]
+        last[p] = max(last[p], last[v])
+    return list(dense), last
+
+
+def reference_child_positions(tokens: Seq[str]) -> list[int]:
+    """The positions of [Child] in ``tokens``, one compare per token."""
+    return [i for i, tok in enumerate(tokens) if tok == CHILD]
 
 
 def reference_loss_mask(sample: LinearizedSample) -> np.ndarray:

@@ -11,7 +11,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
 from oracles import (  # noqa: E402
     linearize_group,
+    reference_child_positions,
     reference_loss_mask,
+    reference_subtree_last,
     reference_training_mask,
 )
 
@@ -26,7 +28,7 @@ from apar.attention import (
 from apar.engine import apar_decode
 from apar.errors import TreeError
 from apar.extract import Conversation, extract_conversation
-from apar.script import ReplayModel, ScriptNode, ScriptTree, random_script
+from apar.script import ReplayModel, ScriptNode, ScriptTree, lay_out, random_script
 from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import path_to_root
@@ -229,7 +231,8 @@ def corrupted_samples(draw):
     """A laid-out sample and its tree, from ``random_script``, ``list_script``
     or the extraction corpus, with at most one corruption: an unknown node
     id, -1 at a generated position, two node runs swapped, or ``prompt_len``
-    set to 0, n or n + 2."""
+    set to 0, n or n + 2.  The sample keeps its layout record or is rebuilt
+    by hand without one."""
     source = draw(st.sampled_from(["random", "list", "extracted"]))
     if source == "random":
         seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -258,6 +261,8 @@ def corrupted_samples(draw):
             node_of[plen:] = [nid for run in runs for nid in run]
     elif corruption == "prompt_len":
         plen = draw(st.sampled_from([0, n, n + 2]))
+    if draw(st.booleans()):
+        return LinearizedSample(sample.tokens, node_of, plen, sample.walk), tree
     return LinearizedSample(sample.tokens, node_of, plen), tree
 
 
@@ -307,6 +312,54 @@ def test_loss_mask_matches_object_array_reference(sample):
     expected = reference_loss_mask(sample)
     assert loss.dtype == expected.dtype and loss.shape == expected.shape
     assert loss.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000).map(
+        lambda seed: random_script(seed, max_nodes=41, max_node_len=4)
+    )
+    | st.sampled_from(_EXTRACTED)
+)
+def test_layout_records_subtree_ends_and_child_positions(source):
+    # Over random scripts' layouts and extracted samples' walks: the one
+    # walk's records against the walk-plus-reverse-pass subtree ends and a
+    # [Child] search.
+    if isinstance(source, ScriptTree):
+        layout = lay_out(source)
+        root, nodes, tokens = source.root, source.nodes, layout.tokens
+        ids, starts, last = [node.id for node in layout.nodes], layout.starts, layout.last
+        forks = layout.forks
+        assert forks == [v for v, node in enumerate(layout.nodes) if node.first_child is not None]
+    else:
+        walk = source.sample.walk
+        assert walk.tree is source.tree
+        root, nodes, tokens = walk.tree.root, walk.tree.nodes, source.sample.tokens
+        ids, starts, last = list(nodes), walk.starts, walk.last
+        forks = [v for v, node in enumerate(nodes.values()) if node.first_child is not None]
+    assert (ids, last) == reference_subtree_last(root, nodes)
+    # A fork's first child, the next node, starts with the [Child].
+    assert [starts[v + 1] for v in forks] == reference_child_positions(tokens)
+
+
+def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
+    sample, tree = linearize_script(fig3_script)
+    # Another tree object of the same script: the mask walks it.
+    _, other = linearize_script(fig3_script)
+    assert build_training_mask(sample, other).tobytes() == (
+        build_training_mask(sample, tree).tobytes()
+    )
+    # The same ids with the pointers swapped: walked, node 2 now comes
+    # before node 1, so the sample's order is rejected.
+    fig3_script.nodes[0] = ScriptNode(0, ("a1", "a2"), first_child=2, next_sibling=1)
+    _, swapped = linearize_script(fig3_script)
+    with pytest.raises(TreeError, match="position 8 is out of preorder: node 2 follows node 1"):
+        build_training_mask(sample, swapped)
+    # A valid node_of other than the laid-out one: the mask reads it.
+    sample.node_of[4] = 0
+    assert build_training_mask(sample, tree).tobytes() == (
+        reference_training_mask(sample, tree).tobytes()
+    )
 
 
 class TestLinearize:

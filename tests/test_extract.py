@@ -8,6 +8,8 @@ from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
 from oracles import reference_parse_response, reference_tokenize  # noqa: E402
 
 from apar import extract as extract_module
+from apar import tree as tree_module
+from apar.attention import build_loss_mask, build_training_mask
 from apar.extract import (
     Conversation,
     _parse_response,
@@ -157,6 +159,30 @@ class TestBuildSample:
             sample = build_training_sample(to_conversation(entry), 1)
             assert sample.kind == entry["kind"], entry["id"]
             assert len(built) == 1, (entry["id"], len(built))
+
+    def test_one_preorder_walk_per_sample(self, monkeypatch):
+        # Extracting a sample and building both its masks walks its tree
+        # once: the layout's walk; the masks read what it recorded.
+        walks = []
+        walk = tree_module.preorder
+
+        def counted(root, nodes):
+            walks.append(root)
+            return walk(root, nodes)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "apar"]:
+            if getattr(module, "preorder", None) is walk:
+                monkeypatch.setattr(module, "preorder", counted)
+        conversations = [to_conversation(e) for e in CORPUS]
+        conversations.append(Conversation("long", [("user", "why"), ("assistant", LIST_TEXT)] * 3))
+        samples = 0
+        for conv in conversations:
+            for _, sample in extract_conversation(conv):
+                build_training_mask(sample.sample, sample.tree)
+                build_loss_mask(sample.sample)
+                samples += 1
+        assert samples == len(CORPUS) + 3
+        assert len(walks) == samples
 
     def test_unstructured_has_no_forks(self):
         conv = Conversation("c", [("user", "hi"), ("assistant", "Short answer")])

@@ -1,4 +1,5 @@
 import copy
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from apar.script import (
     ScriptTree,
     as_linear,
     flatten_script,
+    lay_out,
     random_script,
     script_from_json,
     script_to_json,
@@ -131,6 +133,37 @@ def test_script_node_with_control_tokens_rejected():
             },
             prompt=("Q",),
         )
+
+
+def test_first_bad_script_node_named():
+    # Node 1 breaks the pointer rule and node 2 holds a control token: the
+    # check names node 1, the first in the script's node order.
+    nodes = {
+        0: ScriptNode(0, ("a",), first_child=1, next_sibling=2),
+        1: ScriptNode(1, ("b",), first_child=2),
+        2: ScriptNode(2, ("c", CHILD)),
+    }
+    with pytest.raises(ValueError, match="script node 1 has exactly 1 pointer"):
+        ScriptTree(root=0, nodes=nodes, prompt=("Q",))
+    nodes[1] = ScriptNode(1, ("b", EOS))
+    with pytest.raises(ValueError, match=r"script node 1 contains control tokens \['\[EOS\]'\]"):
+        ScriptTree(root=0, nodes=nodes, prompt=("Q",))
+    payload = json.loads(script_to_json(ScriptTree(root=0, nodes={0: ScriptNode(0, ("a",))}, prompt=("Q",))))
+    payload["nodes"][0]["tokens"] = ["a", FORK]
+    with pytest.raises(ValueError, match="script node 0 contains control tokens"):
+        script_from_json(json.dumps(payload))
+
+
+def test_unreached_node_refused_by_every_walk():
+    # Node 5 hangs off nothing: each walk names it instead of dropping it.
+    script = ScriptTree(
+        root=0,
+        nodes={0: ScriptNode(0, ("a",)), 5: ScriptNode(5, ("lost", "words"))},
+        prompt=("q",),
+    )
+    for walk in (lay_out, linearize_script, flatten_script, ReplayModel, as_linear):
+        with pytest.raises(ValueError, match=r"script nodes \[5\] are not reached from the root"):
+            walk(script)
 
 
 def test_engine_tree_isomorphic_to_script():
