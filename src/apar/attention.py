@@ -3,13 +3,19 @@
 A sample is its script's training layout (``script.lay_out``), so the
 training mask of a token equals exactly what the token could see at decode
 time, and a node's subtree is one stretch of positions: a mask needs each
-subtree's last node, not an ancestor relation.  The layout's one walk
-records the node order, each node's run of positions and the subtree ends;
-``linearize_script`` hands that record on with the sample as its ``Walk``,
-and the training mask reads it, once node_of is checked against it,
-instead of walking the tree and mapping node_of token by token.  A
-hand-built sample has no walk, so its tree is walked
-(``tree.preorder_subtrees``).
+subtree's last node, not an ancestor relation.
+
+The record rule.  The layout's one walk records the node ids in preorder,
+each node's first position and each subtree's last node ``last``, and
+``linearize_script`` hands the record on as the sample's ``Walk``.
+``build_training_mask`` reads it, instead of walking the tree and mapping
+node_of token by token, only while node_of equals the recorded runs and the
+tree is the one recorded: the root is the first node and its subtree ends
+at the last; node v forks exactly when ``last[v] > v``, with first child
+v + 1 and next sibling s = ``last[v + 1] + 1``, where ``last[s] ==
+last[v]``; other nodes have no pointers.  A walk of that tree finds the
+recorded order and ends, so both ways give the same mask or TreeError.  Any
+other sample has its tree walked (``tree.preorder_subtrees``).
 """
 
 from __future__ import annotations
@@ -36,14 +42,14 @@ __all__ = [
 
 @dataclass
 class Walk:
-    """What the layout walk recorded about the tree ``linearize_script`` built.
+    """What the layout walk recorded: the record of the module docstring.
 
-    ``tree.nodes`` holds the nodes in preorder.  Node v starts at
-    ``starts[v]`` and ends where node v + 1 starts, the last one at the
-    sample's end, and its subtree is nodes v to ``last[v]``.
+    ``ids`` are the node ids in preorder.  Node v starts at ``starts[v]``
+    and ends where node v + 1 starts, the last one at the sample's end, and
+    its subtree is nodes v to ``last[v]``.
     """
 
-    tree: ParagraphTree
+    ids: list[int]
     starts: list[int]
     last: list[int]
 
@@ -74,66 +80,70 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
         node_of += [nid] * (end - start)
         # Positional fields: with keywords this call takes twice as long.
         tree.nodes[nid] = ParagraphNode(nid, 0, start, end, node.first_child, node.next_sibling)
-    return LinearizedSample(tokens, node_of, plen, Walk(tree, starts, layout.last)), tree
+    walk = Walk(list(tree.nodes), starts, layout.last)
+    return LinearizedSample(tokens, node_of, plen, walk), tree
 
 
 def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:
     """Boolean (n, n) mask: row = query token, column = key token.
 
     A token sees the prompt, every token of its strict ancestors, and its
-    own node causally.  Generated positions must follow ``preorder``, as
-    ``linearize_script`` lays them out; a position whose node comes before
-    the previous position's node raises TreeError, and so does a negative
-    ``prompt_len`` (one above n makes every position prompt).
+    own node causally.  Generated positions must follow ``preorder``
+    (``_raise_first_bad``), and a negative ``prompt_len`` raises TreeError
+    (one above n makes every position prompt).
 
     The kernel takes each position's preorder index and each node's subtree
-    end.  A sample passed with the tree object ``linearize_script`` built
-    for it has both in its ``Walk`` once node_of still equals the recorded
-    runs, and then the only position that can break a rule is the first
-    one past a shortened ``prompt_len``; that tree's pointers are taken as
-    the walk found them.  Any other sample, or a copy of the tree, has
-    ``tree`` walked, and node_of mapped and checked token by token.
+    end, from the sample's ``Walk`` while the record rule of the module
+    docstring holds, else from a walk of ``tree``.  On the record only the
+    first position past a shortened ``prompt_len`` can break a rule.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
     plen = min(_prompt_len(sample), n)
-    walk = sample.walk
-    node_of = None
-    if walk is not None and walk.tree is tree:
-        node_of = _recorded_node_of(sample, walk, n)
+    node_of = _recorded_node_of(sample, tree)
     if node_of is not None:
-        last = walk.last
-        if plen < walk.starts[0]:
+        last = sample.walk.last
+        if plen < sample.walk.starts[0]:
             _raise_first_bad(sample, node_of, plen)
     else:
         nodes, last = preorder_subtrees(tree.root, tree.nodes)
         dense = {node.id: v for v, node in enumerate(nodes)}
         dense[-1] = -1  # prompt positions; unknown ids map to -2
         node_of = list(map(dense.get, sample.node_of, repeat(-2)))
-        gen = node_of[plen:]
-        if (plen and min(node_of[:plen]) < -1) or (
-            gen and (gen[0] < 0 or gen != sorted(gen))
-        ):
-            _raise_first_bad(sample, node_of, plen)
+        _raise_first_bad(sample, node_of, plen)
     return build_mask_array(node_of, last, plen)
 
 
-def _recorded_node_of(sample: LinearizedSample, walk: Walk, n: int) -> list[int] | None:
-    """Each position's preorder index, from the walk's runs, if node_of
-    still equals them; None if not.  Each run is one list repeat and the
-    check one list compare."""
-    starts = walk.starts
+def _recorded_node_of(sample: LinearizedSample, tree: ParagraphTree) -> list[int] | None:
+    """Each position's preorder index, from the sample's ``Walk``, while the
+    record rule holds; None if not.  Each node is one pointer compare and one
+    list repeat of its run, and node_of one list compare."""
+    walk = sample.walk
+    if walk is None or tree.root != walk.ids[0] or walk.last[0] != len(walk.ids) - 1:
+        return None
+    ids, starts, last = walk.ids, walk.starts, walk.last
+    nodes = tree.nodes
     runs = [-1] * starts[0]
     node_of = runs.copy()
-    for v, nid, start, end in zip(count(), walk.tree.nodes, starts, [*starts[1:], n]):
+    for v, nid, start, end in zip(count(), ids, starts, [*starts[1:], len(sample.node_of)]):
+        links = (None, None)
+        if last[v] > v:  # a fork: first child v + 1, next sibling s, or no tree fits
+            s = last[v + 1] + 1
+            links = (ids[v + 1], ids[s]) if s <= last[v] and last[s] == last[v] else None
+        node = nodes.get(nid)
+        if node is None or (node.first_child, node.next_sibling) != links:
+            return None
         runs += [nid] * (end - start)
         node_of += [v] * (end - start)
     return node_of if sample.node_of == runs else None
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:
-    """Raise TreeError for the first position build_training_mask rejects."""
+    """Raise TreeError for the first position, if any, that breaks the
+    preorder rule: ``node_of`` holds preorder indices (-1 for no node, -2 for
+    an unknown id); no position names an unknown node, and from ``plen`` on
+    each position has a node whose index is at least the one before."""
     prev = -1
     for i, v in enumerate(node_of):
         if v == -2:

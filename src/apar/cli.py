@@ -46,6 +46,9 @@ class CliInputError(Exception):
     pass
 
 
+_WRITERS = {"csv": write_report_csv, "json": write_report_json}  # --format of bench, report
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -82,7 +85,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare forked decoding against the flatten baseline")
     p.add_argument("--scripts", required=True, help="directory of script JSON files")
     p.add_argument("--report", required=True, help="output report path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=_WRITERS, default="csv")
     p.add_argument(
         "--exclude-category",
         action="append",
@@ -97,7 +100,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="merge bench outputs into one table")
     p.add_argument("--inputs", nargs="*", default=[], help="bench JSON reports")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=_WRITERS, default="csv")
     p.add_argument("--output", required=True)
     return parser
 
@@ -226,10 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     if not rows:
         raise CliInputError("every script was excluded")
-    if args.format == "csv":
-        write_report_csv(rows, args.report)
-    else:
-        write_report_json(rows, args.report)
+    _WRITERS[args.format](rows, args.report)
     mean_threads, parallel = thread_stats([row["threads"] for row in rows])
     print(f"benchmarked {len(rows)} scripts: #T={mean_threads:.1f} %P={parallel:.2f}")
     return 0
@@ -268,10 +268,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise CliInputError(f"{path} does not hold a list of row objects")
         rows.extend(payload)
     rows.sort(key=lambda r: str(r.get("name", "")))
-    if args.format == "csv":
-        write_report_csv(rows, args.output)
-    else:
-        write_report_json(rows, args.output)
+    _WRITERS[args.format](rows, args.output)
     print(f"merged {len(rows)} rows from {len(args.inputs)} inputs")
     return 0
 

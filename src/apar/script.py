@@ -10,15 +10,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import NoReturn, Sequence as Seq
 
 from .errors import ScriptMismatch
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
 from .tree import preorder, subtree_last
-
-_tokens = attrgetter("tokens")
 
 __all__ = [
     "ScriptNode",
@@ -51,11 +47,8 @@ class ScriptTree:
     category: str | None = None
 
     def __post_init__(self) -> None:
-        nodes = self.nodes.values()
-        # One check over every node's tokens; a node's own only on failure.
-        clean = CONTROL_TOKENS.isdisjoint(chain.from_iterable(map(_tokens, nodes)))
-        for node in nodes:
-            if not (clean or CONTROL_TOKENS.isdisjoint(node.tokens)):
+        for node in self.nodes.values():
+            if not CONTROL_TOKENS.isdisjoint(node.tokens):
                 bad = [t for t in node.tokens if t in CONTROL_TOKENS]
                 raise ValueError(f"script node {node.id} contains control tokens {bad}")
             if (node.first_child is None) != (node.next_sibling is None):

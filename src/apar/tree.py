@@ -5,13 +5,12 @@ detail thread forked off the node, ``next_sibling`` at the continuation of
 the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the one walk in restore order: a node, then its first_child
-subtree, then its next_sibling subtree.  Restore, the flatten baseline,
-the script layout (``script.lay_out``) and, for a hand-built sample only,
-the training mask (through ``preorder_subtrees``) call it.  A sample that
-``attention.linearize_script`` laid out carries its layout walk's record,
-so its training mask walks nothing again.  ``subtree_last`` gives each
-subtree's bounds in that order, so a training mask describes the order
-decoding produced.
+subtree, then its next_sibling subtree.  Restore, the flatten baseline and
+the script layout (``script.lay_out``) call it, and so does the training
+mask (through ``preorder_subtrees``) unless the record rule of the
+``attention`` module docstring lets it read the layout walk's record.
+``subtree_last`` gives each subtree's bounds in that order, so a training
+mask describes the order decoding produced.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import copy
 import sys
 import tracemalloc
 from itertools import groupby
@@ -230,9 +231,10 @@ _EXTRACTED = [
 def corrupted_samples(draw):
     """A laid-out sample and its tree, from ``random_script``, ``list_script``
     or the extraction corpus, with at most one corruption: an unknown node
-    id, -1 at a generated position, two node runs swapped, or ``prompt_len``
-    set to 0, n or n + 2.  The sample keeps its layout record or is rebuilt
-    by hand without one."""
+    id, -1 at a generated position, two node runs swapped, ``prompt_len``
+    set to 0, n or n + 2, or one tree node's pointers swapped, dropped or
+    aimed anywhere (on a copy of an extracted sample's tree).  The sample
+    keeps its layout record or is rebuilt by hand without one."""
     source = draw(st.sampled_from(["random", "list", "extracted"]))
     if source == "random":
         seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -246,7 +248,9 @@ def corrupted_samples(draw):
         sample, tree = extracted.sample, extracted.tree
     node_of, plen = list(sample.node_of), sample.prompt_len
     n = len(node_of)
-    corruption = draw(st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len"]))
+    corruption = draw(
+        st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len", "pointers"])
+    )
     if corruption == "unknown":
         i = draw(st.integers(min_value=0, max_value=n - 1))
         node_of[i] = draw(st.sampled_from([max(tree.nodes) + 1, 777, -3]))
@@ -261,6 +265,15 @@ def corrupted_samples(draw):
             node_of[plen:] = [nid for run in runs for nid in run]
     elif corruption == "prompt_len":
         plen = draw(st.sampled_from([0, n, n + 2]))
+    elif corruption == "pointers":
+        if source == "extracted":
+            tree = copy.deepcopy(tree)
+        node = tree.nodes[draw(st.sampled_from(sorted(tree.nodes)))]
+        target = st.sampled_from([None, *tree.nodes, max(tree.nodes) + 1])
+        node.first_child, node.next_sibling = draw(
+            st.sampled_from([(node.next_sibling, node.first_child), (None, None)])
+            | st.tuples(target, target)
+        )
     if draw(st.booleans()):
         return LinearizedSample(sample.tokens, node_of, plen, sample.walk), tree
     return LinearizedSample(sample.tokens, node_of, plen), tree
@@ -333,9 +346,8 @@ def test_layout_records_subtree_ends_and_child_positions(source):
         assert forks == [v for v, node in enumerate(layout.nodes) if node.first_child is not None]
     else:
         walk = source.sample.walk
-        assert walk.tree is source.tree
-        root, nodes, tokens = walk.tree.root, walk.tree.nodes, source.sample.tokens
-        ids, starts, last = list(nodes), walk.starts, walk.last
+        root, nodes, tokens = source.tree.root, source.tree.nodes, source.sample.tokens
+        ids, starts, last = walk.ids, walk.starts, walk.last
         forks = [v for v, node in enumerate(nodes.values()) if node.first_child is not None]
     assert (ids, last) == reference_subtree_last(root, nodes)
     # A fork's first child, the next node, starts with the [Child].
@@ -360,6 +372,49 @@ def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
     assert build_training_mask(sample, tree).tobytes() == (
         reference_training_mask(sample, tree).tobytes()
     )
+
+
+def test_training_mask_walks_a_tree_edited_after_layout(fig3_script):
+    # The tree linearize_script returned, with node 2 now pointing back at
+    # the root: the record no longer describes it, so the mask walks it.
+    sample, tree = linearize_script(fig3_script)
+    tree.nodes[2].first_child = tree.nodes[2].next_sibling = 0
+    with pytest.raises(TreeError, match="node 0 is reached twice"):
+        build_training_mask(sample, tree)
+
+
+def test_training_mask_reads_no_record_that_no_tree_fits():
+    # Scripts given a lone pointer after their check: the record's subtree
+    # ends then describe no 0-or-2 tree, so a tree edited to the pointers
+    # they suggest is walked.  Root 0 with next sibling 1 alone records
+    # both as leaves; node 1 with first child 3 alone ends with node 3.
+    lone_sibling = ScriptTree(0, {0: ScriptNode(0, ("a",)), 1: ScriptNode(1, ("b",))}, ("Q",))
+    lone_sibling.nodes[0].next_sibling = 1
+    lone_child = ScriptTree(
+        0,
+        {
+            0: ScriptNode(0, ("a",), 1, 2),
+            1: ScriptNode(1, ("b",), 3, 4),
+            2: ScriptNode(2, ("c",)),
+            3: ScriptNode(3, ("d",)),
+            4: ScriptNode(4, ("e",)),
+        },
+        ("Q",),
+    )
+    lone_child.nodes[1].next_sibling = None
+    del lone_child.nodes[4]
+    cases = [
+        (lone_sibling, 0, None, "position 3 maps to unknown node 1"),
+        (lone_child, 1, 2, "node 2 is reached twice"),
+    ]
+    for script, nid, sibling, message in cases:
+        sample, tree = linearize_script(script)
+        assert build_training_mask(sample, tree).tobytes() == (
+            reference_training_mask(sample, tree).tobytes()
+        )
+        tree.nodes[nid].next_sibling = sibling
+        with pytest.raises(TreeError, match=message):
+            build_training_mask(sample, tree)
 
 
 class TestLinearize:

@@ -22,6 +22,7 @@ from apar.metrics import (
 )
 from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, random_script
 from apar.sim import StepCostModel
+from apar.tree import ParagraphNode, ParagraphTree
 
 
 def linear_script(n, prompt_len=10):
@@ -109,6 +110,11 @@ class TestMeanAttended:
         assert mean_attended_tokens(result.tree, seqs) < flatten_mean_attended(
             result.tree, seqs
         )
+
+    def test_no_sampled_token_reads_zero(self):
+        # One empty root node: no token was sampled, so no context to average.
+        tree = ParagraphTree(root=0, nodes={0: ParagraphNode(0, 0, 0, 0)})
+        assert mean_attended_tokens(tree, {0: []}) == 0.0
 
 
 class TestTokensPerSecond:

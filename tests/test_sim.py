@@ -425,6 +425,18 @@ class TestQuartiles:
             assert (s.latency_mean, s.latency_p25, s.latency_p75) == (0.0, 0.0, 0.0)
         assert any(s.latency_mean > 0 for s in samples)
 
+    def test_summary_falls_back_to_every_latency(self):
+        # At zero step cost every request completes at time 0, no later than
+        # the kept windows' start, so the summary takes every completion.
+        config = config_from_json(
+            '{"cost": {"t_fixed": 0, "c_token": 0, "c_attn": 0},'
+            ' "workload": {"kind": "list", "count": 4}}'
+        )
+        summary = run_simulation(config).summary
+        assert (summary["samples_kept"], summary["completed"]) == (1, 4)
+        latency = {k: v for k, v in summary.items() if k.startswith("latency")}
+        assert latency == {"latency_mean": 0.0, "latency_p25": 0.0, "latency_p75": 0.0}
+
 
 # sha256 of to_json() and to_csv() of default_config(mode, copies=1000).
 PAPER_SCALE_DIGESTS = {
