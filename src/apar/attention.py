@@ -5,23 +5,20 @@ training mask of a token equals exactly what the token could see at decode
 time, and a node's subtree is one stretch of positions: a mask needs each
 subtree's last node, not an ancestor relation.
 
-The record rule.  The layout's one walk records the node ids in preorder,
-each node's first position and each subtree's last node ``last``, and
-``linearize_script`` hands the record on as the sample's ``Walk``.
-``build_training_mask`` reads it, instead of walking the tree and mapping
-node_of token by token, only while node_of equals the recorded runs and the
-tree is the one recorded: the root is the first node and its subtree ends
-at the last; node v forks exactly when ``last[v] > v``, with first child
-v + 1 and next sibling s = ``last[v + 1] + 1``, where ``last[s] ==
-last[v]``; other nodes have no pointers.  A walk of that tree finds the
-recorded order and ends, so both ways give the same mask or TreeError.  Any
-other sample has its tree walked (``tree.preorder_subtrees``).
+The tree rule.  ``linearize_script`` stores the tree's nodes in preorder,
+each under its own id.  ``build_training_mask`` reads a tree in one pass
+over its stored nodes while node v is the one a preorder walk from the root
+reaches v-th, no node has id -1 (node_of's prompt id), each node has both
+pointers or neither, the bounds run on from the tree's ``prompt_len`` to n,
+and node_of is -1 over the prompt and each node's id over its bounds.  A
+walk finds the same order, so both ways give the same mask or TreeError.
+Any other tree is walked (``tree.preorder_subtrees``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count, repeat
+from dataclasses import dataclass
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -29,11 +26,10 @@ from ._kernels import build_mask_array
 from .errors import TreeError
 from .script import ScriptTree, lay_out
 from .tokens import CHILD
-from .tree import ParagraphNode, ParagraphTree, preorder_subtrees
+from .tree import ParagraphNode, ParagraphTree, preorder_subtrees, subtree_last
 
 __all__ = [
     "LinearizedSample",
-    "Walk",
     "linearize_script",
     "build_training_mask",
     "build_loss_mask",
@@ -41,47 +37,30 @@ __all__ = [
 
 
 @dataclass
-class Walk:
-    """What the layout walk recorded: the record of the module docstring.
-
-    ``ids`` are the node ids in preorder.  Node v starts at ``starts[v]``
-    and ends where node v + 1 starts, the last one at the sample's end, and
-    its subtree is nodes v to ``last[v]``.
-    """
-
-    ids: list[int]
-    starts: list[int]
-    last: list[int]
-
-
-@dataclass
 class LinearizedSample:
     tokens: list[str]
     node_of: list[int]  # node id per token; -1 for prompt positions
     prompt_len: int
-    walk: Walk | None = field(default=None, compare=False, repr=False)  # None if hand-built
 
 
 def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTree]:
     """Linearize a content script into a training sample plus an aligned tree.
 
-    The sample is the script's ``lay_out`` and carries its ``Walk``.  The
-    returned tree's nodes slice into that stream itself (sequence id 0),
-    which keeps mask construction and restore checks on a single coordinate
-    system.
+    The sample is the script's ``lay_out``.  The returned tree's nodes slice
+    into that stream itself (sequence id 0), which keeps mask construction
+    and restore checks on a single coordinate system, and are stored in
+    preorder, as the tree rule of the module docstring reads them.
     """
-    layout = lay_out(script)
-    tokens, starts = layout.tokens, layout.starts
+    tokens, starts = lay_out(script)
     plen = len(script.prompt)
     node_of: list[int] = [-1] * plen
     tree = ParagraphTree(root=script.root, prompt_len=plen)
-    for node, start, end in zip(layout.nodes, starts, [*starts[1:], len(tokens)]):
-        nid = node.id
+    for nid, (start, end) in zip(starts, pairwise([*starts.values(), len(tokens)])):
+        node = script.nodes[nid]
         node_of += [nid] * (end - start)
         # Positional fields: with keywords this call takes twice as long.
         tree.nodes[nid] = ParagraphNode(nid, 0, start, end, node.first_child, node.next_sibling)
-    walk = Walk(list(tree.nodes), starts, layout.last)
-    return LinearizedSample(tokens, node_of, plen, walk), tree
+    return LinearizedSample(tokens, node_of, plen), tree
 
 
 def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.ndarray:
@@ -92,19 +71,19 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     (``_raise_first_bad``), and a negative ``prompt_len`` raises TreeError
     (one above n makes every position prompt).
 
-    The kernel takes each position's preorder index and each node's subtree
-    end, from the sample's ``Walk`` while the record rule of the module
-    docstring holds, else from a walk of ``tree``.  On the record only the
-    first position past a shortened ``prompt_len`` can break a rule.
+    The kernel takes each position's preorder index and each subtree's end
+    from ``tree``: read in one pass while the tree rule of the module
+    docstring holds, else walked.  Read in one pass, only a shortened
+    ``prompt_len`` can break a rule.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
     plen = min(_prompt_len(sample), n)
-    node_of = _recorded_node_of(sample, tree)
-    if node_of is not None:
-        last = sample.walk.last
-        if plen < sample.walk.starts[0]:
+    read = _read_preorder(sample, tree)
+    if read is not None:
+        node_of, last = read
+        if plen < tree.prompt_len:
             _raise_first_bad(sample, node_of, plen)
     else:
         nodes, last = preorder_subtrees(tree.root, tree.nodes)
@@ -115,28 +94,35 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     return build_mask_array(node_of, last, plen)
 
 
-def _recorded_node_of(sample: LinearizedSample, tree: ParagraphTree) -> list[int] | None:
-    """Each position's preorder index, from the sample's ``Walk``, while the
-    record rule holds; None if not.  Each node is one pointer compare and one
-    list repeat of its run, and node_of one list compare."""
-    walk = sample.walk
-    if walk is None or tree.root != walk.ids[0] or walk.last[0] != len(walk.ids) - 1:
+def _read_preorder(
+    sample: LinearizedSample, tree: ParagraphTree
+) -> tuple[list[int], list[int]] | None:
+    """Each position's preorder index and each subtree's last index, read
+    off a tree that keeps the tree rule; None for any other tree.  ``due``
+    is the walk's stack of ids, and ``pos`` where the next node starts."""
+    pos, n = tree.prompt_len, len(sample.node_of)
+    if not 0 <= pos <= n:
         return None
-    ids, starts, last = walk.ids, walk.starts, walk.last
-    nodes = tree.nodes
-    runs = [-1] * starts[0]
+    due = [tree.root]
+    forks: list[int] = []
+    runs = [-1] * pos
     node_of = runs.copy()
-    for v, nid, start, end in zip(count(), ids, starts, [*starts[1:], len(sample.node_of)]):
-        links = (None, None)
-        if last[v] > v:  # a fork: first child v + 1, next sibling s, or no tree fits
-            s = last[v + 1] + 1
-            links = (ids[v + 1], ids[s]) if s <= last[v] and last[s] == last[v] else None
-        node = nodes.get(nid)
-        if node is None or (node.first_child, node.next_sibling) != links:
+    for v, (nid, node) in enumerate(tree.nodes.items()):
+        if not (due and due.pop() == nid == node.id != -1) or node.end is None:
             return None
-        runs += [nid] * (end - start)
-        node_of += [v] * (end - start)
-    return node_of if sample.node_of == runs else None
+        if not pos == node.start <= node.end <= n:
+            return None
+        if node.first_child is not None and node.next_sibling is not None:
+            due += node.next_sibling, node.first_child
+            forks.append(v)
+        elif node.first_child is not None or node.next_sibling is not None:
+            return None
+        runs += [nid] * (node.end - pos)
+        node_of += [v] * (node.end - pos)
+        pos = node.end
+    if due or sample.node_of != runs:
+        return None
+    return node_of, subtree_last(list(tree.nodes.values()), forks)
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:

@@ -14,12 +14,11 @@ from typing import NoReturn, Sequence as Seq
 
 from .errors import ScriptMismatch
 from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
-from .tree import preorder, subtree_last
+from .tree import preorder
 
 __all__ = [
     "ScriptNode",
     "ScriptTree",
-    "Layout",
     "ReplayModel",
     "as_linear",
     "chain_nodes",
@@ -94,59 +93,33 @@ def _refuse_unreached(script: ScriptTree) -> NoReturn:
     raise ValueError(f"script nodes {unreached} are not reached from the root")
 
 
-@dataclass(slots=True)
-class Layout:
-    """A script's training layout and what its one ``preorder`` walk recorded.
-
-    ``nodes`` are the script's nodes in preorder.  Node v starts at
-    ``starts[v]`` and ends where node v + 1 starts, the last one at the end
-    of ``tokens``, and its subtree is nodes v to ``last[v]``.  ``forks``
-    lists the forking nodes, ascending; fork v's first child is node v + 1,
-    which starts with its [Child].
-    """
-
-    tokens: list[str]
-    nodes: list[ScriptNode]
-    starts: list[int]
-    last: list[int]
-    forks: list[int]
-
-
-def lay_out(script: ScriptTree) -> Layout:
-    """The training layout of a script, from one walk over its nodes.
+def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
+    """The training layout of a script, and where each node starts in it.
 
     The prompt comes first, then each node in ``preorder``: [Child] if the
     node is its parent's first child, its content, then [Fork] if it has
     children or [EOS] if not.  A first child directly follows its parent in
-    preorder, so the walk tells a [Child] from the node before it.  The walk
-    refuses a script with a node the root does not reach.  It records each
-    node's start and the forks, and the subtree ends follow from the forks
-    (``subtree_last``), so no later stage walks the script again.  This is
-    the one layout rule: a script's training sample
-    (``attention.linearize_script``) is its layout, and the replay model
-    answers a thread by reading the same layout with a cursor, so the model
-    decodes exactly what training shows.
+    preorder, so the walk tells a [Child] from the node before it.  The
+    starts keep ``preorder`` order, so a node ends where the next one
+    starts, and the last at the layout's end.  The walk refuses a script
+    with a node the root does not reach.  This is the one layout rule: a
+    script's training sample (``attention.linearize_script``) is its
+    layout, and the replay model answers a thread by reading the same
+    layout with a cursor, so the model decodes exactly what training shows.
     """
     tokens = list(script.prompt)
-    nodes: list[ScriptNode] = []
-    starts: list[int] = []
-    forks: list[int] = []
+    starts: dict[int, int] = {}
     child = None  # the first child due next, if the node before forked
     for node, _ in preorder(script.root, script.nodes):
-        starts.append(len(tokens))
+        starts[node.id] = len(tokens)
         if node.id == child:
             tokens.append(CHILD)
         tokens += node.tokens
         child = node.first_child
-        if child is None:
-            tokens.append(EOS)
-        else:
-            forks.append(len(nodes))
-            tokens.append(FORK)
-        nodes.append(node)
-    if len(nodes) < len(script.nodes):
+        tokens.append(EOS if child is None else FORK)
+    if len(starts) < len(script.nodes):
         _refuse_unreached(script)
-    return Layout(tokens, nodes, starts, subtree_last(nodes, forks), forks)
+    return tokens, starts
 
 
 class ReplayModel:
@@ -168,13 +141,11 @@ class ReplayModel:
 
     def __init__(self, script: ScriptTree):
         self.script = script
-        layout = lay_out(script)
-        self.layout = layout.tokens
+        self.layout, starts = lay_out(script)
         self.layout.append(None)  # the sentinel
-        # Fork v's [Fork] sits just before its first child, node v + 1, and
-        # its next sibling starts where that child's subtree ends.
-        starts, last = layout.starts, layout.last
-        self.sibling_after = {starts[v + 1] - 1: starts[last[v + 1] + 1] for v in layout.forks}
+        # A fork's [Fork] sits just before its first child's [Child].
+        forks = [node for node in script.nodes.values() if node.first_child is not None]
+        self.sibling_after = {starts[f.first_child] - 1: starts[f.next_sibling] for f in forks}
 
     def next_token(self, context: Seq[str], state: list) -> str:
         layout = self.layout
@@ -299,32 +270,40 @@ def _token_list(value: object, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _node_id(value: object, what: str) -> int:
+    """``value`` as a JSON integer, not a bool, as ``sim._number`` reads one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def script_from_json(text: str) -> ScriptTree:
     """Load a script; raise ValueError for one the replay model cannot decode.
 
-    Beyond the node checks of ScriptTree, the prompt and each node's tokens
-    must be lists of strings, the category a string or null, the prompt
-    must be non-empty and free of control tokens, node ids must be
-    distinct, and the pointers from the root must reach every node exactly
-    once, so the tree has no cycle and no node is silently dropped.
+    Beyond the node checks of ScriptTree, the root, node ids and pointers
+    must be integers, the prompt and each node's tokens lists of strings,
+    the category a string or null, the prompt must be non-empty and free of
+    control tokens, node ids must be distinct, and the pointers from the
+    root must reach every node exactly once, so the tree has no cycle and
+    no node is silently dropped.
     """
     payload = json.loads(text)
-    nodes = {
-        entry["id"]: ScriptNode(
-            id=entry["id"],
-            tokens=_token_list(entry["tokens"], f"script node {entry['id']} tokens"),
-            first_child=entry.get("first_child"),
-            next_sibling=entry.get("next_sibling"),
+    nodes = {}
+    for i, entry in enumerate(payload["nodes"]):
+        nid = _node_id(entry["id"], f"script nodes[{i}] id")
+        first_child, next_sibling = (
+            None if entry.get(key) is None else _node_id(entry[key], f"script node {nid} {key}")
+            for key in ("first_child", "next_sibling")
         )
-        for entry in payload["nodes"]
-    }
+        tokens = _token_list(entry["tokens"], f"script node {nid} tokens")
+        nodes[nid] = ScriptNode(nid, tokens, first_child, next_sibling)
     if len(nodes) != len(payload["nodes"]):
         raise ValueError("script node ids repeat")
     category = payload.get("category")
     if not (category is None or isinstance(category, str)):
         raise ValueError("script category must be a string or null")
     script = ScriptTree(
-        root=payload["root"],
+        root=_node_id(payload["root"], "script root"),
         nodes=nodes,
         prompt=_token_list(payload["prompt"], "script prompt"),
         category=category,

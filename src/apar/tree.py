@@ -7,8 +7,8 @@ the node's own thread.  Nodes carry both pointers or neither.
 ``preorder`` is the one walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline and
 the script layout (``script.lay_out``) call it, and so does the training
-mask (through ``preorder_subtrees``) unless the record rule of the
-``attention`` module docstring lets it read the layout walk's record.
+mask (through ``preorder_subtrees``) unless the tree rule of the
+``attention`` module docstring lets it read the tree's stored order.
 ``subtree_last`` gives each subtree's bounds in that order, so a training
 mask describes the order decoding produced.
 """

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 import tracemalloc
 from itertools import groupby
@@ -29,10 +30,10 @@ from apar.attention import (
 from apar.engine import apar_decode
 from apar.errors import TreeError
 from apar.extract import Conversation, extract_conversation
-from apar.script import ReplayModel, ScriptNode, ScriptTree, lay_out, random_script
+from apar.script import ReplayModel, ScriptNode, ScriptTree, random_script
 from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
-from apar.tree import path_to_root
+from apar.tree import path_to_root, subtree_last
 
 
 def brute_force_mask(sample, tree):
@@ -232,9 +233,9 @@ def corrupted_samples(draw):
     """A laid-out sample and its tree, from ``random_script``, ``list_script``
     or the extraction corpus, with at most one corruption: an unknown node
     id, -1 at a generated position, two node runs swapped, ``prompt_len``
-    set to 0, n or n + 2, or one tree node's pointers swapped, dropped or
-    aimed anywhere (on a copy of an extracted sample's tree).  The sample
-    keeps its layout record or is rebuilt by hand without one."""
+    set to 0, n or n + 2, one tree node's pointers swapped, dropped or
+    aimed anywhere, or one leaf's id changed (tree edits on a copy of
+    an extracted sample's tree)."""
     source = draw(st.sampled_from(["random", "list", "extracted"]))
     if source == "random":
         seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -249,8 +250,10 @@ def corrupted_samples(draw):
     node_of, plen = list(sample.node_of), sample.prompt_len
     n = len(node_of)
     corruption = draw(
-        st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len", "pointers"])
+        st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len", "pointers", "id"])
     )
+    if corruption in ("pointers", "id") and source == "extracted":
+        tree = copy.deepcopy(tree)
     if corruption == "unknown":
         i = draw(st.integers(min_value=0, max_value=n - 1))
         node_of[i] = draw(st.sampled_from([max(tree.nodes) + 1, 777, -3]))
@@ -266,17 +269,16 @@ def corrupted_samples(draw):
     elif corruption == "prompt_len":
         plen = draw(st.sampled_from([0, n, n + 2]))
     elif corruption == "pointers":
-        if source == "extracted":
-            tree = copy.deepcopy(tree)
         node = tree.nodes[draw(st.sampled_from(sorted(tree.nodes)))]
         target = st.sampled_from([None, *tree.nodes, max(tree.nodes) + 1])
         node.first_child, node.next_sibling = draw(
             st.sampled_from([(node.next_sibling, node.first_child), (None, None)])
             | st.tuples(target, target)
         )
-    if draw(st.booleans()):
-        return LinearizedSample(sample.tokens, node_of, plen, sample.walk), tree
-    return LinearizedSample(sample.tokens, node_of, plen), tree
+    elif corruption == "id":  # a leaf's, to an id no other node has
+        leaves = [nid for nid, node in tree.nodes.items() if node.first_child is None]
+        tree.nodes[draw(st.sampled_from(leaves))].id = draw(st.sampled_from([-1, 777]))
+    return dataclasses.replace(sample, node_of=node_of, prompt_len=plen), tree
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,34 +337,30 @@ def test_loss_mask_matches_object_array_reference(sample):
     | st.sampled_from(_EXTRACTED)
 )
 def test_layout_records_subtree_ends_and_child_positions(source):
-    # Over random scripts' layouts and extracted samples' walks: the one
-    # walk's records against the walk-plus-reverse-pass subtree ends and a
-    # [Child] search.
+    # Over random scripts and extracted samples: the linearized tree's
+    # stored order and subtree ends against a walk plus a reverse pass, and
+    # each fork's first child, the next node, starting at a [Child].
     if isinstance(source, ScriptTree):
-        layout = lay_out(source)
-        root, nodes, tokens = source.root, source.nodes, layout.tokens
-        ids, starts, last = [node.id for node in layout.nodes], layout.starts, layout.last
-        forks = layout.forks
-        assert forks == [v for v, node in enumerate(layout.nodes) if node.first_child is not None]
+        sample, tree = linearize_script(source)
     else:
-        walk = source.sample.walk
-        root, nodes, tokens = source.tree.root, source.tree.nodes, source.sample.tokens
-        ids, starts, last = walk.ids, walk.starts, walk.last
-        forks = [v for v, node in enumerate(nodes.values()) if node.first_child is not None]
-    assert (ids, last) == reference_subtree_last(root, nodes)
-    # A fork's first child, the next node, starts with the [Child].
-    assert [starts[v + 1] for v in forks] == reference_child_positions(tokens)
+        sample, tree = source.sample, source.tree
+    nodes = list(tree.nodes.values())
+    forks = [v for v, node in enumerate(nodes) if node.first_child is not None]
+    assert (list(tree.nodes), subtree_last(nodes, forks)) == (
+        reference_subtree_last(tree.root, tree.nodes)
+    )
+    assert [nodes[v + 1].start for v in forks] == reference_child_positions(sample.tokens)
 
 
 def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
     sample, tree = linearize_script(fig3_script)
-    # Another tree object of the same script: the mask walks it.
+    # Another tree object of the same script: the mask reads it alike.
     _, other = linearize_script(fig3_script)
     assert build_training_mask(sample, other).tobytes() == (
         build_training_mask(sample, tree).tobytes()
     )
-    # The same ids with the pointers swapped: walked, node 2 now comes
-    # before node 1, so the sample's order is rejected.
+    # The same ids with the pointers swapped: node 2 now comes before
+    # node 1, so the sample's order is rejected.
     fig3_script.nodes[0] = ScriptNode(0, ("a1", "a2"), first_child=2, next_sibling=1)
     _, swapped = linearize_script(fig3_script)
     with pytest.raises(TreeError, match="position 8 is out of preorder: node 2 follows node 1"):
@@ -376,18 +374,24 @@ def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
 
 def test_training_mask_walks_a_tree_edited_after_layout(fig3_script):
     # The tree linearize_script returned, with node 2 now pointing back at
-    # the root: the record no longer describes it, so the mask walks it.
+    # the root, or node 1 stored under id 7: its stored order is no longer
+    # the walk's, so the mask walks it.
     sample, tree = linearize_script(fig3_script)
     tree.nodes[2].first_child = tree.nodes[2].next_sibling = 0
     with pytest.raises(TreeError, match="node 0 is reached twice"):
         build_training_mask(sample, tree)
+    sample, tree = linearize_script(fig3_script)
+    tree.nodes[1].id = 7
+    with pytest.raises(TreeError, match="position 4 maps to unknown node 1"):
+        build_training_mask(sample, tree)
 
 
 def test_training_mask_reads_no_record_that_no_tree_fits():
-    # Scripts given a lone pointer after their check: the record's subtree
-    # ends then describe no 0-or-2 tree, so a tree edited to the pointers
-    # they suggest is walked.  Root 0 with next sibling 1 alone records
-    # both as leaves; node 1 with first child 3 alone ends with node 3.
+    # Scripts given a lone pointer after their check: the mask walks their
+    # linearized trees, which break the 0-or-2 rule, and walks them again
+    # once edited to 0-or-2 pointers.  Root 0 with next sibling 1 alone
+    # lays out both as leaves; node 1 with first child 3 alone ends with
+    # node 3.
     lone_sibling = ScriptTree(0, {0: ScriptNode(0, ("a",)), 1: ScriptNode(1, ("b",))}, ("Q",))
     lone_sibling.nodes[0].next_sibling = 1
     lone_child = ScriptTree(
@@ -493,6 +497,11 @@ class TestTrainingMask:
         sample.node_of[1] = 0
         sample.node_of[0] = 777
         with pytest.raises(TreeError, match="position 0 maps to unknown node 777"):
+            build_training_mask(sample, tree)
+        # A root with id -1, the id of prompt positions: its tokens have no node.
+        root_minus_one = ScriptTree(-1, {-1: ScriptNode(-1, ("a",))}, ("Q",))
+        sample, tree = linearize_script(root_minus_one)
+        with pytest.raises(TreeError, match="generated position 1 has no node"):
             build_training_mask(sample, tree)
 
     def test_out_of_preorder_node_of_rejected(self, fig3_script):

@@ -568,6 +568,10 @@ class TestBadInput:
             pytest.param(lambda s: s["nodes"][0].update(tokens=[1, 2]), id="int-tokens"),
             pytest.param(lambda s: s.update(category=5), id="non-string-category"),
             pytest.param(lambda s: s["nodes"][0].update(first_child=None), id="one-pointer"),
+            pytest.param(lambda s: s["nodes"][1].update(id=True), id="bool-id"),
+            pytest.param(lambda s: s["nodes"][2].update(id=2.0), id="float-id"),
+            pytest.param(lambda s: s["nodes"][0].update(first_child=[1]), id="list-pointer"),
+            pytest.param(lambda s: s.update(root=False), id="bool-root"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "bench"])

@@ -162,7 +162,8 @@ class TestBuildSample:
 
     def test_one_preorder_walk_per_sample(self, monkeypatch):
         # Extracting a sample and building both its masks walks its tree
-        # once: the layout's walk; the masks read what it recorded.
+        # once: the layout's walk; the training mask reads the tree it
+        # stored in preorder.
         walks = []
         walk = tree_module.preorder
 

@@ -135,7 +135,7 @@ def test_script_node_with_control_tokens_rejected():
         )
 
 
-def test_first_bad_script_node_named():
+def test_first_bad_script_node_named(fig3_script):
     # Node 1 breaks the pointer rule and node 2 holds a control token: the
     # check names node 1, the first in the script's node order.
     nodes = {
@@ -152,6 +152,25 @@ def test_first_bad_script_node_named():
     payload["nodes"][0]["tokens"] = ["a", FORK]
     with pytest.raises(ValueError, match="script node 0 contains control tokens"):
         script_from_json(json.dumps(payload))
+    # Ids and pointers load only as JSON integers: True and 2.0 equal ids 1
+    # and 2 as dict keys, so read as ids they would load and decode.
+    for edit, message in [
+        (
+            lambda s: s["nodes"][1].update(id=True),
+            "script nodes[1] id must be an integer, not true",
+        ),
+        (lambda s: s["nodes"][2].update(id=2.0), "script nodes[2] id must be an integer, not 2.0"),
+        (
+            lambda s: s["nodes"][0].update(first_child=[1]),
+            "script node 0 first_child must be an integer, not [1]",
+        ),
+        (lambda s: s.update(root=False), "script root must be an integer, not false"),
+    ]:
+        payload = json.loads(script_to_json(fig3_script))
+        edit(payload)
+        with pytest.raises(ValueError) as raised:
+            script_from_json(json.dumps(payload))
+        assert str(raised.value) == message
 
 
 def test_unreached_node_refused_by_every_walk():
