@@ -5,14 +5,11 @@ training mask of a token equals exactly what the token could see at decode
 time, and a node's subtree is one stretch of positions: a mask needs each
 subtree's last node, not an ancestor relation.
 
-The tree rule.  ``linearize_script`` stores the tree's nodes in preorder,
-each under its own id.  ``build_training_mask`` reads a tree in one pass
-over its stored nodes while node v is the one a preorder walk from the root
-reaches v-th, no node has id -1 (node_of's prompt id), each node has both
-pointers or neither, the bounds run on from the tree's ``prompt_len`` to n,
-and node_of is -1 over the prompt and each node's id over its bounds.  A
-walk finds the same order, so both ways give the same mask or TreeError.
-Any other tree is walked (``tree.preorder_subtrees``).
+The walk.  ``build_training_mask`` walks the tree it is given once, from
+the root by key, whatever order its nodes are stored in.  The walk gives
+the preorder, the subtree ends and the run of ids node_of should hold; a
+node_of equal to that run takes the walk's indices, any other is mapped
+and checked, and the two agree wherever the run matches.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from ._kernels import build_mask_array
 from .errors import TreeError
 from .script import ScriptTree, lay_out
 from .tokens import CHILD
-from .tree import ParagraphNode, ParagraphTree, preorder_subtrees, subtree_last
+from .tree import ParagraphNode, ParagraphTree, subtree_last
 
 __all__ = [
     "LinearizedSample",
@@ -48,8 +45,7 @@ def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTre
 
     The sample is the script's ``lay_out``.  The returned tree's nodes slice
     into that stream itself (sequence id 0), which keeps mask construction
-    and restore checks on a single coordinate system, and are stored in
-    preorder, as the tree rule of the module docstring reads them.
+    and restore checks on a single coordinate system.
     """
     tokens, starts = lay_out(script)
     plen = len(script.prompt)
@@ -71,58 +67,57 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     (``_raise_first_bad``), and a negative ``prompt_len`` raises TreeError
     (one above n makes every position prompt).
 
-    The kernel takes each position's preorder index and each subtree's end
-    from ``tree``: read in one pass while the tree rule of the module
-    docstring holds, else walked.  Read in one pass, only a shortened
-    ``prompt_len`` can break a rule.
+    One walk of ``tree`` from the root by key, raising ``preorder``'s
+    TreeError where it would, gives the kernel the preorder and each
+    subtree's end.  It also lays out ``runs``, the ids node_of should hold:
+    -1 over the tree's prompt, then each node's id over its bounds, while
+    those run on from ``pos`` to n and each id is its node's key (so
+    distinct) and not -1.  A node_of equal to ``runs``, under a prompt_len
+    no shorter than the tree's, has the walk's indices; any other is mapped.
     """
     n = len(sample.tokens)
     if len(sample.node_of) != n:
         raise TreeError("sample token and node_of lengths differ")
     plen = min(_prompt_len(sample), n)
-    read = _read_preorder(sample, tree)
-    if read is not None:
-        node_of, last = read
-        if plen < tree.prompt_len:
-            _raise_first_bad(sample, node_of, plen)
-    else:
-        nodes, last = preorder_subtrees(tree.root, tree.nodes)
-        dense = {node.id: v for v, node in enumerate(nodes)}
-        dense[-1] = -1  # prompt positions; unknown ids map to -2
-        node_of = list(map(dense.get, sample.node_of, repeat(-2)))
-        _raise_first_bad(sample, node_of, plen)
-    return build_mask_array(node_of, last, plen)
-
-
-def _read_preorder(
-    sample: LinearizedSample, tree: ParagraphTree
-) -> tuple[list[int], list[int]] | None:
-    """Each position's preorder index and each subtree's last index, read
-    off a tree that keeps the tree rule; None for any other tree.  ``due``
-    is the walk's stack of ids, and ``pos`` where the next node starts."""
-    pos, n = tree.prompt_len, len(sample.node_of)
-    if not 0 <= pos <= n:
-        return None
+    nodes, pos = tree.nodes, tree.prompt_len
+    tiled = 0 <= pos <= n
+    runs = [-1] * pos if tiled else []
+    index = runs.copy()
+    order: list[ParagraphNode] = []
+    linked: list[int] = []
+    seen: set[int] = set()
     due = [tree.root]
-    forks: list[int] = []
-    runs = [-1] * pos
-    node_of = runs.copy()
-    for v, (nid, node) in enumerate(tree.nodes.items()):
-        if not (due and due.pop() == nid == node.id != -1) or node.end is None:
-            return None
-        if not pos == node.start <= node.end <= n:
-            return None
-        if node.first_child is not None and node.next_sibling is not None:
-            due += node.next_sibling, node.first_child
-            forks.append(v)
-        elif node.first_child is not None or node.next_sibling is not None:
-            return None
-        runs += [nid] * (node.end - pos)
-        node_of += [v] * (node.end - pos)
-        pos = node.end
-    if due or sample.node_of != runs:
-        return None
-    return node_of, subtree_last(list(tree.nodes.values()), forks)
+    while due:
+        nid = due.pop()
+        if nid in seen:
+            raise TreeError(f"node {nid} is reached twice")
+        seen.add(nid)
+        try:
+            node = nodes[nid]
+        except KeyError:
+            raise TreeError(f"unknown node id {nid}") from None
+        v = len(order)
+        order.append(node)
+        child, sibling = node.first_child, node.next_sibling
+        if child is not None or sibling is not None:
+            linked.append(v)
+            if sibling is not None:
+                due.append(sibling)
+            if child is not None:
+                due.append(child)
+        end = node.end
+        if tiled and end is not None and nid == node.id != -1 and pos == node.start <= end <= n:
+            runs += [nid] * (end - pos)
+            index += [v] * (end - pos)
+            pos = end
+        else:
+            tiled = False
+    if not tiled or runs != sample.node_of or plen < tree.prompt_len:
+        dense = {node.id: v for v, node in enumerate(order)}
+        dense[-1] = -1  # prompt positions; unknown ids map to -2
+        index = list(map(dense.get, sample.node_of, repeat(-2)))
+        _raise_first_bad(sample, index, plen)
+    return build_mask_array(index, subtree_last(order, linked), plen)
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:

@@ -270,8 +270,8 @@ def _token_list(value: object, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _node_id(value: object, what: str) -> int:
-    """``value`` as a JSON integer, not a bool, as ``sim._number`` reads one."""
+def json_int(value: object, what: str) -> int:
+    """``value`` as a JSON integer, not a bool; else ValueError for ``what``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
     return value
@@ -290,9 +290,9 @@ def script_from_json(text: str) -> ScriptTree:
     payload = json.loads(text)
     nodes = {}
     for i, entry in enumerate(payload["nodes"]):
-        nid = _node_id(entry["id"], f"script nodes[{i}] id")
+        nid = json_int(entry["id"], f"script nodes[{i}] id")
         first_child, next_sibling = (
-            None if entry.get(key) is None else _node_id(entry[key], f"script node {nid} {key}")
+            None if entry.get(key) is None else json_int(entry[key], f"script node {nid} {key}")
             for key in ("first_child", "next_sibling")
         )
         tokens = _token_list(entry["tokens"], f"script node {nid} tokens")
@@ -303,7 +303,7 @@ def script_from_json(text: str) -> ScriptTree:
     if not (category is None or isinstance(category, str)):
         raise ValueError("script category must be a string or null")
     script = ScriptTree(
-        root=_node_id(payload["root"], "script root"),
+        root=json_int(payload["root"], "script root"),
         nodes=nodes,
         prompt=_token_list(payload["prompt"], "script prompt"),
         category=category,

@@ -78,6 +78,7 @@ from .script import (
     as_linear,
     chain_nodes,
     flatten_script,
+    json_int,
     random_script,
 )
 
@@ -560,12 +561,13 @@ def _reject_unknown_keys(what: str, payload: object, known: frozenset[str]) -> N
 
 def _number(key: str, value: object, kind: type = float) -> int | float:
     """``value``, read for ``key``, as ``kind``: an int field takes a JSON
-    integer, a float field any JSON number, and neither takes a bool."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {what}, not {json.dumps(value)}")
+    integer (``script.json_int``), a float field any JSON number but a bool."""
+    if kind is int:
+        return json_int(value, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, not {json.dumps(value)}")
     try:
-        return kind(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{key} is too large for a float") from None
 

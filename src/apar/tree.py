@@ -4,13 +4,11 @@ A node slices into one sequence's token list.  ``first_child`` points at the
 detail thread forked off the node, ``next_sibling`` at the continuation of
 the node's own thread.  Nodes carry both pointers or neither.
 
-``preorder`` is the one walk in restore order: a node, then its first_child
+``preorder`` is the walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline and
-the script layout (``script.lay_out``) call it, and so does the training
-mask (through ``preorder_subtrees``) unless the tree rule of the
-``attention`` module docstring lets it read the tree's stored order.
-``subtree_last`` gives each subtree's bounds in that order, so a training
-mask describes the order decoding produced.
+the script layout (``script.lay_out``) call it; the training mask walks
+in the same order itself.  ``subtree_last`` gives each subtree's bounds in
+that order, so a training mask describes the order decoding produced.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "ParagraphTree",
     "validate",
     "preorder",
-    "preorder_subtrees",
     "subtree_last",
     "restore",
     "path_to_root",
@@ -174,19 +171,6 @@ def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[tuple[_Node, int
             stack.append((node.next_sibling, nid))
         if node.first_child is not None:
             stack.append((node.first_child, nid))
-
-
-def preorder_subtrees(
-    root: int, nodes: Mapping[int, _Node]
-) -> tuple[list[_Node], list[int]]:
-    """The nodes in ``preorder`` and, per node, its subtree's last index."""
-    order = [node for node, _ in preorder(root, nodes)]
-    linked = [
-        v
-        for v, node in enumerate(order)
-        if node.first_child is not None or node.next_sibling is not None
-    ]
-    return order, subtree_last(order, linked)
 
 
 def subtree_last(order: Sequence[_Node], linked: Sequence[int]) -> list[int]:

@@ -81,20 +81,31 @@ def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np
 def reference_subtree_last(root: int, nodes: Mapping) -> tuple[list[int], list[int]]:
     """Node ids in preorder and, per node, its subtree's last preorder index.
 
-    The walk builds each node's parent index; a child follows its parent in
-    preorder, so one reverse pass then carries every subtree's last index
-    up to its parent.
+    The walk builds each node's parent index, indexing the walked nodes by
+    key: a parent's first_child is walked right after it, its next_sibling
+    later.  A child follows its parent in preorder, so one reverse pass then
+    carries every subtree's last index up to its parent.  Ids are listed by
+    walk position, so nodes that share an id or differ from their key keep
+    one entry each.
     """
-    dense: dict[int, int] = {}
+    index: dict[int, int] = {}
+    ids: list[int] = []
     parent_of: list[int] = []
     for node, parent in preorder(root, nodes):
-        parent_of.append(dense[parent] if parent is not None else -1)
-        dense[node.id] = len(dense)
+        v = len(ids)
+        if parent is None:
+            key, p = root, -1
+        else:
+            p, first = index[parent], nodes[parent].first_child
+            key = first if first is not None and v == p + 1 else nodes[parent].next_sibling
+        index[key] = v
+        parent_of.append(p)
+        ids.append(node.id)
     last = list(range(len(parent_of)))
     for v in range(len(parent_of) - 1, 0, -1):
         p = parent_of[v]
         last[p] = max(last[p], last[v])
-    return list(dense), last
+    return ids, last
 
 
 def reference_child_positions(tokens: Seq[str]) -> list[int]:

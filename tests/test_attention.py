@@ -231,11 +231,11 @@ _EXTRACTED = [
 @st.composite
 def corrupted_samples(draw):
     """A laid-out sample and its tree, from ``random_script``, ``list_script``
-    or the extraction corpus, with at most one corruption: an unknown node
-    id, -1 at a generated position, two node runs swapped, ``prompt_len``
-    set to 0, n or n + 2, one tree node's pointers swapped, dropped or
-    aimed anywhere, or one leaf's id changed (tree edits on a copy of
-    an extracted sample's tree)."""
+    or the extraction corpus (its tree deep-copied), with the tree's nodes
+    stored in a drawn order and at most one corruption: an unknown node id,
+    -1 at a generated position, two node runs swapped, ``prompt_len`` set to
+    0, n or n + 2, one tree node's pointers swapped, dropped or aimed
+    anywhere, or one node's id set to -1, 777 or another node's id."""
     source = draw(st.sampled_from(["random", "list", "extracted"]))
     if source == "random":
         seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -246,14 +246,13 @@ def corrupted_samples(draw):
         sample, tree = linearize_script(list_script(items=items, detail_len=detail_len))
     else:
         extracted = draw(st.sampled_from(_EXTRACTED))
-        sample, tree = extracted.sample, extracted.tree
+        sample, tree = extracted.sample, copy.deepcopy(extracted.tree)
+    tree.nodes = {nid: tree.nodes[nid] for nid in draw(st.permutations(list(tree.nodes)))}
     node_of, plen = list(sample.node_of), sample.prompt_len
     n = len(node_of)
     corruption = draw(
         st.sampled_from(["none", "unknown", "no_node", "swap", "prompt_len", "pointers", "id"])
     )
-    if corruption in ("pointers", "id") and source == "extracted":
-        tree = copy.deepcopy(tree)
     if corruption == "unknown":
         i = draw(st.integers(min_value=0, max_value=n - 1))
         node_of[i] = draw(st.sampled_from([max(tree.nodes) + 1, 777, -3]))
@@ -275,9 +274,9 @@ def corrupted_samples(draw):
             st.sampled_from([(node.next_sibling, node.first_child), (None, None)])
             | st.tuples(target, target)
         )
-    elif corruption == "id":  # a leaf's, to an id no other node has
-        leaves = [nid for nid, node in tree.nodes.items() if node.first_child is None]
-        tree.nodes[draw(st.sampled_from(leaves))].id = draw(st.sampled_from([-1, 777]))
+    elif corruption == "id":
+        node = tree.nodes[draw(st.sampled_from(sorted(tree.nodes)))]
+        node.id = draw(st.sampled_from([-1, 777, *sorted(tree.nodes)]))
     return dataclasses.replace(sample, node_of=node_of, prompt_len=plen), tree
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -161,9 +162,10 @@ class TestBuildSample:
             assert len(built) == 1, (entry["id"], len(built))
 
     def test_one_preorder_walk_per_sample(self, monkeypatch):
-        # Extracting a sample and building both its masks walks its tree
-        # once: the layout's walk; the training mask reads the tree it
-        # stored in preorder.
+        # Extracting a sample and building both its masks calls preorder
+        # once, in the layout; the training mask walks the tree itself, in
+        # whatever order its nodes are stored, and the same mask comes from
+        # the tree stored in reverse.
         walks = []
         walk = tree_module.preorder
 
@@ -179,8 +181,13 @@ class TestBuildSample:
         samples = 0
         for conv in conversations:
             for _, sample in extract_conversation(conv):
-                build_training_mask(sample.sample, sample.tree)
+                mask = build_training_mask(sample.sample, sample.tree)
                 build_loss_mask(sample.sample)
+                reverse = dict(reversed(sample.tree.nodes.items()))
+                reversed_tree = dataclasses.replace(sample.tree, nodes=reverse)
+                assert build_training_mask(sample.sample, reversed_tree).tobytes() == (
+                    mask.tobytes()
+                )
                 samples += 1
         assert samples == len(CORPUS) + 3
         assert len(walks) == samples
