@@ -1,6 +1,7 @@
 """Linearized training samples, their attention masks and loss masks.
 
-A sample is its script's training layout (``script.lay_out``), so the
+A sample is its script's training layout, built inside the one layout walk
+(``script.lay_out_nodes``) together with node_of and the tree, so the
 training mask of a token equals exactly what the token could see at decode
 time, and a node's subtree is one stretch of positions: a mask needs each
 subtree's last node, not an ancestor relation.
@@ -15,13 +16,13 @@ and checked, and the two agree wherever the run matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import repeat
 
 import numpy as np
 
 from ._kernels import build_mask_array
 from .errors import TreeError
-from .script import ScriptTree, lay_out
+from .script import ScriptTree, _refuse_unreached, lay_out_nodes
 from .tokens import CHILD
 from .tree import ParagraphNode, ParagraphTree, subtree_last
 
@@ -43,19 +44,23 @@ class LinearizedSample:
 def linearize_script(script: ScriptTree) -> tuple[LinearizedSample, ParagraphTree]:
     """Linearize a content script into a training sample plus an aligned tree.
 
-    The sample is the script's ``lay_out``.  The returned tree's nodes slice
-    into that stream itself (sequence id 0), which keeps mask construction
-    and restore checks on a single coordinate system.
+    The sample is the script's layout: its tokens, node_of and the tree's
+    nodes are built as ``lay_out_nodes`` lays each node out.  The returned
+    tree's nodes slice into that stream itself (sequence id 0), which keeps
+    mask construction and restore checks on a single coordinate system.
     """
-    tokens, starts = lay_out(script)
-    plen = len(script.prompt)
+    tokens = list(script.prompt)
+    plen = len(tokens)
     node_of: list[int] = [-1] * plen
     tree = ParagraphTree(root=script.root, prompt_len=plen)
-    for nid, (start, end) in zip(starts, pairwise([*starts.values(), len(tokens)])):
-        node = script.nodes[nid]
+    nodes = tree.nodes
+    for node, start in lay_out_nodes(script, tokens):
+        nid, end = node.id, len(tokens)
         node_of += [nid] * (end - start)
         # Positional fields: with keywords this call takes twice as long.
-        tree.nodes[nid] = ParagraphNode(nid, 0, start, end, node.first_child, node.next_sibling)
+        nodes[nid] = ParagraphNode(nid, 0, start, end, node.first_child, node.next_sibling)
+    if len(nodes) < len(script.nodes):
+        _refuse_unreached(script)
     return LinearizedSample(tokens, node_of, plen), tree
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .attention import LinearizedSample, build_loss_mask, linearize_script
 from .script import ScriptNode, ScriptTree, chain_nodes
-from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
+from .tokens import CONTROL_TOKENS, has_surface
 from .tree import ParagraphTree, tree_to_dict
 
 __all__ = [
@@ -95,43 +96,48 @@ class TrainingSample:
         }
 
 
-def _has_surface(text: str) -> bool:
-    """Whether a control surface occurs in the text, as a word or inside one.
-
-    A whole-word surface is also a substring, so False proves the text's
-    words and ``CONTROL_TOKENS`` disjoint without hashing a word.  One scan
-    per surface, written out: a generator over the set costs more than the
-    scans on short texts.
-    """
-    return FORK in text or CHILD in text or EOS in text
-
-
 def tokenize(text: str) -> list[str]:
     """Whitespace word split; reserved control surfaces get escaped."""
     tokens = text.split()
-    if not _has_surface(text) or CONTROL_TOKENS.isdisjoint(tokens):
+    if not has_surface(text) or CONTROL_TOKENS.isdisjoint(tokens):
         return tokens
     return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
 
 
+def _splitter(text: str) -> Callable[[str], list[str]]:
+    """How to split the parts of a response: ``tokenize``, or plain
+    ``str.split`` when no control surface occurs in the text.
+
+    A part (a head, detail, preamble or tail) is pieces of the text joined
+    only by whitespace, ``.`` and ``:``, none of which occur in a surface,
+    so a surface in a part lies in one piece, and so in the text: one check
+    of the text covers every part.
+    """
+    return tokenize if has_surface(text) else str.split
+
+
 def _chain_tree(
-    preamble: str | None, pairs: list[tuple[str, str]], tail: str = ""
+    split: Callable[[str], list[str]],
+    preamble: str | None,
+    pairs: list[tuple[str, str]],
+    tail: str = "",
 ) -> ScriptTree:
     """Sibling chain of forking head nodes, each with a detail child.
 
     ``preamble`` (when present) becomes the root, forking into the chain.
     ``tail`` is trailing head-level text; it forms the chain's closing node,
-    which is empty when there is nothing after the last item.
+    which is empty when there is nothing after the last item.  ``split``
+    makes each part's tokens (``_splitter``).
     """
     nodes = chain_nodes(
-        [tokenize(head) for head, _ in pairs],
-        [tokenize(detail) for _, detail in pairs],
-        tokenize(tail),
+        [split(head) for head, _ in pairs],
+        [split(detail) for _, detail in pairs],
+        split(tail),
     )
     if preamble is None or not preamble.strip():
         return ScriptTree(root=0, nodes=nodes, prompt=())
     pre = len(nodes)
-    nodes[pre] = ScriptNode(pre, tuple(tokenize(preamble)), 0, pre + 1)
+    nodes[pre] = ScriptNode(pre, tuple(split(preamble)), 0, pre + 1)
     nodes[pre + 1] = ScriptNode(pre + 1, ())
     return ScriptTree(root=pre, nodes=nodes, prompt=())
 
@@ -147,20 +153,22 @@ def extract_ordered_list(text: str) -> ScriptTree | None:
     for idx, line in enumerate(lines):
         m = LIST_ITEM_RE.match(line)
         if m:
-            head = f"{m.group(1)}. {m.group(2).strip()}:"
-            matches.append((idx, head, m.group(3).strip()))
+            number, head, detail = m.groups()
+            matches.append((idx, f"{number}. {head.strip()}:", detail.strip()))
     if len(matches) < MIN_LIST_ITEMS:
         return None
     pairs: list[tuple[str, str]] = []
     for k, (idx, head, detail) in enumerate(matches):
         stop = matches[k + 1][0] if k + 1 < len(matches) else len(lines)
-        extra = " ".join(l.strip() for l in lines[idx + 1 : stop] if l.strip())
-        full_detail = f"{detail} {extra}".strip() if extra else detail
-        if len(full_detail) < MIN_DETAIL_CHARS:
+        if stop > idx + 1:
+            extra = " ".join(l.strip() for l in lines[idx + 1 : stop] if l.strip())
+            if extra:
+                detail = f"{detail} {extra}".strip()
+        if len(detail) < MIN_DETAIL_CHARS:
             return None
-        pairs.append((head, full_detail))
+        pairs.append((head, detail))
     preamble = "\n".join(lines[: matches[0][0]])
-    return _chain_tree(preamble, pairs)
+    return _chain_tree(_splitter(text), preamble, pairs)
 
 
 def _split_first_sentence(paragraph: str) -> tuple[str, str] | None:
@@ -181,7 +189,9 @@ def extract_paragraphs(text: str) -> ScriptTree | None:
     same thread node as the next splittable head.  None when no paragraph
     splits.
     """
-    paragraphs = [p.strip() for p in re.split(r"\n{2,}", text) if p.strip()]
+    # A run of three or more newlines leaves whitespace on a piece, which
+    # the strip drops, so splitting at each pair cuts at every blank line.
+    paragraphs = [p for p in map(str.strip, text.split("\n\n")) if p]
     pairs: list[tuple[str, str]] = []
     pending: list[str] = []
     tail = ""
@@ -198,14 +208,16 @@ def extract_paragraphs(text: str) -> ScriptTree | None:
         return None
     if pending:
         tail = " ".join(pending)
-    return _chain_tree(None, pairs, tail=tail)
+    return _chain_tree(_splitter(text), None, pairs, tail=tail)
 
 
 def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
     """The response's kind and, for a list or paragraphs, its parsed tree."""
-    if _AMBIGUOUS_RE.search(text):
+    # Each form of _AMBIGUOUS_RE holds a backtick, "$", a backslash or "://".
+    marked = "`" in text or "$" in text or "\\" in text or "://" in text
+    if marked and _AMBIGUOUS_RE.search(text):
         return "unstructured", None
-    if _has_surface(text) and not CONTROL_TOKENS.isdisjoint(text.split()):
+    if has_surface(text) and not CONTROL_TOKENS.isdisjoint(text.split()):
         return "unstructured", None
     content = extract_ordered_list(text)
     if content is not None:
@@ -221,13 +233,31 @@ def classify_response(text: str) -> str:
     return _parse_response(text)[0]
 
 
-def _prompt_text(conversation: Conversation, turn_index: int) -> str:
-    return "\n".join(
-        f"{role}: {text}" for role, text in conversation.turns[:turn_index]
-    )
+def _read_turns(turns: list[tuple[str, str]], lines: list[str], prompt: list[str]) -> None:
+    """Append each turn's prompt-text line to ``lines`` and its tokens to
+    ``prompt``: ``role:``, then the text's words through ``tokenize``.
+
+    The tokens equal ``tokenize`` of the lines joined, since a role holds no
+    whitespace and escaping works word by word, so a conversation's prompts
+    grow by the turns between them and each turn is split once.
+    """
+    for role, text in turns:
+        lines.append(f"{role}: {text}")
+        prompt.append(f"{role}:")
+        prompt += tokenize(text)
 
 
 def build_training_sample(conversation: Conversation, turn_index: int) -> TrainingSample:
+    lines: list[str] = []
+    prompt: list[str] = []
+    _read_turns(conversation.turns[:turn_index], lines, prompt)
+    return _training_sample(conversation, turn_index, "\n".join(lines), tuple(prompt))
+
+
+def _training_sample(
+    conversation: Conversation, turn_index: int, prompt_text: str, prompt: tuple[str, ...]
+) -> TrainingSample:
+    """The sample of an assistant turn, given its prompt's text and tokens."""
     role, text = conversation.turns[turn_index]
     if role != "assistant":
         raise ValueError(f"turn {turn_index} of {conversation.id} is not an assistant turn")
@@ -238,8 +268,7 @@ def build_training_sample(conversation: Conversation, turn_index: int) -> Traini
             nodes={0: ScriptNode(id=0, tokens=tuple(tokenize(text)))},
             prompt=(),
         )
-    prompt_text = _prompt_text(conversation, turn_index)
-    script.prompt = tuple(tokenize(prompt_text))
+    script.prompt = prompt
     sample, tree = linearize_script(script)
     return TrainingSample(
         kind=kind,
@@ -251,10 +280,15 @@ def build_training_sample(conversation: Conversation, turn_index: int) -> Traini
 
 
 def extract_conversation(conversation: Conversation) -> list[tuple[int, TrainingSample]]:
+    """A sample per assistant turn, in turn order; a turn no later prompt
+    reads is not split for one (``_read_turns``)."""
     out = []
+    lines: list[str] = []  # the prompt text's lines, one a turn
+    prompt: list[str] = []
     for i, (role, _) in enumerate(conversation.turns):
         if role == "assistant":
-            out.append((i, build_training_sample(conversation, i)))
+            _read_turns(conversation.turns[len(lines) : i], lines, prompt)
+            out.append((i, _training_sample(conversation, i, "\n".join(lines), tuple(prompt))))
     return out
 
 

@@ -1,8 +1,10 @@
 """Deterministic language models that replay a paragraph-tree script.
 
-A script node carries literal content tokens only; ``lay_out`` places the
-control tokens around them.  Divergence from the script raises, because a
-silent fallback would mask engine bugs.
+A script node carries literal content tokens only; ``lay_out_nodes``, the
+one layout walk, places the control tokens around them.  The replay model
+reads it through ``lay_out``, and a training sample is built inside it
+(``attention.linearize_script``).  Divergence from the script raises,
+because a silent fallback would mask engine bugs.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import NoReturn, Sequence as Seq
+from typing import Iterator, NoReturn, Sequence as Seq
 
 from .errors import ScriptMismatch
-from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK
+from .tokens import CHILD, CONTROL_TOKENS, EOS, FORK, has_surface
 from .tree import preorder
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "chain_nodes",
     "flatten_script",
     "lay_out",
+    "lay_out_nodes",
     "random_script",
     "script_to_json",
     "script_from_json",
@@ -47,7 +50,9 @@ class ScriptTree:
 
     def __post_init__(self) -> None:
         for node in self.nodes.values():
-            if not CONTROL_TOKENS.isdisjoint(node.tokens):
+            # A control token among the words is a surface in them joined,
+            # so a node whose joined words hold none hashes no fresh word.
+            if has_surface(" ".join(node.tokens)) and not CONTROL_TOKENS.isdisjoint(node.tokens):
                 bad = [t for t in node.tokens if t in CONTROL_TOKENS]
                 raise ValueError(f"script node {node.id} contains control tokens {bad}")
             if (node.first_child is None) != (node.next_sibling is None):
@@ -94,32 +99,41 @@ def _refuse_unreached(script: ScriptTree) -> NoReturn:
 
 
 def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
-    """The training layout of a script, and where each node starts in it.
-
-    The prompt comes first, then each node in ``preorder``: [Child] if the
-    node is its parent's first child, its content, then [Fork] if it has
-    children or [EOS] if not.  A first child directly follows its parent in
-    preorder, so the walk tells a [Child] from the node before it.  The
-    starts keep ``preorder`` order, so a node ends where the next one
-    starts, and the last at the layout's end.  The walk refuses a script
-    with a node the root does not reach.  This is the one layout rule: a
-    script's training sample (``attention.linearize_script``) is its
-    layout, and the replay model answers a thread by reading the same
-    layout with a cursor, so the model decodes exactly what training shows.
-    """
+    """The training layout of a script (``lay_out_nodes``), and where each
+    node starts in it, in ``preorder`` order: a node ends where the next one
+    starts, and the last at the layout's end."""
     tokens = list(script.prompt)
-    starts: dict[int, int] = {}
+    starts = {node.id: start for node, start in lay_out_nodes(script, tokens)}
+    if len(starts) < len(script.nodes):
+        _refuse_unreached(script)
+    return tokens, starts
+
+
+def lay_out_nodes(script: ScriptTree, tokens: list[str]) -> Iterator[tuple[ScriptNode, int]]:
+    """Append the script's nodes to ``tokens`` in the training layout,
+    yielding each node and its start once its tokens are in, so that it
+    ends at ``len(tokens)``.
+
+    Each node in ``preorder``: [Child] if the node is its parent's first
+    child, its content, then [Fork] if it has children or [EOS] if not.  A
+    first child directly follows its parent in preorder, so the walk tells a
+    [Child] from the node before it.  This is the one layout rule: a
+    script's training sample (``attention.linearize_script``) is built in
+    this walk, and the replay model answers a thread by reading the same
+    layout (``lay_out``) with a cursor, so the model decodes exactly what
+    training shows.  A caller keys what it builds by node id, and refuses
+    the script when that holds fewer nodes than the script: the walk
+    reached fewer, or two share an id.
+    """
     child = None  # the first child due next, if the node before forked
     for node, _ in preorder(script.root, script.nodes):
-        starts[node.id] = len(tokens)
+        start = len(tokens)
         if node.id == child:
             tokens.append(CHILD)
         tokens += node.tokens
         child = node.first_child
         tokens.append(EOS if child is None else FORK)
-    if len(starts) < len(script.nodes):
-        _refuse_unreached(script)
-    return tokens, starts
+        yield node, start
 
 
 class ReplayModel:
@@ -247,6 +261,9 @@ def random_script(
 
 
 def script_to_json(script: ScriptTree) -> str:
+    """The script as JSON, nodes in id order: the documented inverse of
+    ``script_from_json``.  Where that accepts the text, it reads back a
+    script equal to this one, whose JSON is the same text."""
     payload = {
         "prompt": list(script.prompt),
         "root": script.root,

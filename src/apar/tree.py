@@ -6,7 +6,7 @@ the node's own thread.  Nodes carry both pointers or neither.
 
 ``preorder`` is the walk in restore order: a node, then its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline and
-the script layout (``script.lay_out``) call it; the training mask walks
+the script layout (``script.lay_out_nodes``) call it; the training mask walks
 in the same order itself.  ``subtree_last`` gives each subtree's bounds in
 that order, so a training mask describes the order decoding produced.
 """

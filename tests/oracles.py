@@ -7,6 +7,7 @@ second way, so a test can compare it with what the program produced.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -24,9 +25,22 @@ from apar.errors import (
     SimulationInvariantError,
     TreeError,
 )
-from apar.extract import _AMBIGUOUS_RE, extract_ordered_list, extract_paragraphs
+from apar.extract import (
+    _AMBIGUOUS_RE,
+    _SENTENCE_END_RE,
+    LIST_ITEM_RE,
+    MIN_DETAIL_CHARS,
+    MIN_LIST_ITEMS,
+)
 from apar.runtime import SequenceGroup, new_group
-from apar.script import ReplayModel, ScriptNode, ScriptTree, as_linear, flatten_script
+from apar.script import (
+    ReplayModel,
+    ScriptNode,
+    ScriptTree,
+    as_linear,
+    chain_nodes,
+    flatten_script,
+)
 from apar.sim import SimConfig, SimReport, SimSample, StepCostModel
 from apar.tokens import CHILD, CONTROL_TOKENS, EOS, FORK
 from apar.tree import ParagraphTree, preorder, restore
@@ -128,19 +142,73 @@ def reference_tokenize(text: str) -> list[str]:
     return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
 
 
+def reference_prompt_text(conversation, turn_index: int) -> str:
+    """The prompt text of a turn: every turn before it as ``role: text``,
+    one a line."""
+    return "\n".join(f"{role}: {text}" for role, text in conversation.turns[:turn_index])
+
+
 def reference_parse_response(text: str) -> tuple[str, ScriptTree | None]:
-    """``_parse_response`` that always splits the text to look for a surface."""
+    """``_parse_response`` that searches the whole text with the ambiguity
+    regex, always splits it to look for a surface, cuts paragraphs with
+    ``re.split`` and tokenizes every part of a list or paragraphs."""
     if _AMBIGUOUS_RE.search(text):
         return "unstructured", None
     if not CONTROL_TOKENS.isdisjoint(text.split()):
         return "unstructured", None
-    content = extract_ordered_list(text)
+    content = _reference_list(text)
     if content is not None:
         return "ordered_list", content
-    content = extract_paragraphs(text)
+    content = _reference_paragraphs(text)
     if content is not None:
         return "paragraph", content
     return "unstructured", None
+
+
+def _reference_chain(preamble: str, pairs: list[tuple[str, str]], tail: str) -> ScriptTree:
+    nodes = chain_nodes(
+        [reference_tokenize(head) for head, _ in pairs],
+        [reference_tokenize(detail) for _, detail in pairs],
+        reference_tokenize(tail),
+    )
+    if not preamble.strip():
+        return ScriptTree(root=0, nodes=nodes, prompt=())
+    pre = len(nodes)
+    nodes[pre] = ScriptNode(pre, tuple(reference_tokenize(preamble)), 0, pre + 1)
+    nodes[pre + 1] = ScriptNode(pre + 1, ())
+    return ScriptTree(root=pre, nodes=nodes, prompt=())
+
+
+def _reference_list(text: str) -> ScriptTree | None:
+    lines = text.split("\n")
+    matches = [(i, LIST_ITEM_RE.match(line)) for i, line in enumerate(lines)]
+    matches = [(i, m) for i, m in matches if m]
+    if len(matches) < MIN_LIST_ITEMS:
+        return None
+    pairs = []
+    for k, (i, m) in enumerate(matches):
+        stop = matches[k + 1][0] if k + 1 < len(matches) else len(lines)
+        extra = " ".join(line.strip() for line in lines[i + 1 : stop] if line.strip())
+        detail = f"{m.group(3).strip()} {extra}".strip()
+        if len(detail) < MIN_DETAIL_CHARS:
+            return None
+        pairs.append((f"{m.group(1)}. {m.group(2).strip()}:", detail))
+    return _reference_chain("\n".join(lines[: matches[0][0]]), pairs, "")
+
+
+def _reference_paragraphs(text: str) -> ScriptTree | None:
+    pairs, pending = [], []
+    for para in (p.strip() for p in re.split(r"\n{2,}", text) if p.strip()):
+        m = _SENTENCE_END_RE.search(para)
+        rest = para[m.end() :].strip() if m else ""
+        if not rest:
+            pending.append(para)
+            continue
+        pairs.append((" ".join(pending + [para[: m.end()].strip()]), rest))
+        pending = []
+    if not pairs:
+        return None
+    return _reference_chain("", pairs, " ".join(pending))
 
 
 @dataclass

@@ -335,10 +335,11 @@ def test_loss_mask_matches_object_array_reference(sample):
     )
     | st.sampled_from(_EXTRACTED)
 )
-def test_layout_records_subtree_ends_and_child_positions(source):
+def test_linearized_tree_matches_reference_walk_and_child_positions(source):
     # Over random scripts and extracted samples: the linearized tree's
-    # stored order and subtree ends against a walk plus a reverse pass, and
-    # each fork's first child, the next node, starting at a [Child].
+    # nodes, as stored, and their subtree ends equal a reference walk plus
+    # a reverse pass, and each fork's first child, the next node, starts at
+    # a [Child].
     if isinstance(source, ScriptTree):
         sample, tree = linearize_script(source)
     else:
@@ -351,9 +352,9 @@ def test_layout_records_subtree_ends_and_child_positions(source):
     assert [nodes[v + 1].start for v in forks] == reference_child_positions(sample.tokens)
 
 
-def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
+def test_training_mask_follows_the_tree_and_node_of_it_is_given(fig3_script):
     sample, tree = linearize_script(fig3_script)
-    # Another tree object of the same script: the mask reads it alike.
+    # Another tree object of the same script gives the same mask.
     _, other = linearize_script(fig3_script)
     assert build_training_mask(sample, other).tobytes() == (
         build_training_mask(sample, tree).tobytes()
@@ -364,17 +365,17 @@ def test_training_mask_reads_the_record_only_while_it_holds(fig3_script):
     _, swapped = linearize_script(fig3_script)
     with pytest.raises(TreeError, match="position 8 is out of preorder: node 2 follows node 1"):
         build_training_mask(sample, swapped)
-    # A valid node_of other than the laid-out one: the mask reads it.
+    # A valid node_of other than the laid-out one gives the reference mask.
     sample.node_of[4] = 0
     assert build_training_mask(sample, tree).tobytes() == (
         reference_training_mask(sample, tree).tobytes()
     )
 
 
-def test_training_mask_walks_a_tree_edited_after_layout(fig3_script):
+def test_training_mask_refuses_a_tree_edited_after_layout(fig3_script):
     # The tree linearize_script returned, with node 2 now pointing back at
-    # the root, or node 1 stored under id 7: its stored order is no longer
-    # the walk's, so the mask walks it.
+    # the root, or node 1 stored under id 7: the mask walks the edited tree
+    # and refuses it.
     sample, tree = linearize_script(fig3_script)
     tree.nodes[2].first_child = tree.nodes[2].next_sibling = 0
     with pytest.raises(TreeError, match="node 0 is reached twice"):
@@ -385,12 +386,12 @@ def test_training_mask_walks_a_tree_edited_after_layout(fig3_script):
         build_training_mask(sample, tree)
 
 
-def test_training_mask_reads_no_record_that_no_tree_fits():
-    # Scripts given a lone pointer after their check: the mask walks their
-    # linearized trees, which break the 0-or-2 rule, and walks them again
-    # once edited to 0-or-2 pointers.  Root 0 with next sibling 1 alone
-    # lays out both as leaves; node 1 with first child 3 alone ends with
-    # node 3.
+def test_training_mask_of_lone_pointer_trees_matches_reference():
+    # Scripts given a lone pointer after their check: the mask of their
+    # linearized trees, which break the both-or-neither pointer rule, equals
+    # the reference, and each tree edited to both-or-neither pointers is
+    # refused.  Root 0 with next sibling 1 alone lays out both as leaves;
+    # node 1 with first child 3 alone ends with node 3.
     lone_sibling = ScriptTree(0, {0: ScriptNode(0, ("a",)), 1: ScriptNode(1, ("b",))}, ("Q",))
     lone_sibling.nodes[0].next_sibling = 1
     lone_child = ScriptTree(

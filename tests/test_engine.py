@@ -412,6 +412,17 @@ def test_derived_trace_is_the_recorded_trace(mode):
     assert 300 < cut < runs - 300
 
 
+# The largest list scripts of each shape whose decode and reference stay
+# near 100 MB: details of 8,000 tokens (decode-bench's long scripts hold
+# about 400), and 1,000 items, where every fork copies a long context.
+@pytest.mark.parametrize(
+    "items, detail_len", [(12, 8000), (1000, 5)], ids=["long-detail", "many-item"]
+)
+def test_large_list_decode_is_the_recorded_trace(items, detail_len):
+    limits = {"max_steps": 100_000, "max_seq_len": 100_000}
+    assert not _same_trace("apar", list_script(items=items, detail_len=detail_len), 16, limits)
+
+
 class _CheckedTokens:
     """A model wrapper that counts the context tokens each call must check:
     those past the ``checked`` count its state holds, or all of them."""

@@ -3,10 +3,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import CORPUS, EXPECTED_COUNTS  # noqa: E402
-from oracles import reference_parse_response, reference_tokenize  # noqa: E402
+from oracles import (  # noqa: E402
+    reference_parse_response,
+    reference_prompt_text,
+    reference_tokenize,
+)
 
 from apar import extract as extract_module
 from apar import tree as tree_module
@@ -25,7 +30,7 @@ from apar.extract import (
 )
 from apar.script import ScriptTree
 from apar.sim import list_script
-from apar.tokens import CHILD, CONTROL_TOKENS, FORK
+from apar.tokens import CHILD, CONTROL_TOKENS, FORK, has_surface
 from apar.tree import restore, validate
 
 
@@ -336,3 +341,102 @@ def test_control_precheck_matches_full_split(source):
     for text in texts:
         assert tokenize(text) == reference_tokenize(text), text
         assert _parse_response(text) == reference_parse_response(text), text
+
+
+def _multi_turn_conversations():
+    """Every corpus dialog, and dialogs of several turns whose earlier turns
+    hold each control surface as a whole word and inside a word."""
+    yield from (to_conversation(e) for e in CORPUS)
+    for surface in sorted(CONTROL_TOKENS):
+        asks = [f"why {surface} so", f"x{surface}y and {surface}:", f"  {surface}\n", ""]
+        answers = [f"Short {surface} answer", LIST_TEXT, f"a{surface} b", PARAGRAPH_TEXT]
+        turns = [t for ask, answer in zip(asks, answers) for t in (("user", ask), ("assistant", answer))]
+        yield Conversation(f"multi{surface}", turns)
+    turns = [t for e in CORPUS for t in (("user", e["user"]), ("assistant", e["assistant"]))]
+    yield Conversation("whole-corpus", turns)
+
+
+def test_each_prompt_is_its_prompt_text_tokenized():
+    # extract_conversation splits each turn once for every later prompt:
+    # each sample's prompt is its prompt text tokenized, and the sample is
+    # the one build_training_sample builds for its turn alone.
+    samples = 0
+    for conv in _multi_turn_conversations():
+        for i, sample in extract_conversation(conv):
+            text = reference_prompt_text(conv, i)
+            assert sample.prompt_text == text
+            prompt = sample.sample.tokens[: sample.sample.prompt_len]
+            assert tuple(prompt) == tuple(tokenize(text)), (conv.id, i)
+            expected = build_training_sample(conv, i).to_record(conv.id, i)
+            assert sample.to_record(conv.id, i) == expected
+            samples += 1
+    assert samples == 2 * len(CORPUS) + 4 * len(CONTROL_TOKENS)
+
+
+# Pieces of responses: words, the characters of the control surfaces apart
+# (they join into a surface only where they fall in order), the breaks the
+# parsers cut at, and surfaces inside a word, one right after a head's
+# colon.  Words are drawn most often.  Whole-word surfaces and the forms
+# that leave a response unstructured end some texts.
+_WORDS = [
+    "Cost", " saves money", " over time", "x", "12", ".", "!", "?", " ", "\t",
+    "[", "]", "Fork", "Child", "EOS",
+] * 3
+_BREAKS = ["\n", "\n\n", "\n\n\n", "\r", ":", "\n2. "]
+_IN_WORD = ["x[EOS]", "[Child]:", ":[Fork]"]
+_ENDS = ["```", "$x$", "\\(", "\\[", "https://x", " [Fork]", " [EOS] x", "\n[Child]"]
+
+
+def _responses(pieces, ends=("",), colons=(": ", ":", ":\t")):
+    """Texts shaped as a numbered list, as blank-line paragraphs, or free,
+    built from ``pieces``, each ended by one of ``ends``; ``colons`` end
+    an item's head."""
+    run = st.lists(st.sampled_from(pieces), min_size=1, max_size=8).map("".join)
+    one_line = [piece for piece in pieces if "\n" not in piece]
+    head = st.lists(st.sampled_from(one_line), min_size=1, max_size=6).map("".join)
+    detail = st.tuples(run, st.sampled_from(["", " with more words", " and more words"]))
+    item = st.tuples(st.integers(1, 12), head, st.sampled_from(colons), detail).map(
+        lambda t: f"{t[0]}. {t[1]}{t[2]}{''.join(t[3])}"
+    )
+    listed = st.tuples(run, st.lists(st.one_of(item, item, item, run), min_size=3, max_size=6))
+    paragraphs = st.lists(st.tuples(run, run).map(". ".join), min_size=1, max_size=4)
+    free = st.lists(st.sampled_from(pieces), max_size=40).map("".join)
+    texts = listed.map(lambda t: "\n".join([t[0], *t[1]])) | paragraphs.map("\n\n".join) | free
+    return st.tuples(texts, st.sampled_from(ends)).map("".join)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    _responses(
+        _WORDS + _BREAKS + _IN_WORD,
+        ("",) * 2 * len(_ENDS) + tuple(_ENDS),
+        # A detail glued to its head's colon starts with a whole-word
+        # surface that the text holds only inside a word.
+        (": ", ":", ":\t", ":[Fork] ", ":[EOS]"),
+    )
+)
+def test_parse_matches_the_reference_on_drawn_responses(text):
+    assert _parse_response(text) == reference_parse_response(text)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_responses(_WORDS + _BREAKS).filter(lambda text: not has_surface(text)))
+def test_parts_of_a_response_without_a_surface_need_no_escaping(text):
+    # Every head, detail, preamble and tail the parsers cut from a response
+    # with no control surface: its plain split is its tokenize.
+    parts = []
+
+    def recording(_text):
+        def split(part):
+            parts.append(part)
+            return part.split()
+
+        return split
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extract_module, "_splitter", recording)
+        trees = [extract_ordered_list(text), extract_paragraphs(text)]
+    assert extract_module._splitter(text) is str.split
+    assert trees == [extract_ordered_list(text), extract_paragraphs(text)]
+    for part in parts:
+        assert part.split() == tokenize(part), part

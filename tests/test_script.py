@@ -20,6 +20,7 @@ from apar.script import (
     script_from_json,
     script_to_json,
 )
+from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import validate
 
@@ -210,6 +211,14 @@ def test_json_round_trip(fig3_script):
     text = script_to_json(fig3_script)
     back = script_from_json(text)
     assert script_to_json(back) == text
+    # Seeded random scripts and list scripts come back equal, node for node.
+    scripts = [random_script(seed, max_nodes=21, max_node_len=6) for seed in range(40)]
+    scripts += [list_script(items=k, detail_len=k % 4) for k in range(1, 9)]
+    scripts.append(list_script(items=3, intro_len=0, head_len=0))
+    for script in scripts:
+        text = script_to_json(script)
+        assert script_from_json(text) == script, text
+        assert script_to_json(script_from_json(text)) == text
 
 
 # Each model with the decode loop whose contexts it answers.

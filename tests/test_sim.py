@@ -470,6 +470,15 @@ def test_paper_scale_run(mode):
     assert digests == PAPER_SCALE_DIGESTS[mode]
 
 
+@pytest.mark.parametrize("mode", ["apar", "ar"])
+def test_paper_scale_run_matches_the_engine_in_the_loop(mode):
+    """At the paper's serving scale, scheduling from step profiles gives the
+    bytes of decoding every admission with the engine on the shared pool:
+    a witness the program did not record, beside the pinned digests."""
+    config = default_config(mode, copies=1000)
+    assert _outcome(run_simulation, config) == _outcome(reference_simulation, config)
+
+
 class TestDeterminismAndSweep:
     def test_identical_runs(self):
         config = default_config(mode="apar", copies=12)
