@@ -89,7 +89,6 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
     runs = [-1] * pos if tiled else []
     index = runs.copy()
     order: list[ParagraphNode] = []
-    linked: list[int] = []
     seen: set[int] = set()
     due = [tree.root]
     while due:
@@ -104,12 +103,10 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
         v = len(order)
         order.append(node)
         child, sibling = node.first_child, node.next_sibling
-        if child is not None or sibling is not None:
-            linked.append(v)
-            if sibling is not None:
-                due.append(sibling)
-            if child is not None:
-                due.append(child)
+        if sibling is not None:
+            due.append(sibling)
+        if child is not None:
+            due.append(child)
         end = node.end
         if tiled and end is not None and nid == node.id != -1 and pos == node.start <= end <= n:
             runs += [nid] * (end - pos)
@@ -122,7 +119,7 @@ def build_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np.nda
         dense[-1] = -1  # prompt positions; unknown ids map to -2
         index = list(map(dense.get, sample.node_of, repeat(-2)))
         _raise_first_bad(sample, index, plen)
-    return build_mask_array(index, subtree_last(order, linked), plen)
+    return build_mask_array(index, subtree_last(order), plen)
 
 
 def _raise_first_bad(sample: LinearizedSample, node_of: list[int], plen: int) -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -104,20 +103,7 @@ def tokenize(text: str) -> list[str]:
     return [f"\\{tok}" if tok in CONTROL_TOKENS else tok for tok in tokens]
 
 
-def _splitter(text: str) -> Callable[[str], list[str]]:
-    """How to split the parts of a response: ``tokenize``, or plain
-    ``str.split`` when no control surface occurs in the text.
-
-    A part (a head, detail, preamble or tail) is pieces of the text joined
-    only by whitespace, ``.`` and ``:``, none of which occur in a surface,
-    so a surface in a part lies in one piece, and so in the text: one check
-    of the text covers every part.
-    """
-    return tokenize if has_surface(text) else str.split
-
-
 def _chain_tree(
-    split: Callable[[str], list[str]],
     preamble: str | None,
     pairs: list[tuple[str, str]],
     tail: str = "",
@@ -126,18 +112,18 @@ def _chain_tree(
 
     ``preamble`` (when present) becomes the root, forking into the chain.
     ``tail`` is trailing head-level text; it forms the chain's closing node,
-    which is empty when there is nothing after the last item.  ``split``
-    makes each part's tokens (``_splitter``).
+    which is empty when there is nothing after the last item.  Each part
+    is split with ``tokenize``.
     """
     nodes = chain_nodes(
-        [split(head) for head, _ in pairs],
-        [split(detail) for _, detail in pairs],
-        split(tail),
+        [tokenize(head) for head, _ in pairs],
+        [tokenize(detail) for _, detail in pairs],
+        tokenize(tail),
     )
     if preamble is None or not preamble.strip():
         return ScriptTree(root=0, nodes=nodes, prompt=())
     pre = len(nodes)
-    nodes[pre] = ScriptNode(pre, tuple(split(preamble)), 0, pre + 1)
+    nodes[pre] = ScriptNode(pre, tuple(tokenize(preamble)), 0, pre + 1)
     nodes[pre + 1] = ScriptNode(pre + 1, ())
     return ScriptTree(root=pre, nodes=nodes, prompt=())
 
@@ -168,7 +154,7 @@ def extract_ordered_list(text: str) -> ScriptTree | None:
             return None
         pairs.append((head, detail))
     preamble = "\n".join(lines[: matches[0][0]])
-    return _chain_tree(_splitter(text), preamble, pairs)
+    return _chain_tree(preamble, pairs)
 
 
 def _split_first_sentence(paragraph: str) -> tuple[str, str] | None:
@@ -208,7 +194,7 @@ def extract_paragraphs(text: str) -> ScriptTree | None:
         return None
     if pending:
         tail = " ".join(pending)
-    return _chain_tree(_splitter(text), None, pairs, tail=tail)
+    return _chain_tree(None, pairs, tail=tail)
 
 
 def _parse_response(text: str) -> tuple[str, ScriptTree | None]:

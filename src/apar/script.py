@@ -28,7 +28,6 @@ __all__ = [
     "lay_out",
     "lay_out_nodes",
     "random_script",
-    "script_to_json",
     "script_from_json",
 ]
 
@@ -80,7 +79,7 @@ def flatten_script(script: ScriptTree) -> list[str]:
     """Content tokens of the nodes in ``preorder``."""
     out: list[str] = []
     reached = 0
-    for reached, (node, _) in enumerate(preorder(script.root, script.nodes), 1):
+    for reached, node in enumerate(preorder(script.root, script.nodes), 1):
         out.extend(node.tokens)
     if reached < len(script.nodes):
         _refuse_unreached(script)
@@ -88,14 +87,19 @@ def flatten_script(script: ScriptTree) -> list[str]:
 
 
 def _refuse_unreached(script: ScriptTree) -> NoReturn:
-    """Raise ValueError naming the nodes the root does not reach.
-
-    For a walk from the root that yielded fewer nodes than the script
-    holds: the walk refuses a node reached twice, so the rest were dropped.
-    """
-    seen = {node.id for node, _ in preorder(script.root, script.nodes)}
-    unreached = [nid for nid in script.nodes if nid not in seen]
-    raise ValueError(f"script nodes {unreached} are not reached from the root")
+    """For a walk from the root that keyed fewer nodes than the script
+    holds: raise ValueError naming the keys the root does not reach (the
+    root and the pointers of reached nodes are reached), or, when it reaches
+    every key, the node id two reached nodes share."""
+    reached = list(preorder(script.root, script.nodes))
+    keys = {script.root}
+    keys.update(p for node in reached for p in (node.first_child, node.next_sibling))
+    unreached = [key for key in script.nodes if key not in keys]
+    if unreached:
+        raise ValueError(f"script nodes {unreached} are not reached from the root")
+    ids = [node.id for node in reached]
+    shared = next(nid for nid in ids if ids.count(nid) > 1)
+    raise ValueError(f"script node id {shared} is shared by more than one node")
 
 
 def lay_out(script: ScriptTree) -> tuple[list[str], dict[int, int]]:
@@ -126,7 +130,7 @@ def lay_out_nodes(script: ScriptTree, tokens: list[str]) -> Iterator[tuple[Scrip
     reached fewer, or two share an id.
     """
     child = None  # the first child due next, if the node before forked
-    for node, _ in preorder(script.root, script.nodes):
+    for node in preorder(script.root, script.nodes):
         start = len(tokens)
         if node.id == child:
             tokens.append(CHILD)
@@ -258,27 +262,6 @@ def random_script(
         leaves.extend([child.id, sibling.id])
     prompt = tuple(f"q{rng.randrange(100)}" for _ in range(max(1, prompt_len)))
     return ScriptTree(root=0, nodes=nodes, prompt=prompt)
-
-
-def script_to_json(script: ScriptTree) -> str:
-    """The script as JSON, nodes in id order: the documented inverse of
-    ``script_from_json``.  Where that accepts the text, it reads back a
-    script equal to this one, whose JSON is the same text."""
-    payload = {
-        "prompt": list(script.prompt),
-        "root": script.root,
-        "category": script.category,
-        "nodes": [
-            {
-                "id": node.id,
-                "tokens": list(node.tokens),
-                "first_child": node.first_child,
-                "next_sibling": node.next_sibling,
-            }
-            for node in sorted(script.nodes.values(), key=lambda n: n.id)
-        ],
-    }
-    return json.dumps(payload)
 
 
 def _token_list(value: object, what: str) -> tuple[str, ...]:

@@ -4,11 +4,11 @@ A node slices into one sequence's token list.  ``first_child`` points at the
 detail thread forked off the node, ``next_sibling`` at the continuation of
 the node's own thread.  Nodes carry both pointers or neither.
 
-``preorder`` is the walk in restore order: a node, then its first_child
+``preorder`` yields the nodes in restore order: a node, its first_child
 subtree, then its next_sibling subtree.  Restore, the flatten baseline and
 the script layout (``script.lay_out_nodes``) call it; the training mask walks
-in the same order itself.  ``subtree_last`` gives each subtree's bounds in
-that order, so a training mask describes the order decoding produced.
+in the same order itself.  ``subtree_last`` takes that order alone and gives
+each subtree's last node, so a mask describes the order decoding produced.
 """
 
 from __future__ import annotations
@@ -147,18 +147,15 @@ class _Linked(Protocol):
 _Node = TypeVar("_Node", bound=_Linked)
 
 
-def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[tuple[_Node, int | None]]:
-    """Yield ``(node, id of the node pointing at it)`` in restore order.
-
-    The order is node, first_child subtree, next_sibling subtree; the root
-    comes with None.  Takes script nodes and paragraph nodes alike.  Raises
+def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[_Node]:
+    """Yield the nodes in restore order: node, first_child subtree,
+    next_sibling subtree.  Takes script and paragraph nodes alike; raises
     TreeError naming the node when an id is unknown or a node is reached
-    twice, which covers cycles.
-    """
-    stack: list[tuple[int, int | None]] = [(root, None)]
+    twice, which covers cycles."""
+    stack = [root]
     seen: set[int] = set()
     while stack:
-        nid, parent = stack.pop()
+        nid = stack.pop()
         if nid in seen:
             raise TreeError(f"node {nid} is reached twice")
         seen.add(nid)
@@ -166,24 +163,22 @@ def preorder(root: int, nodes: Mapping[int, _Node]) -> Iterator[tuple[_Node, int
             node = nodes[nid]
         except KeyError:
             raise TreeError(f"unknown node id {nid}") from None
-        yield node, parent
+        yield node
         if node.next_sibling is not None:
-            stack.append((node.next_sibling, nid))
+            stack.append(node.next_sibling)
         if node.first_child is not None:
-            stack.append((node.first_child, nid))
+            stack.append(node.first_child)
 
 
-def subtree_last(order: Sequence[_Node], linked: Sequence[int]) -> list[int]:
+def subtree_last(order: Sequence[_Node]) -> list[int]:
     """Per node of a preorder, the index of the last node of its subtree.
 
-    ``linked`` lists, ascending, the nodes with a pointer; every other node
-    is a subtree of its own.  A node's first_child follows it, and its
-    next_sibling follows the first_child's subtree, so a subtree ends where
-    its node's last pointee's does.  Pointees come after their node, so one
-    right-to-left pass over the linked nodes carries the ends up.
-    """
+    A node's first_child follows it, and its next_sibling follows the
+    first_child's subtree, so a subtree ends where its last pointee's does;
+    pointees come after their node, so one right-to-left pass carries the
+    ends up."""
     last = list(range(len(order)))
-    for v in reversed(linked):
+    for v in range(len(order) - 1, -1, -1):
         node = order[v]
         end = v
         if node.first_child is not None:
@@ -205,7 +200,7 @@ def restore(
     of the output.  With ``strip_control`` this is the flatten baseline.
     """
     out: list[str] = []
-    for node, _ in preorder(tree.root, tree.nodes):
+    for node in preorder(tree.root, tree.nodes):
         if node.seq not in sequences:
             raise TreeError(f"node {node.id} references unknown sequence {node.seq}")
         seq = sequences[node.seq]

@@ -53,7 +53,7 @@ def linearize_group(
     root_seq = sequences[tree.nodes[tree.root].seq]
     tokens: list[str] = list(root_seq[: tree.prompt_len])
     node_of: list[int] = [-1] * tree.prompt_len
-    for node, _ in preorder(tree.root, tree.nodes):
+    for node in preorder(tree.root, tree.nodes):
         seq = sequences[node.seq]
         start, end = node.slice_bounds(len(seq))
         tokens.extend(seq[start:end])
@@ -95,26 +95,32 @@ def reference_training_mask(sample: LinearizedSample, tree: ParagraphTree) -> np
 def reference_subtree_last(root: int, nodes: Mapping) -> tuple[list[int], list[int]]:
     """Node ids in preorder and, per node, its subtree's last preorder index.
 
-    The walk builds each node's parent index, indexing the walked nodes by
-    key: a parent's first_child is walked right after it, its next_sibling
-    later.  A child follows its parent in preorder, so one reverse pass then
-    carries every subtree's last index up to its parent.  Ids are listed by
-    walk position, so nodes that share an id or differ from their key keep
-    one entry each.
+    A walk of its own from the root by key, which raises ``preorder``'s
+    TreeError for an unknown id or a node reached twice, records each
+    node's parent index.  A child follows its parent in preorder, so one
+    reverse pass then carries every subtree's last index up to its parent.
+    Ids are listed by walk position, so nodes that share an id or differ
+    from their key keep one entry each.
     """
-    index: dict[int, int] = {}
     ids: list[int] = []
     parent_of: list[int] = []
-    for node, parent in preorder(root, nodes):
+    seen: set[int] = set()
+    stack = [(root, -1)]
+    while stack:
+        key, p = stack.pop()
+        if key in seen:
+            raise TreeError(f"node {key} is reached twice")
+        seen.add(key)
+        try:
+            node = nodes[key]
+        except KeyError:
+            raise TreeError(f"unknown node id {key}") from None
         v = len(ids)
-        if parent is None:
-            key, p = root, -1
-        else:
-            p, first = index[parent], nodes[parent].first_child
-            key = first if first is not None and v == p + 1 else nodes[parent].next_sibling
-        index[key] = v
-        parent_of.append(p)
         ids.append(node.id)
+        parent_of.append(p)
+        for target in (node.next_sibling, node.first_child):
+            if target is not None:
+                stack.append((target, v))
     last = list(range(len(parent_of)))
     for v in range(len(parent_of) - 1, 0, -1):
         p = parent_of[v]
@@ -401,6 +407,27 @@ def reference_linear(script: ScriptTree) -> ReferenceReplayModel:
     """The node walker over the flattened script as one node."""
     flat = ScriptNode(0, tuple(flatten_script(script)))
     return ReferenceReplayModel(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
+
+
+def script_to_json(script: ScriptTree) -> str:
+    """The script as JSON, nodes in id order: the inverse of
+    ``script_from_json``.  Where that accepts the text, it reads back a
+    script equal to this one, whose JSON is the same text."""
+    payload = {
+        "prompt": list(script.prompt),
+        "root": script.root,
+        "category": script.category,
+        "nodes": [
+            {
+                "id": node.id,
+                "tokens": list(node.tokens),
+                "first_child": node.first_child,
+                "next_sibling": node.next_sibling,
+            }
+            for node in sorted(script.nodes.values(), key=lambda n: n.id)
+        ],
+    }
+    return json.dumps(payload)
 
 
 def recorded_step(group: SequenceGroup, model: LanguageModel, rec: StepRecord) -> None:

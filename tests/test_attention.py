@@ -346,7 +346,7 @@ def test_linearized_tree_matches_reference_walk_and_child_positions(source):
         sample, tree = source.sample, source.tree
     nodes = list(tree.nodes.values())
     forks = [v for v, node in enumerate(nodes) if node.first_child is not None]
-    assert (list(tree.nodes), subtree_last(nodes, forks)) == (
+    assert (list(tree.nodes), subtree_last(nodes)) == (
         reference_subtree_last(tree.root, tree.nodes)
     )
     assert [nodes[v + 1].start for v in forks] == reference_child_positions(sample.tokens)

@@ -9,12 +9,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
+from oracles import script_to_json  # noqa: E402
 
 from apar import cli, engine, sim
 from apar.blocks import KvBlockPool
 from apar.cli import _build_parser, main
 from apar.runtime import SequenceGroup
-from apar.script import ReplayModel, ScriptNode, ScriptTree, script_to_json
+from apar.script import ReplayModel, ScriptNode, ScriptTree
 from apar.sim import MAX_SAMPLES, MAX_WORKLOAD_SIZE, list_script
 from apar.tokens import CONTROL_TOKENS
 

@@ -30,7 +30,7 @@ from apar.extract import (
 )
 from apar.script import ScriptTree
 from apar.sim import list_script
-from apar.tokens import CHILD, CONTROL_TOKENS, FORK, has_surface
+from apar.tokens import CHILD, CONTROL_TOKENS, FORK
 from apar.tree import restore, validate
 
 
@@ -387,7 +387,7 @@ _IN_WORD = ["x[EOS]", "[Child]:", ":[Fork]"]
 _ENDS = ["```", "$x$", "\\(", "\\[", "https://x", " [Fork]", " [EOS] x", "\n[Child]"]
 
 
-def _responses(pieces, ends=("",), colons=(": ", ":", ":\t")):
+def _responses(pieces, ends, colons):
     """Texts shaped as a numbered list, as blank-line paragraphs, or free,
     built from ``pieces``, each ended by one of ``ends``; ``colons`` end
     an item's head."""
@@ -419,24 +419,3 @@ def test_parse_matches_the_reference_on_drawn_responses(text):
     assert _parse_response(text) == reference_parse_response(text)
 
 
-@settings(max_examples=250, deadline=None)
-@given(_responses(_WORDS + _BREAKS).filter(lambda text: not has_surface(text)))
-def test_parts_of_a_response_without_a_surface_need_no_escaping(text):
-    # Every head, detail, preamble and tail the parsers cut from a response
-    # with no control surface: its plain split is its tokenize.
-    parts = []
-
-    def recording(_text):
-        def split(part):
-            parts.append(part)
-            return part.split()
-
-        return split
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(extract_module, "_splitter", recording)
-        trees = [extract_ordered_list(text), extract_paragraphs(text)]
-    assert extract_module._splitter(text) is str.split
-    assert trees == [extract_ordered_list(text), extract_paragraphs(text)]
-    for part in parts:
-        assert part.split() == tokenize(part), part

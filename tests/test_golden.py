@@ -13,10 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
+from oracles import script_to_json  # noqa: E402
 
 from apar.attention import build_loss_mask, build_training_mask, linearize_script
 from apar.cli import main
-from apar.script import random_script, script_to_json
+from apar.script import random_script
 from apar.sim import list_script
 
 CONFIG = Path(__file__).parents[1] / "configs" / "simulate.json"

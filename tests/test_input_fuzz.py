@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_data import conversations  # noqa: E402
+from oracles import script_to_json  # noqa: E402
 
 from apar.cli import main
-from apar.script import ScriptNode, ScriptTree, script_to_json
+from apar.script import ScriptNode, ScriptTree
 from apar.sim import DEFAULT_COST
 
 DELETE = object()

@@ -18,14 +18,13 @@ from apar.script import (
     lay_out,
     random_script,
     script_from_json,
-    script_to_json,
 )
 from apar.sim import list_script
 from apar.tokens import CHILD, EOS, FORK
 from apar.tree import validate
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import ReferenceReplayModel, reference_linear  # noqa: E402
+from oracles import ReferenceReplayModel, reference_linear, script_to_json  # noqa: E402
 
 
 class TestReplay:
@@ -184,6 +183,35 @@ def test_unreached_node_refused_by_every_walk():
     for walk in (lay_out, linearize_script, flatten_script, ReplayModel, as_linear):
         with pytest.raises(ValueError, match=r"script nodes \[5\] are not reached from the root"):
             walk(script)
+
+
+def test_shared_node_id_named_by_every_keyed_walk():
+    # Keys 1 and 2 hold nodes with id 1.  The root reaches both keys, so the
+    # walks that key by node id name the shared id, not an unreached key.
+    script = ScriptTree(
+        0,
+        {0: ScriptNode(0, ("a",), 1, 2), 1: ScriptNode(1, ("b",)), 2: ScriptNode(1, ("c",))},
+        ("Q",),
+    )
+    for walk in (lay_out, ReplayModel, linearize_script):
+        with pytest.raises(ValueError) as raised:
+            walk(script)
+        assert str(raised.value) == "script node id 1 is shared by more than one node"
+
+
+def test_unreached_key_named_beside_a_shared_node():
+    # Key 3 hangs off nothing.  In the first script keys 1 and 2 share id 1;
+    # in the second key 3 holds the very node key 1 holds.  Each walk names
+    # key 3 alone.
+    lost = ScriptNode(3, ("lost",))
+    b = ScriptNode(1, ("b",))
+    shared_id = {0: ScriptNode(0, ("a",), 1, 2), 1: b, 2: ScriptNode(1, ("c",)), 3: lost}
+    shared_node = {0: ScriptNode(0, ("a",), 1, 2), 1: b, 2: ScriptNode(2, ("c",)), 3: b}
+    for nodes in (shared_id, shared_node):
+        script = ScriptTree(0, nodes, ("Q",))
+        for walk in (lay_out, linearize_script, flatten_script, ReplayModel, as_linear):
+            with pytest.raises(ValueError, match=r"^script nodes \[3\] are not reached from the root$"):
+                walk(script)
 
 
 def test_engine_tree_isomorphic_to_script():

@@ -22,7 +22,6 @@ from apar.script import (
     as_linear,
     flatten_script,
     random_script,
-    script_to_json,
 )
 from apar.sim import (
     SimConfig,
@@ -35,7 +34,7 @@ from apar.sim import (
 from apar.tokens import CONTROL_TOKENS
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import reference_simulation, step_block_demand  # noqa: E402
+from oracles import reference_simulation, script_to_json, step_block_demand  # noqa: E402
 
 
 def constant_cost(t_fixed=0.01):

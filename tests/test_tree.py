@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import linearize_group  # noqa: E402
+from oracles import linearize_group, script_to_json  # noqa: E402
 
 from apar.attention import LinearizedSample, build_training_mask, linearize_script
 from apar.cli import main
 from apar.errors import TreeError
-from apar.script import ScriptNode, ScriptTree, flatten_script, random_script, script_to_json
+from apar.script import ScriptNode, ScriptTree, flatten_script, random_script
 from apar.tree import (
     ParagraphNode,
     ParagraphTree,
@@ -104,10 +104,10 @@ class TestValidate:
 
 
 class TestPreorder:
-    def test_order_and_pointing_ids(self):
+    def test_restore_order(self):
         tree, _ = fig3_tree()
-        walk = [(node.id, parent) for node, parent in preorder(tree.root, tree.nodes)]
-        assert walk == [(0, None), (2, 0), (1, 0)]
+        walk = [node.id for node in preorder(tree.root, tree.nodes)]
+        assert walk == [0, 2, 1]
 
     def test_unknown_id_named(self):
         tree, _ = fig3_tree()
