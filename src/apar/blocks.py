@@ -79,5 +79,6 @@ class KvBlockPool:
         return freed
 
     def usage_snapshot(self) -> tuple[int, int, int]:
-        """(used blocks, used slots, peak used blocks); slots count exact fills."""
+        """(used blocks, used slots, peak used blocks); slots count exact fills.  No
+        program path calls it; it stays only because perfbench's ``layers.SPANS`` traces it."""
         return self.used_blocks, self.used_slots, self.peak_used

@@ -209,7 +209,7 @@ def _bench_one(path: Path, script: ScriptTree) -> dict:
         "apar_steps": apar.trace.steps,
         "ar_steps": ar.trace.steps,
         "step_speedup": round(ar.trace.steps / apar.trace.steps, 3),
-        "threads": apar.group.thread_count(),
+        "threads": len(apar.group.sequences),
     }
 
 
@@ -296,7 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         TreeError,
         ScriptMismatch,
         SimulationInvariantError,
-        AssertionError,
     ) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

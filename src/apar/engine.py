@@ -390,9 +390,9 @@ def _decode(
 ) -> DecodeResult:
     """Decode ``group``, fresh from new_group, with ``model``: the one driver
     of apar_decode, ar_decode and the simulator's step profiles."""
-    prompt_len = len(group.prompt)
+    prompt_len = group.tree.prompt_len
     rows, truncated = run_steps(group, model, min(max_steps, max_seq_len - prompt_len))
-    output = restore(group.tree, group.sequences_map(), strip_control=True)
+    output = restore(group.tree, group.sequences_map())
     trace = DecodeTrace(mode, prompt_len, group, rows, truncated, len(output))
     return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
 

@@ -215,7 +215,8 @@ def _parse_response(text: str) -> tuple[str, ScriptTree | None]:
 
 
 def classify_response(text: str) -> str:
-    """Total, deterministic response classification."""
+    """Total, deterministic response classification.  No program path calls
+    it; it stays only because perfbench's ``layers.SPANS`` traces it."""
     return _parse_response(text)[0]
 
 
@@ -234,6 +235,7 @@ def _read_turns(turns: list[tuple[str, str]], lines: list[str], prompt: list[str
 
 
 def build_training_sample(conversation: Conversation, turn_index: int) -> TrainingSample:
+    """No program path calls it; it stays only because perfbench's ``layers.SPANS`` traces it."""
     lines: list[str] = []
     prompt: list[str] = []
     _read_turns(conversation.turns[:turn_index], lines, prompt)

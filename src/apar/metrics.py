@@ -55,7 +55,7 @@ def max_cached_tokens(trace: DecodeTrace) -> int:
 
 def flatten_max_cached(tree: ParagraphTree, sequences: Mapping[int, Seq[str]]) -> int:
     """Cache needed to decode the flattened generation sequentially."""
-    flat = restore(tree, sequences, strip_control=True)
+    flat = restore(tree, sequences)
     return tree.prompt_len + len(flat) + 1  # trailing [EOS] slot
 
 
@@ -63,7 +63,9 @@ def mean_attended_tokens(tree: ParagraphTree, sequences: Mapping[int, Seq[str]])
     """Mean context length over every sampled token of the group.
 
     Each node's tokens were sampled by its owning thread at their sequence
-    positions; an injected [Child] was never sampled and is skipped.
+    positions; an injected [Child] was never sampled and is skipped.  A cut
+    decode also counts each cut thread's appended [EOS]; ``apar bench``
+    reads it only on decodes that were not cut.
     """
     total = 0
     count = 0
@@ -82,7 +84,7 @@ def mean_attended_tokens(tree: ParagraphTree, sequences: Mapping[int, Seq[str]])
 
 def flatten_mean_attended(tree: ParagraphTree, sequences: Mapping[int, Seq[str]]) -> float:
     """Mean context length decoding the flattened generation sequentially."""
-    flat_len = len(restore(tree, sequences, strip_control=True))
+    flat_len = len(restore(tree, sequences))
     # flat_len + 1 samples at contexts prompt_len .. prompt_len + flat_len
     return tree.prompt_len + flat_len / 2.0
 

@@ -48,7 +48,6 @@ class SequenceGroup:
     """All decoding threads spawned for one prompt, plus their tree."""
 
     def __init__(self, prompt: list[str], pool: KvBlockPool):
-        self.prompt = list(prompt)
         self.pool = pool
         self.tree = ParagraphTree(root=0, prompt_len=len(prompt))
         self.tree.nodes[0] = ParagraphNode(id=0, seq=0, start=len(prompt))
@@ -74,9 +73,6 @@ class SequenceGroup:
 
     def sequences_map(self) -> dict[int, list[str]]:
         return {sid: seq.tokens for sid, seq in self.sequences.items()}
-
-    def thread_count(self) -> int:
-        return len(self.sequences)
 
     # -- mutation --
 
@@ -127,12 +123,8 @@ class SequenceGroup:
         self.count_appends(1)  # the injected [Child]; the prefix is shared
         return child_id
 
-    def append_token(self, seq_id: int, token: str) -> int:
-        """Append one sampled token; finish and release on [EOS].
-
-        Returns the number of physical blocks freed (0 unless the token
-        finished the sequence).
-        """
+    def append_token(self, seq_id: int, token: str) -> None:
+        """Append one sampled token; finish and release on [EOS]."""
         try:
             seq = self.live[seq_id]
         except KeyError:
@@ -140,15 +132,14 @@ class SequenceGroup:
         self.pool.append_slot(len(seq.tokens))
         seq.tokens.append(token)
         self.count_appends(1)
-        if token != EOS:
-            return 0
-        return self.finish(seq)
+        if token == EOS:
+            self.finish(seq)
 
-    def finish(self, seq: Sequence) -> int:
+    def finish(self, seq: Sequence) -> None:
         """End live ``seq``, whose last token is [EOS] and already counted:
-        drop its hold on the tree and its blocks; return blocks freed."""
+        drop its hold on the tree and its blocks."""
         del self.live[seq.id]
-        return self.pool.release_sequence(self._release_logical(seq), len(seq.tokens))
+        self.pool.release_sequence(self._release_logical(seq), len(seq.tokens))
 
     # -- logical accounting --
 

@@ -51,14 +51,11 @@ class ParagraphTree:
     prompt_len: int = 0
 
 
-def validate(
-    tree: ParagraphTree,
-    sequences: Mapping[int, Sequence[str]] | None = None,
-) -> list[str]:
+def validate(tree: ParagraphTree, sequences: Mapping[int, Sequence[str]]) -> list[str]:
     """Return every violated structural invariant, node id ascending.
 
-    An empty list means the tree is valid.  ``sequences`` enables the range
-    checks that need the owning sequences' lengths.
+    An empty list means the tree is valid.  A node whose sequence is in
+    ``sequences`` gets the range checks against its length; ``{}`` skips them.
     """
     violations: list[str] = []
     if tree.root not in tree.nodes:
@@ -81,7 +78,7 @@ def validate(
                 pointer_targets.setdefault(target, []).append(nid)
         if node.end is not None and node.end < node.start:
             violations.append(f"node {nid} has end {node.end} < start {node.start}")
-        if sequences is not None and node.seq in sequences:
+        if node.seq in sequences:
             seq_len = len(sequences[node.seq])
             start, end = node.slice_bounds(seq_len)
             if start > seq_len or end > seq_len:
@@ -189,15 +186,11 @@ def subtree_last(order: Sequence[_Node]) -> list[int]:
     return last
 
 
-def restore(
-    tree: ParagraphTree,
-    sequences: Mapping[int, Sequence[str]],
-    strip_control: bool = True,
-) -> list[str]:
-    """Linearize the tree back into a single token stream.
+def restore(tree: ParagraphTree, sequences: Mapping[int, Sequence[str]]) -> list[str]:
+    """Linearize the tree back into its content tokens: the flatten baseline.
 
-    Emits each node's slice in ``preorder``.  Prompt tokens are never part
-    of the output.  With ``strip_control`` this is the flatten baseline.
+    Emits each node's slice in ``preorder`` with the control tokens left
+    out.  Prompt tokens are never part of the output.
     """
     out: list[str] = []
     for node in preorder(tree.root, tree.nodes):
@@ -211,9 +204,7 @@ def restore(
                 f" of length {len(seq)}"
             )
         out.extend(seq[start:end])
-    if strip_control:
-        out = [tok for tok in out if tok not in CONTROL_TOKENS]
-    return out
+    return [tok for tok in out if tok not in CONTROL_TOKENS]
 
 
 def path_to_root(tree: ParagraphTree, node_id: int) -> list[int]:
@@ -222,7 +213,8 @@ def path_to_root(tree: ParagraphTree, node_id: int) -> list[int]:
     A node's path members are exactly the nodes whose content is visible
     to it: following next_sibling stays within the same thread, following
     first_child crosses into the forked thread, and either way the pointing
-    node's content precedes the pointee's.
+    node's content precedes the pointee's.  No program path calls it; it
+    stays only because perfbench's ``layers.SPANS`` traces it.
     """
     if node_id not in tree.nodes:
         raise TreeError(f"unknown node id {node_id}")

@@ -494,11 +494,11 @@ def reference_decode(
     physical figures are a ``RefcountPool``'s, fed with each step's events."""
     group = new_group(prompt, KvBlockPool(block_size=block_size))
     shadow = RefcountPool(block_size=block_size)
-    tables = shadow.start(len(group.prompt))
-    trace = ReferenceTrace(mode=mode, prompt_len=len(group.prompt))
+    tables = shadow.start(len(prompt))
+    trace = ReferenceTrace(mode=mode, prompt_len=len(prompt))
     steps = 0
     while group.live:
-        if steps >= max_steps or len(group.prompt) + steps >= max_seq_len:
+        if steps >= max_steps or len(prompt) + steps >= max_seq_len:
             for seq_id in list(group.live):
                 group.append_token(seq_id, EOS)
             shadow.replay(tables, cut_events(tables))
@@ -514,7 +514,7 @@ def reference_decode(
         trace.records.append(rec)
     assert not tables, "a thread's shadow table outlived it"
     trace.sequences = group.sequences_map()
-    trace.content_tokens = len(restore(group.tree, trace.sequences, strip_control=True))
+    trace.content_tokens = len(restore(group.tree, trace.sequences))
     return trace
 
 

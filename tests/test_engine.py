@@ -12,6 +12,7 @@ from oracles import (  # noqa: E402
     cached_tokens,
     check_invariants,
     cut_events,
+    linearize_group,
     recorded_step,
     reference_decode,
     reference_max_cached,
@@ -38,7 +39,6 @@ from apar.runtime import SequenceGroup, new_group
 from apar.script import ReplayModel, as_linear, flatten_script, random_script
 from apar.sim import list_script
 from apar.tokens import CONTROL_TOKENS, EOS, FORK
-from apar.tree import restore
 
 
 class TestFig3Schedule:
@@ -46,7 +46,7 @@ class TestFig3Schedule:
         result = apar_decode(list(fig3_script.prompt), ReplayModel(fig3_script))
         assert result.output == ["a1", "a2", "d1", "d2", "b1"]
         assert result.trace.steps == 7
-        assert result.group.thread_count() == 2
+        assert len(result.group.sequences) == 2
         recs = result.trace.records
         assert [r.sampled for r in recs[:3]] == [
             [(0, "a1")], [(0, "a2")], [(0, FORK)]
@@ -168,7 +168,7 @@ class TestBigTree:
         # Last child forks during step 40, samples from 41, ends with its
         # [EOS] at step 71; one token per live thread per step throughout.
         assert result.trace.steps == 71
-        assert result.group.thread_count() == 6
+        assert len(result.group.sequences) == 6
         assert result.output == flatten_script(big_tree_script)
 
     def test_critical_path_equals_longest_thread(self, big_tree_script):
@@ -316,7 +316,7 @@ class TestProperties:
             script = random_script(seed, max_nodes=9, max_node_len=5)
             result = apar_decode(list(script.prompt), ReplayModel(script))
             seqs = result.sequences_map()
-            full = restore(result.tree, seqs, strip_control=False)
+            full = linearize_group(result.tree, seqs).tokens[result.tree.prompt_len :]
             total_generated = sum(len(r.sampled) + len(r.forks) for r in result.trace.records)
             assert len(full) == total_generated
 
@@ -446,7 +446,7 @@ def test_forked_child_checks_only_new_tokens(items):
     model = _CheckedTokens(ReplayModel(script))
     result = apar_decode(list(script.prompt), model, max_steps=1 << 30, max_seq_len=1 << 30)
     assert result.output == flatten_script(script)
-    assert result.group.thread_count() == items + 1
+    assert len(result.group.sequences) == items + 1
     assert model.checked <= 2 * model.calls
 
 
@@ -598,7 +598,7 @@ def _stretches(group, rows):
     ``group``: the runs of steps with one live thread whose last token is
     not [Fork].  A thread live at the last step holds every token a lone
     thread sampled, at its lockstep position."""
-    prompt_len = len(group.prompt)
+    prompt_len = group.tree.prompt_len
     tokens = max((seq.tokens for seq in group.sequences.values()), key=len)
     stretches, last = [], -1
     for t in range(1, len(rows) // ROW_WIDTH + 1):

@@ -4,6 +4,7 @@ An import cycle between two modules fails only when one of them is the
 first imported, so each module gets an interpreter to itself.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -32,3 +33,16 @@ def test_module_imports_first(module):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path for top in ("src/apar", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+)
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python names 3.10, the floor of the CI matrix.
+    assert len(SOURCES) > 20
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -11,6 +11,7 @@ from apar.attention import LinearizedSample, build_training_mask, linearize_scri
 from apar.cli import main
 from apar.errors import TreeError
 from apar.script import ScriptNode, ScriptTree, flatten_script, random_script
+from apar.tokens import CONTROL_TOKENS
 from apar.tree import (
     ParagraphNode,
     ParagraphTree,
@@ -49,7 +50,7 @@ class TestValidate:
         tree, _ = single_node_tree(["a"])
         tree.nodes[1] = ParagraphNode(id=1, seq=0, start=2)
         tree.nodes[0].first_child = 1
-        violations = validate(tree)
+        violations = validate(tree, {})
         assert any("exactly 1 pointer" in v for v in violations)
 
     def test_cycle_detected_in_mutated_random_trees(self):
@@ -65,7 +66,7 @@ class TestValidate:
             )
             tree.nodes[leaf].next_sibling = tree.root
             tree.nodes[leaf].first_child = tree.root
-            violations = validate(tree)
+            violations = validate(tree, {})
             assert violations, f"seed {seed} mutation accepted"
             assert any("cycle" in v for v in violations), violations
             hits += 1
@@ -174,11 +175,6 @@ class TestRestore:
         tree, seqs = fig3_tree()
         assert restore(tree, seqs) == ["a1", "a2", "d1", "d2", "b1"]
 
-    def test_keep_control(self):
-        tree, seqs = fig3_tree()
-        out = restore(tree, seqs, strip_control=False)
-        assert out == ["a1", "a2", "[Fork]", "[Child]", "d1", "d2", "[EOS]", "b1", "[EOS]"]
-
     def test_matches_recursive_oracle(self):
         def oracle(tree, seqs, nid):
             node = tree.nodes[nid]
@@ -195,8 +191,9 @@ class TestRestore:
             script = random_script(seed, max_nodes=15, max_node_len=6)
             sample, tree = linearize_script(script)
             seqs = {0: sample.tokens}
-            got = restore(tree, seqs, strip_control=False)
-            assert got == oracle(tree, seqs, tree.root)
+            want = oracle(tree, seqs, tree.root)
+            assert linearize_group(tree, seqs).tokens[tree.prompt_len :] == want
+            assert restore(tree, seqs) == [t for t in want if t not in CONTROL_TOKENS]
 
     def test_out_of_range_names_node(self):
         tree, seqs = fig3_tree()
@@ -214,20 +211,22 @@ class TestRestore:
         for seed in range(20):
             script = random_script(seed, max_nodes=17, max_node_len=3)
             sample, tree = linearize_script(script)
-            out = restore(tree, {0: sample.tokens}, strip_control=False)
-            assert out == sample.tokens[sample.prompt_len:]
+            seqs = {0: sample.tokens}
+            assert linearize_group(tree, seqs).tokens == sample.tokens
+            content = sample.tokens[sample.prompt_len :]
+            assert restore(tree, seqs) == [t for t in content if t not in CONTROL_TOKENS]
 
 
 class TestFlatten:
     def test_fig3(self):
         tree, seqs = fig3_tree()
-        flat = restore(tree, seqs, strip_control=True)
+        flat = restore(tree, seqs)
         assert flat == ["a1", "a2", "d1", "d2", "b1"]
         assert len(flat) == 5
 
     def test_empty_generation(self):
         tree, seqs = single_node_tree([])
-        assert restore(tree, seqs, strip_control=True) == []
+        assert restore(tree, seqs) == []
 
     def test_equals_strip_restore(self):
         for seed in range(100):
@@ -235,7 +234,7 @@ class TestFlatten:
             sample, tree = linearize_script(script)
             seqs = {0: sample.tokens}
             # The flatten baseline of the decoded tree is the script's content.
-            assert restore(tree, seqs, strip_control=True) == flatten_script(script)
+            assert restore(tree, seqs) == flatten_script(script)
 
 
 class TestPathToRoot:
