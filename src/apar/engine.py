@@ -258,6 +258,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
     length = len(live[0].tokens)
     fresh = length % pool.block_size == 0  # every thread's last block is full
     counted = controls = peak = 0  # logical appends counted; controls; block peak
+    next_token = model.next_token
     try:
         for seq in live:
             tokens = seq.tokens
@@ -266,7 +267,7 @@ def apar_step(group: SequenceGroup, model: LanguageModel) -> tuple[int, ...]:
                     f"sequence {seq.id} holds {len(tokens)} tokens but sequence"
                     f" {live[0].id} holds {length}: the threads are out of lockstep"
                 )
-            token = model.next_token(tokens, seq.model_state)
+            token = next_token(tokens, seq.model_state)
             if tokens[-1] == FORK:
                 group.fork_sequence(seq.id)
             if fresh:
@@ -394,7 +395,7 @@ def _decode(
     rows, truncated = run_steps(group, model, min(max_steps, max_seq_len - prompt_len))
     output = restore(group.tree, group.sequences_map())
     trace = DecodeTrace(mode, prompt_len, group, rows, truncated, len(output))
-    return DecodeResult(output=output, tree=group.tree, trace=trace, group=group)
+    return DecodeResult(output, group.tree, trace, group)
 
 
 def apar_decode(

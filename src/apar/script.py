@@ -146,15 +146,17 @@ class ReplayModel:
     A thread's context is the script's ``lay_out`` less the first-child
     subtrees it did not enter, so a cursor into the layout checks it: a
     [Fork] not followed by [Child] jumps to the node's next sibling, and an
-    [EOS] moves onto the sentinel past the end, which no token matches.
+    [EOS] moves onto the ``None`` sentinel past the end.  No token matches
+    the sentinel, and a cursor on it marks a finished thread.
 
     ``state`` is a list the calling thread owns and the model alone fills:
     ``[checked, pos]``, where positions ``[0, checked)`` of the context are
     checked and ``layout[pos]`` is the token due next.  A call checks only
-    the tokens appended since, so a call on a growing context costs the same
-    at any length.  An empty state, or a context shorter than ``checked``,
-    is checked again from the prompt.  A call that raises leaves the state
-    as it was.
+    the tokens appended since: on a context grown by one token it reads
+    that token, compares it with ``layout[pos]`` and stores the two slots,
+    so it costs the same at any length.  An empty state, or a context
+    shorter than ``checked``, is checked again from the prompt.  A call
+    that raises leaves the state as it was.
     """
 
     def __init__(self, script: ScriptTree):
@@ -167,31 +169,36 @@ class ReplayModel:
 
     def next_token(self, context: Seq[str], state: list) -> str:
         layout = self.layout
-        end = len(layout) - 1
         n = len(context)
-        if not state or n < state[0]:
+        if state and state[0] <= n:
+            i, pos = state
+        else:
             prompt = self.script.prompt
             if tuple(context[: len(prompt)]) != prompt:
                 raise ScriptMismatch("context does not start with the script prompt")
             i = pos = len(prompt)
-        else:
-            i, pos = state
         while i < n:
             tok = context[i]
             want = layout[pos]
             if tok == want:
-                pos = end if tok == EOS else pos + 1
+                pos = len(layout) - 1 if tok == EOS else pos + 1
                 i += 1
             elif want == CHILD:  # no [Child] after the [Fork]: on to the sibling
                 pos = self.sibling_after[pos - 1]
-            elif pos == end:
+            elif want is None:
                 raise ScriptMismatch(f"token {tok!r} after {EOS} at position {i}")
             else:
                 raise ScriptMismatch(f"position {i}: expected {want!r}, saw {tok!r}")
-        if pos == end:
-            raise ScriptMismatch("next_token called on a finished context")
-        state[:] = n, pos
         tok = layout[pos]
+        if tok is None:
+            raise ScriptMismatch("next_token called on a finished context")
+        # Stored by index, or, on a first call, extended: nothing above
+        # wrote the state, so a call that raised left it as it was.
+        if state:
+            state[0] = n
+            state[1] = pos
+        else:
+            state += n, pos
         return layout[self.sibling_after[pos - 1]] if tok == CHILD else tok
 
 

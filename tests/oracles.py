@@ -34,6 +34,7 @@ from apar.extract import (
 )
 from apar.runtime import SequenceGroup, new_group
 from apar.script import (
+    LinearModel,
     ReplayModel,
     ScriptNode,
     ScriptTree,
@@ -407,6 +408,48 @@ def reference_linear(script: ScriptTree) -> ReferenceReplayModel:
     """The node walker over the flattened script as one node."""
     flat = ScriptNode(0, tuple(flatten_script(script)))
     return ReferenceReplayModel(ScriptTree(root=0, nodes={0: flat}, prompt=script.prompt))
+
+
+class SliceStoreReplayModel(ReplayModel):
+    """``ReplayModel`` with its call as first written: it computes the
+    layout's end on every call, tests ``pos`` against it for a finished
+    thread, and stores the state by slice.  The one-path call must give the
+    same answer, the same message and the same state left after the call."""
+
+    def next_token(self, context: Seq[str], state: list) -> str:
+        layout = self.layout
+        end = len(layout) - 1
+        n = len(context)
+        if not state or n < state[0]:
+            prompt = self.script.prompt
+            if tuple(context[: len(prompt)]) != prompt:
+                raise ScriptMismatch("context does not start with the script prompt")
+            i = pos = len(prompt)
+        else:
+            i, pos = state
+        while i < n:
+            tok = context[i]
+            want = layout[pos]
+            if tok == want:
+                pos = end if tok == EOS else pos + 1
+                i += 1
+            elif want == CHILD:  # no [Child] after the [Fork]: on to the sibling
+                pos = self.sibling_after[pos - 1]
+            elif pos == end:
+                raise ScriptMismatch(f"token {tok!r} after {EOS} at position {i}")
+            else:
+                raise ScriptMismatch(f"position {i}: expected {want!r}, saw {tok!r}")
+        if pos == end:
+            raise ScriptMismatch("next_token called on a finished context")
+        state[:] = n, pos
+        tok = layout[pos]
+        return layout[self.sibling_after[pos - 1]] if tok == CHILD else tok
+
+
+class SliceStoreLinearModel(LinearModel):
+    """``LinearModel`` with the call of ``SliceStoreReplayModel``."""
+
+    next_token = SliceStoreReplayModel.next_token
 
 
 def script_to_json(script: ScriptTree) -> str:

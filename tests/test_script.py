@@ -24,7 +24,13 @@ from apar.tokens import CHILD, EOS, FORK
 from apar.tree import validate
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import ReferenceReplayModel, reference_linear, script_to_json  # noqa: E402
+from oracles import (  # noqa: E402
+    ReferenceReplayModel,
+    SliceStoreLinearModel,
+    SliceStoreReplayModel,
+    reference_linear,
+    script_to_json,
+)
 
 
 class TestReplay:
@@ -308,9 +314,15 @@ class TestCursors:
             model.next_token(ctx, state)
         del ctx[-1]
         model.next_token(ctx, state)
+        before = list(state)
         ctx[2:] = ["WRONG"]  # truncated below the cursor, then diverged
         with pytest.raises(ScriptMismatch):
             model.next_token(ctx, state)
+        assert state == before  # nor does one that checks again from the prompt
+        cold = []
+        with pytest.raises(ScriptMismatch):
+            model.next_token(ctx, cold)
+        assert cold == []
 
     def test_finished_context_raises_and_keeps_state(self, kind, fig3_script):
         model = MODELS[kind][0](fig3_script)
@@ -450,3 +462,36 @@ def test_layout_cursor_matches_the_node_walker_past_an_empty_forking_sibling(kin
         prompt=("Q",),
     )
     _check_against_walker(kind, script, (FORK, CHILD, EOS, "a", "zz"))
+
+
+# Each model kind with its call as first written.
+SLICE_STORE = {"replay": SliceStoreReplayModel, "linear": SliceStoreLinearModel}
+
+
+def _outcome(model, context, state):
+    """The model's answer, or the message it raised, and the state it left."""
+    try:
+        answer = model.next_token(context, state)
+    except ScriptMismatch as exc:
+        answer = ("raised", str(exc))
+    return answer, list(state)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_cursor_call_matches_its_first_form(kind):
+    make, decode = MODELS[kind]
+    for seed in range(25):
+        script = random_script(seed, max_nodes=9, max_node_len=4)
+        words = sorted(set(flatten_script(script)))
+        pool = (FORK, CHILD, EOS, words[seed % len(words)], "zz")
+        model, first = make(script), SLICE_STORE[kind](script)
+        for tokens in decode(list(script.prompt), model).sequences_map().values():
+            for ctx, cut in _cases(tokens, len(script.prompt), pool):
+                assert _outcome(model, ctx, []) == _outcome(first, ctx, []), ctx
+                state, first_state = [], []
+                # Resumed from the state each leaves on ctx[:cut], then
+                # checked again from the prompt on ctx[:cut].
+                for context in (ctx[:cut], ctx, ctx[:cut]):
+                    assert _outcome(model, context, state) == _outcome(
+                        first, context, first_state
+                    ), (seed, ctx, cut)
